@@ -1,6 +1,7 @@
 """Exact arithmetic for q-deformed Markoff numbers over balanced binary sequences."""
 
 from .words import (
+    christoffel_word,
     factors,
     has_markoff_property_periodic,
     is_balanced_family,
@@ -17,7 +18,6 @@ from .morphism import (
     ChristoffelNode,
     MarkoffTriple,
     christoffel_node,
-    christoffel_words_upto,
     flip_matrix,
     delta_last_letter,
     delta_wrap,

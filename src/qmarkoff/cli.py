@@ -34,7 +34,7 @@ from .morphism import (
     tree_paths,
 )
 from .pairs import build_pair, pair_report
-from .spectrum import PeriodicCF, closed_form_supremum, markoff_supremum, sigma_subst, supremum_residual
+from .spectrum import christoffel_supremum, closed_form_supremum
 from .words import parse_word, render_word
 
 FIBONACCI_DIRECTIVE = (1,) * 24
@@ -195,15 +195,14 @@ def _cmd_verify_monotone(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     w = parse_word(args.word)
-    m = mu(w)[0][1]
-    sup = markoff_supremum(PeriodicCF(tuple(sigma_subst(w))), args.depth)
-    residual = supremum_residual(w, args.depth)
+    m, sup = christoffel_supremum(w, args.depth)
+    closed = closed_form_supremum(m)
     print(f"word: {w}")
     print(f"m: {m}")
     print(f"supremum: {sup.value!r}")
     print(f"error_bound: {sup.error_bound!r}")
-    print(f"closed_form: {closed_form_supremum(m)!r}")
-    print(f"residual: {residual!r}")
+    print(f"closed_form: {closed!r}")
+    print(f"residual: {abs(sup.value - closed)!r}")
     return 0
 
 

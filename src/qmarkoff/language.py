@@ -19,7 +19,7 @@ from typing import Sequence, Union
 
 from .morphism import is_christoffel, q_markoff
 from .qpoly import IntPolynomial, Scalar
-from .words import is_balanced_periodic, parse_word, reversal
+from .words import cyclic_factors, factors, is_balanced_periodic, parse_word, reversal
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,17 @@ def mechanical_letter(spec: MechanicalSpec, pos: int) -> str:
     return "ab"[bit]
 
 
+@lru_cache(maxsize=64)
+def _standard_prefix(directive: tuple[int, ...], length: int) -> str:
+    """Up to `length` letters of the standard word; s_{k-1}^{d_k} is cut to the power covering them."""
+    prev, cur = "b", "a"
+    for d in directive:
+        if len(cur) >= length:
+            break
+        prev, cur = cur, cur * min(d, length // len(cur) + 1) + prev
+    return cur[:length]
+
+
 def characteristic_word(directive: Sequence[int], length: int) -> str:
     """Length-`length` prefix of the standard word driven by `directive`.
 
@@ -65,16 +76,12 @@ def characteristic_word(directive: Sequence[int], length: int) -> str:
         raise ValueError("length must be >= 0")
     if any(d < 1 for d in directive):
         raise ValueError("directive entries must be positive")
-    prev, cur = "b", "a"
-    for d in directive:
-        if len(cur) >= length:
-            break
-        prev, cur = cur, cur * d + prev
-    if len(cur) < length:
+    word = _standard_prefix(tuple(directive), length)
+    if len(word) < length:
         raise ValueError(
-            f"directive {tuple(directive)} generates only {len(cur)} letters, {length} requested"
+            f"directive {tuple(directive)} generates only {len(word)} letters, {length} requested"
         )
-    return cur[:length]
+    return word
 
 
 @dataclass(frozen=True)
@@ -147,14 +154,6 @@ class Mechanical:
 BalancedSpec = Union[Periodic, Characteristic, Skew, Mechanical]
 
 
-@lru_cache(maxsize=64)
-def _full_standard_word(directive: tuple[int, ...]) -> str:
-    prev, cur = "b", "a"
-    for d in directive:
-        prev, cur = cur, cur * d + prev
-    return cur
-
-
 def letter_at(spec: BalancedSpec, pos: int) -> str:
     """Letter of the spec's canonical biinfinite sequence at position `pos`."""
     if isinstance(spec, Periodic):
@@ -165,7 +164,8 @@ def letter_at(spec: BalancedSpec, pos: int) -> str:
         if pos == 0:
             return "b"
         idx = pos - 1 if pos > 0 else -pos - 2
-        p = _full_standard_word(spec.directive)
+        # cached by the next power of two: O(idx) letters, one lookup per call
+        p = _standard_prefix(spec.directive, 1 << idx.bit_length())
         if idx >= len(p):
             raise ValueError(f"directive too short for position {pos}")
         return p[idx]
@@ -233,21 +233,16 @@ def enumerate_factors(spec: BalancedSpec, n: int) -> FactorLanguage:
     if n == 0:
         return FactorLanguage(0, ("",))
     if isinstance(spec, Characteristic):
-        w = characteristic_word(spec.directive, n - 1)
-        first, second = compact_representations(w)
-        fs = {first[i : i + n] for i in range(len(first) - n + 1)}
-        fs2 = {second[i : i + n] for i in range(len(second) - n + 1)}
-        if fs != fs2:
+        first, second = compact_representations(characteristic_word(spec.directive, n - 1))
+        fs = factors(first, n)
+        if fs != factors(second, n):
             raise AssertionError(f"compact representations disagree at n={n}")
-        return FactorLanguage(n, tuple(sorted(fs)))
-    if isinstance(spec, Periodic):
-        rep = spec.word * (n // len(spec.word) + 2)
-        fs = {rep[i : i + n] for i in range(len(spec.word))}
-        return FactorLanguage(n, tuple(sorted(fs)))
-    radius = 2 * n + _period_hint(spec)
-    window = sequence_window(spec, -radius, radius)
-    fs = {window[i : i + n] for i in range(len(window) - n + 1)}
-    return FactorLanguage(n, tuple(sorted(fs)))
+    elif isinstance(spec, Periodic):
+        fs = cyclic_factors(spec.word, n)
+    else:
+        radius = 2 * n + _period_hint(spec)
+        fs = factors(sequence_window(spec, -radius, radius), n)
+    return FactorLanguage(n, tuple(fs))
 
 
 LAST_LETTER = "last_letter"

@@ -9,12 +9,13 @@ q-analog of that Markoff number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
 from .qpoly import IntPolynomial, QMatrix, poly
-from .words import count_letter, reversal
+from .words import christoffel_word, count_letter, reversal
 
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
 
@@ -246,22 +247,12 @@ def tree_paths(depth: int) -> list[tuple[str, ...]]:
     return out
 
 
-def christoffel_words_upto(max_len: int) -> set[str]:
-    """All lower Christoffel words of length <= max_len (including "a" and "b")."""
-    found = {w for w in ("a", "b") if max_len >= 1}
-    frontier = [("a", "b")] if max_len >= 2 else []
-    while frontier:
-        nxt = []
-        for u, v in frontier:
-            w = u + v
-            if len(w) <= max_len:
-                found.add(w)
-                nxt.append((u, w))
-                nxt.append((w, v))
-        frontier = nxt
-    return found
-
-
 def is_christoffel(w: str) -> bool:
-    """Whether w is a lower Christoffel word (tree membership at desk scale)."""
-    return bool(w) and w in christoffel_words_upto(len(w))
+    """Whether w is a lower Christoffel word, by the closed form.
+
+    w is lower Christoffel iff w ∈ {a, b}, or k = |w|_b is coprime to n = |w|
+    and w_i = ⌊(i+1)k/n⌋ - ⌊ik/n⌋ with a = 0, b = 1 (Berstel, Lauve,
+    Reutenauer, Saliola, *Combinatorics on Words*, CRM 2008).
+    """
+    k, n = count_letter(w, "b"), len(w)
+    return math.gcd(k, n) == 1 and w == christoffel_word(k, n)

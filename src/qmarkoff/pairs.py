@@ -120,24 +120,8 @@ def _observed_patterns(pair: AsymptoticPair, support: tuple[int, ...]):
 
 
 def is_indistinguishable_up_to(pair: AsymptoticPair, radius: int) -> bool:
-    """Check occurrence balance for contiguous patterns of width <= radius.
-
-    Also checks the full-window support [-radius, radius].  For
-    one-dimensional sequences, counts of patterns with gaps are sums of
-    counts of contiguous ones, so this contiguous enumeration is
-    sufficient; the reduction is cross-validated against a brute-force
-    enumeration over gapped supports in the test suite.
-    """
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    supports = [tuple(range(width)) for width in range(1, radius + 1)]
-    supports.append(tuple(range(-radius, radius + 1)))
-    for support in supports:
-        for pattern in _observed_patterns(pair, support):
-            gained, lost = occ_diff(pair, pattern)
-            if gained != lost:
-                return False
-    return True
+    """Whether every pattern checked by pair_report(pair, radius) is balanced."""
+    return pair_report(pair, radius).indistinguishable
 
 
 @dataclass
@@ -151,7 +135,15 @@ class PairReport:
 
 
 def pair_report(pair: AsymptoticPair, radius: int) -> PairReport:
-    """Like is_indistinguishable_up_to but counting patterns and keeping a witness."""
+    """Check occurrence balance for contiguous patterns of width <= radius.
+
+    Also checks the full-window support [-radius, radius].  For
+    one-dimensional sequences, counts of patterns with gaps are sums of
+    counts of contiguous ones, so this contiguous enumeration is
+    sufficient; the reduction is cross-validated against a brute-force
+    enumeration over gapped supports in the test suite.  The report counts
+    the patterns checked and keeps the first unbalanced one as witness.
+    """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     supports = [tuple(range(width)) for width in range(1, radius + 1)]

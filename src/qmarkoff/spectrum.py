@@ -89,14 +89,18 @@ def closed_form_supremum(m: int) -> float:
     return math.sqrt(Fraction(9 * m * m - 4, m * m))
 
 
+def christoffel_supremum(w: str, depth: int = 64) -> tuple[int, SpectrumValue]:
+    """(m, supremum of the periodized image of w); w must be Christoffel, checked up front."""
+    if not is_christoffel(w):
+        raise ValueError("precondition: Christoffel word required")
+    return mu(w)[0][1], markoff_supremum(PeriodicCF(tuple(sigma_subst(w))), depth)
+
+
 def supremum_residual(w: str, depth: int = 64) -> float:
     """Residual between the computed supremum of the periodized image of w and its closed form.
 
     w must be a Christoffel word; its Markoff number m = mu(w) entry (1,2)
     gives the closed form sqrt(9 - 4/m^2).
     """
-    if not is_christoffel(w):
-        raise ValueError("precondition: Christoffel word required")
-    sup = markoff_supremum(PeriodicCF(tuple(sigma_subst(w))), depth)
-    m = mu(w)[0][1]
+    m, sup = christoffel_supremum(w, depth)
     return abs(sup.value - closed_form_supremum(m))

@@ -93,26 +93,34 @@ def is_balanced_family(words, letter: str) -> bool:
 
 
 def cyclic_factors(w: str, n: int) -> list[str]:
-    """Length-n factors of the periodic biinfinite repetition of w, lex-sorted."""
+    """Length-n factors of the periodic repetition of w: those of its (|w|+n-1)-letter prefix."""
     if not w:
         raise ValueError("empty period")
-    rep = w * (n // len(w) + 2)
-    return sorted({rep[i : i + n] for i in range(len(w))})
+    return factors((w * (n // len(w) + 2))[: len(w) + n - 1], n)
+
+
+def christoffel_word(k: int, n: int) -> str:
+    """The word whose letter i < n is b iff ⌊(i+1)k/n⌋ - ⌊ik/n⌋ = 1, for 0 <= k <= n.
+
+    It is the lower Christoffel word of slope k/n when gcd(k, n) = 1, else
+    the gcd(k, n)-th power of the one of the reduced slope.
+    """
+    if not 0 <= k <= n or n < 1:
+        raise ValueError(f"need 0 <= k <= n and n >= 1, got k={k}, n={n}")
+    return "".join("ab"[(i + 1) * k // n - i * k // n] for i in range(n))
 
 
 def is_balanced_periodic(w: str) -> bool:
     """Whether the biinfinite periodic repetition of w is balanced.
 
-    An imbalance in a p-periodic sequence, if present, shows up at some
-    factor length n <= p, so scanning n = 1..len(w) decides.
+    That holds iff w is a conjugate of a power of a Christoffel word
+    (Lothaire, *Algebraic Combinatorics on Words*, ch. 2), i.e. a factor
+    of c·c for c = christoffel_word(|w|_b, |w|).
     """
     if not w:
         raise ValueError("empty word")
-    for n in range(1, len(w) + 1):
-        fs = cyclic_factors(w, n)
-        if not is_balanced_family(fs, "a") or not is_balanced_family(fs, "b"):
-            return False
-    return True
+    c = christoffel_word(w.count("b"), len(w))
+    return w in c + c
 
 
 def has_markoff_property_periodic(w: str) -> bool:

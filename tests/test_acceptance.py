@@ -25,7 +25,6 @@ from qmarkoff.language import (
 )
 from qmarkoff.morphism import (
     christoffel_node,
-    christoffel_words_upto,
     flip_matrix,
     det_exponent,
     det_mu_q,
@@ -41,6 +40,8 @@ from qmarkoff.pairs import AsymptoticPair, Pattern, build_pair, is_indistinguish
 from qmarkoff.qpoly import IntPolynomial, poly
 from qmarkoff.spectrum import PeriodicCF, markoff_supremum, sigma_subst, supremum_residual
 from qmarkoff.words import has_markoff_property_periodic, is_balanced_periodic, render_word
+
+from oracles import christoffel_words_upto
 
 FIB = Characteristic((1,) * 24)
 

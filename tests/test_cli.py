@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qmarkoff import spectrum
 from qmarkoff.cli import main, parse_spec, SpecSyntaxError
 from qmarkoff.language import Characteristic, Mechanical, Periodic, Skew
 
@@ -119,9 +120,22 @@ def test_spectrum_command(capsys):
 
 
 def test_spectrum_rejects_non_christoffel(capsys):
-    code, _, err = run(capsys, "spectrum", "aabb")
+    code, out, err = run(capsys, "spectrum", "aabb")
     assert code == 2
     assert "Christoffel" in err
+    assert out == ""
+
+
+def test_spectrum_computes_supremum_once(capsys, monkeypatch):
+    calls = []
+    original = spectrum.markoff_supremum
+    monkeypatch.setattr(spectrum, "markoff_supremum", lambda *a: calls.append(a) or original(*a))
+    code, out, _ = run(capsys, "spectrum", "aabab")
+    assert code == 0 and "residual: " in out
+    assert len(calls) == 1
+    calls.clear()
+    code, out, _ = run(capsys, "spectrum", "aabb")
+    assert code == 2 and out == "" and not calls
 
 
 def test_curves_csv(capsys):
@@ -142,6 +156,14 @@ def test_pair_check(capsys):
     assert "indistinguishable: yes" in out
     code, out, _ = run(capsys, "pair-check", "--spec", "skew:m=aba,form=blocks", "--radius", "5")
     assert code == 0
+
+
+def test_pair_check_long_directive(capsys):
+    # the standard word of this directive would have about 10^12 letters
+    spec = "characteristic:" + ",".join(["9"] * 12)
+    code, out, _ = run(capsys, "pair-check", "--spec", spec, "--radius", "4")
+    assert code == 0
+    assert "indistinguishable: yes" in out
 
 
 def test_pair_check_requires_factorization(capsys):

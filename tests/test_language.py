@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from qmarkoff.language import (
 )
 from qmarkoff.morphism import mu, q_markoff
 from qmarkoff.qpoly import poly
-from qmarkoff.words import is_balanced_family, render_word
+from qmarkoff.words import is_balanced_family, render_word, reversal
 
 FIB = Characteristic((1,) * 24)
 
@@ -84,6 +85,41 @@ def test_characteristic_word_errors():
         characteristic_word((1, 0, 1), 3)
     with pytest.raises(ValueError):
         characteristic_word((1,), -1)
+
+
+def test_characteristic_word_large_directive_entries():
+    # a huge directive entry costs no more than the letters asked for
+    assert characteristic_word((10**12, 3), 6) == "aaaaaa"
+    assert characteristic_word((2, 10**12), 7) == "aabaaba"
+
+
+def test_characteristic_letter_at_matches_standard_word():
+    for directive in ((1,) * 10, (2, 3, 1, 4, 2), (1, 5, 2, 3)):
+        spec = Characteristic(directive)
+        p = characteristic_word(directive, 80)
+        assert sequence_window(spec, -1, 81) == "ab" + p
+        assert sequence_window(spec, -81, 1) == reversal(p) + "ab"
+
+
+def test_characteristic_letter_at_directive_too_short():
+    # directive (1, 1) generates the 3-letter standard word "aba"
+    spec = Characteristic((1, 1))
+    assert sequence_window(spec, -4, 4) == "abaababa"
+    for pos in (4, -5, 100):
+        with pytest.raises(ValueError, match="directive too short"):
+            letter_at(spec, pos)
+
+
+def test_characteristic_letter_at_memory_is_bounded():
+    # the full standard word of (1,)*38 has 102,334,155 letters
+    spec = Characteristic((1,) * 38)
+    tracemalloc.start()
+    try:
+        assert letter_at(spec, 100) == characteristic_word(spec.directive, 100)[99]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_characteristic_prefix_occurs_in_mechanical_word():
@@ -358,7 +394,7 @@ def test_characteristic_factors_match_mechanical_window(directive):
 
 
 def test_radix_chain_all_small_christoffel_periods():
-    from qmarkoff.morphism import christoffel_words_upto
+    from oracles import christoffel_words_upto
 
     for w in sorted(christoffel_words_upto(6)):
         radix_chain_check(Periodic(w), 8)

@@ -9,7 +9,6 @@ from qmarkoff.morphism import (
     MU_Q_A,
     MU_Q_B,
     christoffel_node,
-    christoffel_words_upto,
     flip_matrix,
     delta_last_letter,
     delta_wrap,
@@ -27,6 +26,8 @@ from qmarkoff.morphism import (
 )
 from qmarkoff.qpoly import IntPolynomial, poly
 from qmarkoff.words import reversal
+
+from oracles import christoffel_words_upto
 
 words_st = st.text(alphabet="ab", max_size=8)
 
@@ -267,6 +268,14 @@ def test_christoffel_words():
     assert not is_christoffel("aabb")
     assert not is_christoffel("ba")
     assert not is_christoffel("")
+
+
+def test_is_christoffel_matches_tree_oracle_len12():
+    tree = christoffel_words_upto(12)
+    for n in range(1, 13):
+        for letters in itertools.product("ab", repeat=n):
+            w = "".join(letters)
+            assert is_christoffel(w) == (w in tree), w
 
 
 def test_collision_at_q1_and_q_collision():

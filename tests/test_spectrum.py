@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmarkoff.morphism import christoffel_words_upto, mu
+from qmarkoff.morphism import mu
 from qmarkoff.spectrum import (
     PeriodicCF,
     cf_tail,
@@ -13,6 +13,8 @@ from qmarkoff.spectrum import (
     sigma_subst,
     supremum_residual,
 )
+
+from oracles import christoffel_words_upto
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 

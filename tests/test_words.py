@@ -1,10 +1,11 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmarkoff.words import (
+    christoffel_word,
     cyclic_factors,
     factors,
     has_markoff_property_periodic,
@@ -17,6 +18,8 @@ from qmarkoff.words import (
     render_word,
     reversal,
 )
+
+from oracles import balanced_periodic_scan
 
 words_st = st.text(alphabet="ab", max_size=12)
 nonempty_words_st = st.text(alphabet="ab", min_size=1, max_size=10)
@@ -117,13 +120,51 @@ def test_periodic_balance_bound_vs_bruteforce_scan():
     # imbalance appears at factor length <= period; cross-check the n <= p
     # decision against a scan up to 3p
     for w in all_words(1, 8):
-        brute = True
-        for n in range(1, 3 * len(w) + 1):
-            fs = cyclic_factors(w, n)
-            if not is_balanced_family(fs, "a") or not is_balanced_family(fs, "b"):
-                brute = False
-                break
-        assert is_balanced_periodic(w) == brute, w
+        assert is_balanced_periodic(w) == balanced_periodic_scan(w, 3 * len(w)), w
+
+
+def test_cyclic_factors_match_windows_of_the_repetition():
+    for w in all_words(1, 6):
+        for n in range(1, 3 * len(w) + 2):
+            rep = w * (n // len(w) + 2)
+            assert cyclic_factors(w, n) == sorted({rep[i : i + n] for i in range(len(w))}), (w, n)
+    with pytest.raises(ValueError):
+        cyclic_factors("", 2)
+
+
+def test_christoffel_word_examples():
+    assert christoffel_word(2, 5) == "aabab"
+    assert christoffel_word(0, 1) == "a"
+    assert christoffel_word(1, 1) == "b"
+    assert christoffel_word(3, 4) == "abbb"
+    assert christoffel_word(2, 4) == christoffel_word(1, 2) * 2 == "abab"
+    assert christoffel_word(0, 3) == "aaa"
+    for k, n in ((-1, 3), (4, 3), (0, 0)):
+        with pytest.raises(ValueError):
+            christoffel_word(k, n)
+
+
+def test_is_balanced_periodic_vs_scan_exhaustive_len10():
+    for w in all_words(1, 10):
+        assert is_balanced_periodic(w) == balanced_periodic_scan(w), w
+
+
+@st.composite
+def christoffel_conjugate_powers(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    k = draw(st.integers(min_value=0, max_value=n))
+    power = christoffel_word(k, n) * draw(st.integers(min_value=1, max_value=80 // n))
+    shift = draw(st.integers(min_value=0, max_value=len(power) - 1))
+    return power[shift:] + power[:shift]
+
+
+@settings(max_examples=60, deadline=None)
+@given(christoffel_conjugate_powers(), st.data())
+def test_balanced_periodic_conjugate_powers_and_mutants(w, data):
+    assert is_balanced_periodic(w)
+    i = data.draw(st.integers(min_value=0, max_value=len(w) - 1))
+    mutant = w[:i] + ("a" if w[i] == "b" else "b") + w[i + 1 :]
+    assert is_balanced_periodic(mutant) == balanced_periodic_scan(mutant), mutant
 
 
 def test_markoff_property_examples():
