@@ -299,6 +299,11 @@ def flip_permutation(spec: BalancedSpec, n: int) -> list[Change]:
     return [Change(u, v, classify_change(u, v)) for u, v in zip(fs, fs[1:])]
 
 
+def _radix_words(spec: BalancedSpec, max_n: int) -> list[str]:
+    """All factors of lengths 0..max_n in radix order, the empty word first."""
+    return [""] + [w for n in range(1, max_n + 1) for w in enumerate_factors(spec, n).factors]
+
+
 class MonotonicityError(Exception):
     """A radix-consecutive pair whose q-Markoff difference is not positive."""
 
@@ -330,9 +335,7 @@ def radix_chain_check(spec: BalancedSpec, max_n: int) -> RadixChainReport:
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    chain: list[str] = [""]
-    for n in range(1, max_n + 1):
-        chain.extend(enumerate_factors(spec, n).factors)
+    chain = _radix_words(spec, max_n)
     diffs: list[IntPolynomial] = []
     for u, v in zip(chain, chain[1:]):
         d = q_markoff(v) - q_markoff(u)
@@ -399,7 +402,4 @@ def curves_export(
     for g in gammas:
         if g <= 0:
             raise ValueError(f"positivity domain: gamma must be > 0, got {g}")
-    words: list[str] = [""]
-    for n in range(1, max_len + 1):
-        words.extend(enumerate_factors(spec, n).factors)
-    return [(w, g, q_markoff(w).evaluate(g)) for w in words for g in gammas]
+    return [(w, g, q_markoff(w).evaluate(g)) for w in _radix_words(spec, max_len) for g in gammas]

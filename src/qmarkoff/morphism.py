@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .qpoly import IntPolynomial, QMatrix, poly
-from .words import christoffel_word, count_letter, reversal
+from .words import christoffel_word, reversal
 
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
 
@@ -66,7 +66,7 @@ def q_markoff(w: str) -> IntPolynomial:
 
 def det_exponent(w: str) -> int:
     """Exponent n such that det(mu_q(w)) = q^n, namely 2|w|_a + 4|w|_b."""
-    return 2 * count_letter(w, "a") + 4 * count_letter(w, "b")
+    return 2 * w.count("a") + 4 * w.count("b")
 
 
 def det_mu_q(w: str) -> IntPolynomial:
@@ -254,5 +254,5 @@ def is_christoffel(w: str) -> bool:
     and w_i = ⌊(i+1)k/n⌋ - ⌊ik/n⌋ with a = 0, b = 1 (Berstel, Lauve,
     Reutenauer, Saliola, *Combinatorics on Words*, CRM 2008).
     """
-    k, n = count_letter(w, "b"), len(w)
+    k, n = w.count("b"), len(w)
     return math.gcd(k, n) == 1 and w == christoffel_word(k, n)

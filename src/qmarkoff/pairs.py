@@ -9,6 +9,7 @@ set, so everything here is an exact finite computation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -103,22 +104,6 @@ def occ_diff(pair: AsymptoticPair, pattern: Pattern) -> tuple[int, int]:
     return (s_only, t_only)
 
 
-def _observed_patterns(pair: AsymptoticPair, support: tuple[int, ...]):
-    """Patterns read off s and t at every shift whose support touches the difference set.
-
-    Any pattern on this support not among them occurs identically in both
-    sequences, so its occurrence difference is trivially (0, 0).
-    """
-    shifts = {d - off for d in pair.difference_set for off in support}
-    seen = set()
-    for n in sorted(shifts):
-        for seq in (pair.s, pair.t):
-            key = tuple((off, seq(n + off)) for off in support)
-            if key not in seen:
-                seen.add(key)
-                yield Pattern(dict(key))
-
-
 def is_indistinguishable_up_to(pair: AsymptoticPair, radius: int) -> bool:
     """Whether every pattern checked by pair_report(pair, radius) is balanced."""
     return pair_report(pair, radius).indistinguishable
@@ -137,22 +122,36 @@ class PairReport:
 def pair_report(pair: AsymptoticPair, radius: int) -> PairReport:
     """Check occurrence balance for contiguous patterns of width <= radius.
 
-    Also checks the full-window support [-radius, radius].  For
-    one-dimensional sequences, counts of patterns with gaps are sums of
-    counts of contiguous ones, so this contiguous enumeration is
-    sufficient; the reduction is cross-validated against a brute-force
-    enumeration over gapped supports in the test suite.  The report counts
-    the patterns checked and keeps the first unbalanced one as witness.
+    Also checks the full-window support [-radius, radius].  Only shifts
+    whose translated support meets the difference set D can tell s and t
+    apart, and occ_diff of a contiguous pattern is (gained, lost) with
+    gained - lost = (times its word is read from s) - (times from t) over
+    those shifts.  So a support is balanced iff the multisets of words
+    read there from s and from t are equal.  Each sequence is read once,
+    over [min D - 2*radius, max D + 2*radius], which covers every support.
+    Counts of gapped patterns are sums of counts of contiguous ones, so
+    this suffices; the test suite cross-checks it against a brute force
+    over gapped supports.  The report counts the distinct words checked
+    (by sorted shift, s before t) and keeps the first unbalanced one.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    supports = [tuple(range(width)) for width in range(1, radius + 1)]
-    supports.append(tuple(range(-radius, radius + 1)))
+    diff = pair.difference_set
+    if not diff:
+        return PairReport(radius, 0, True)
+    lo, hi = min(diff) - 2 * radius, max(diff) + 2 * radius
+    s_win = "".join(pair.s(i) for i in range(lo, hi + 1))
+    t_win = "".join(pair.t(i) for i in range(lo, hi + 1))
+    supports = [(0, width) for width in range(1, radius + 1)] + [(-radius, 2 * radius + 1)]
     checked = 0
-    for support in supports:
-        for pattern in _observed_patterns(pair, support):
+    for off, width in supports:
+        balance: Counter[str] = Counter()
+        for n in sorted({d - k for d in diff for k in range(off, off + width)}):
+            i = n + off - lo
+            balance[s_win[i : i + width]] += 1
+            balance[t_win[i : i + width]] -= 1
+        for word, count in balance.items():
             checked += 1
-            gained, lost = occ_diff(pair, pattern)
-            if gained != lost:
-                return PairReport(radius, checked, False, pattern)
+            if count:
+                return PairReport(radius, checked, False, Pattern.from_word(word, off))
     return PairReport(radius, checked, True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .morphism import is_christoffel, mu
 
@@ -40,22 +41,22 @@ class PeriodicCF:
         return self.period[i % len(self.period)]
 
 
-def cf_tail(seq: PeriodicCF, start: int, depth: int) -> tuple[Fraction, Fraction]:
-    """Bracket for the tail value [0; a_start, a_start+1, ...] read cyclically.
-
-    Returns the last two convergents sorted; the true value lies between
-    them and the bracket width shrinks at least like 1/F_depth^2.
-    """
-    if depth < 2:
-        raise ValueError("depth must be >= 2")
+def _bracket(quotients: Iterable[int]) -> tuple[Fraction, Fraction]:
+    """The last two convergents of [0; a_1, a_2, ...], sorted; the value lies between them."""
     p_prev, q_prev = 1, 0  # convergent before [0;] = 1/0
     p_cur, q_cur = 0, 1  # [0;] = 0/1
-    for j in range(depth):
-        a = seq[start + j]
+    for a in quotients:
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
     lo, hi = Fraction(p_prev, q_prev), Fraction(p_cur, q_cur)
     return (lo, hi) if lo <= hi else (hi, lo)
+
+
+def cf_tail(seq: PeriodicCF, start: int, depth: int) -> tuple[Fraction, Fraction]:
+    """Bracket for [0; a_start, a_start+1, ...] read cyclically; width shrinks like 1/F_depth^2."""
+    if depth < 2:
+        raise ValueError("depth must be >= 2")
+    return _bracket(seq[start + j] for j in range(depth))
 
 
 @dataclass(frozen=True)
@@ -67,11 +68,9 @@ class SpectrumValue:
 
 
 def lambda_i(seq: PeriodicCF, i: int, depth: int) -> SpectrumValue:
-    """a_i plus both continued-fraction tails, with summed bracket widths as error."""
+    """a_i plus the tails read rightward from i+1 and leftward from i-1; error sums the widths."""
     right = cf_tail(seq, i + 1, depth)
-    n = len(seq.period)
-    reversed_seq = PeriodicCF(seq.period[::-1])
-    left = cf_tail(reversed_seq, (n - 1 - ((i - 1) % n)) % n, depth)
+    left = _bracket(seq[i - 1 - j] for j in range(depth))
     lo = seq[i] + right[0] + left[0]
     hi = seq[i] + right[1] + left[1]
     return SpectrumValue(value=float((lo + hi) / 2), error_bound=float(hi - lo))

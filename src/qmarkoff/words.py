@@ -34,11 +34,6 @@ def render_word(w: str, alphabet: str = "ab") -> str:
     raise ValueError(f"unknown alphabet {alphabet!r}")
 
 
-def count_letter(w: str, letter: str) -> int:
-    """Number of occurrences of `letter` in w."""
-    return w.count(letter)
-
-
 def reversal(w: str) -> str:
     """The reversal (mirror image) of w; an involution."""
     return w[::-1]

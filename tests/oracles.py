@@ -1,5 +1,7 @@
 """Slow reference implementations that the library's closed forms are tested against."""
 
+from qmarkoff.pairs import PairReport, Pattern, occ_diff
+from qmarkoff.spectrum import PeriodicCF, SpectrumValue, cf_tail
 from qmarkoff.words import cyclic_factors, is_balanced_family
 
 
@@ -36,3 +38,42 @@ def balanced_periodic_scan(w, max_n=None):
         if not is_balanced_family(fs, "a") or not is_balanced_family(fs, "b"):
             return False
     return True
+
+
+def pair_report_by_patterns(pair, radius):
+    """pair_report by one occ_diff call per observed contiguous pattern.
+
+    The patterns are read off s and t at every shift whose support touches
+    the difference set, by sorted shift and s before t; any other pattern
+    on the support occurs identically in both sequences.
+    """
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    supports = [tuple(range(width)) for width in range(1, radius + 1)]
+    supports.append(tuple(range(-radius, radius + 1)))
+    checked = 0
+    for support in supports:
+        shifts = {d - off for d in pair.difference_set for off in support}
+        seen = set()
+        for n in sorted(shifts):
+            for seq in (pair.s, pair.t):
+                key = tuple((off, seq(n + off)) for off in support)
+                if key in seen:
+                    continue
+                seen.add(key)
+                checked += 1
+                pattern = Pattern(dict(key))
+                gained, lost = occ_diff(pair, pattern)
+                if gained != lost:
+                    return PairReport(radius, checked, False, pattern)
+    return PairReport(radius, checked, True)
+
+
+def lambda_i_by_reversal(seq, i, depth):
+    """lambda_i with the left tail read from a reversed PeriodicCF by cf_tail."""
+    right = cf_tail(seq, i + 1, depth)
+    n = len(seq.period)
+    left = cf_tail(PeriodicCF(seq.period[::-1]), (n - 1 - ((i - 1) % n)) % n, depth)
+    lo = seq[i] + right[0] + left[0]
+    hi = seq[i] + right[1] + left[1]
+    return SpectrumValue(value=float((lo + hi) / 2), error_bound=float(hi - lo))

@@ -119,6 +119,19 @@ def test_spectrum_command(capsys):
     assert "residual: 0.0" in out
 
 
+def test_spectrum_golden_stdout(capsys):
+    code, out, _ = run(capsys, "spectrum", "aabab")
+    assert code == 0
+    assert out == (
+        "word: aabab\n"
+        "m: 194\n"
+        "supremum: 2.99998228641102\n"
+        "error_bound: 5.37138051302235e-35\n"
+        "closed_form: 2.99998228641102\n"
+        "residual: 0.0\n"
+    )
+
+
 def test_spectrum_rejects_non_christoffel(capsys):
     code, out, err = run(capsys, "spectrum", "aabb")
     assert code == 2
@@ -156,6 +169,15 @@ def test_pair_check(capsys):
     assert "indistinguishable: yes" in out
     code, out, _ = run(capsys, "pair-check", "--spec", "skew:m=aba,form=blocks", "--radius", "5")
     assert code == 0
+
+
+def test_pair_check_golden_stdout(capsys):
+    code, out, _ = run(capsys, "pair-check", "--spec", "fibonacci", "--radius", "6")
+    assert code == 0
+    assert out == "spec: characteristic\nradius: 6\npatterns checked: 41\nindistinguishable: yes\n"
+    code, out, _ = run(capsys, "pair-check", "--spec", "skew:m=aba,form=blocks", "--radius", "5")
+    assert code == 0
+    assert out == "spec: skew\nradius: 5\npatterns checked: 32\nindistinguishable: yes\n"
 
 
 def test_pair_check_long_directive(capsys):

@@ -1,11 +1,15 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmarkoff.language import Characteristic, Mechanical, MechanicalSpec, Periodic, Skew
 from qmarkoff.pairs import (
     AsymptoticPair,
+    PairReport,
     Pattern,
     build_pair,
     is_indistinguishable_up_to,
@@ -13,6 +17,8 @@ from qmarkoff.pairs import (
     pair_report,
 )
 from qmarkoff.words import render_word
+
+from oracles import pair_report_by_patterns
 
 FIB = Characteristic((1,) * 24)
 
@@ -34,14 +40,19 @@ def indistinguishable_bruteforce(pair, radius):
     return True
 
 
-def flip_control_pair(spec, position=0):
-    """Pair differing at exactly one position: never indistinguishable."""
-    base = build_pair(spec, 0).s
+def flipped_pair(base, positions):
+    """Pair of `base` and its copy with the letters at `positions` swapped."""
+    positions = frozenset(positions)
 
     def flipped(i):
-        return {"a": "b", "b": "a"}[base(i)] if i == position else base(i)
+        return {"a": "b", "b": "a"}[base(i)] if i in positions else base(i)
 
-    return AsymptoticPair(base, flipped, frozenset({position}))
+    return AsymptoticPair(base, flipped, positions)
+
+
+def flip_control_pair(spec, position=0):
+    """Pair differing at exactly one position: never indistinguishable."""
+    return flipped_pair(build_pair(spec, 0).s, {position})
 
 
 def test_build_pair_fibonacci_windows():
@@ -158,3 +169,64 @@ def test_pattern_support():
     p = Pattern({3: "a", -1: "b"})
     assert p.support == frozenset({3, -1})
     assert Pattern.from_word("ab", -1).assignment == {-1: "a", 0: "b"}
+
+
+def test_control_pair_report_witness():
+    ctrl = flip_control_pair(FIB)
+    for radius in (1, 3):
+        report = pair_report(ctrl, radius)
+        assert report.patterns_checked == 1
+        assert report.failing == Pattern({0: "b"})
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    base=st.text(alphabet="ab", min_size=1, max_size=8),
+    positions=st.sets(st.integers(-6, 6), max_size=3),
+    radius=st.integers(1, 5),
+)
+def test_pair_report_matches_per_pattern_oracle_periodic(base, positions, radius):
+    pair = flipped_pair(lambda i: base[i % len(base)], positions)
+    assert pair_report(pair, radius) == pair_report_by_patterns(pair, radius)
+
+
+@pytest.mark.parametrize("spec", [FIB, Skew(), Skew(m="aba", form="blocks")])
+@pytest.mark.parametrize("n0", [-5, 0, 3])
+def test_pair_report_matches_per_pattern_oracle_pairs(spec, n0):
+    pair = build_pair(spec, n0)
+    control = flipped_pair(pair.s, {n0})
+    for radius in range(1, 6):
+        assert pair_report(pair, radius) == pair_report_by_patterns(pair, radius)
+        assert pair_report(control, radius) == pair_report_by_patterns(control, radius)
+
+
+def test_pair_report_reads_each_position_once():
+    pair = build_pair(FIB, 0)
+    reads = {"s": Counter(), "t": Counter()}
+
+    def counted(name, fn):
+        def letter(i):
+            reads[name][i] += 1
+            return fn(i)
+
+        return letter
+
+    radius = 48
+    wrapped = AsymptoticPair(counted("s", pair.s), counted("t", pair.t), pair.difference_set)
+    report = pair_report(wrapped, radius)
+    assert report == pair_report(pair, radius)
+    assert report.indistinguishable and report.patterns_checked == 1322
+    lo, hi = min(pair.difference_set) - 2 * radius, max(pair.difference_set) + 2 * radius
+    for counts in reads.values():
+        assert set(counts) <= set(range(lo, hi + 1))
+        assert max(counts.values()) == 1
+
+
+def test_pair_report_empty_difference_set():
+    def unread(i):
+        raise AssertionError("no letter should be read")
+
+    pair = AsymptoticPair(unread, unread, frozenset())
+    assert pair_report(pair, 4) == PairReport(4, 0, True)
+    with pytest.raises(ValueError):
+        pair_report(pair, 0)

@@ -1,8 +1,10 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+from qmarkoff import spectrum
 from qmarkoff.morphism import mu
 from qmarkoff.spectrum import (
     PeriodicCF,
@@ -14,7 +16,7 @@ from qmarkoff.spectrum import (
     supremum_residual,
 )
 
-from oracles import christoffel_words_upto
+from oracles import christoffel_words_upto, lambda_i_by_reversal
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -127,3 +129,27 @@ def test_residual_within_error_bound():
         sup = markoff_supremum(seq, 64)
         m = mu(w)[0][1]
         assert abs(sup.value - closed_form_supremum(m)) <= sup.error_bound + 1e-12
+
+
+def test_lambda_matches_reversed_period_oracle():
+    for n in range(1, 6):
+        for period in itertools.product((1, 2, 3), repeat=n):
+            seq = PeriodicCF(period)
+            for i in range(-2, n + 2):
+                assert lambda_i(seq, i, 12) == lambda_i_by_reversal(seq, i, 12), (period, i)
+
+
+def test_lambda_requires_depth_two():
+    with pytest.raises(ValueError, match="depth"):
+        lambda_i(PeriodicCF((1, 2)), 0, 1)
+
+
+def test_markoff_supremum_builds_no_periodic_cf(monkeypatch):
+    seq = PeriodicCF(tuple(sigma_subst("aabab")))
+    expected = markoff_supremum(seq, 32)
+
+    def forbidden(self):
+        raise AssertionError("PeriodicCF constructed")
+
+    monkeypatch.setattr(spectrum.PeriodicCF, "__post_init__", forbidden)
+    assert markoff_supremum(seq, 32) == expected
