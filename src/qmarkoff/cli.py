@@ -188,7 +188,7 @@ def _cmd_verify_monotone(args) -> int:
         print(f"difference: {exc.difference}")
         return 1
     print(f"factors: {len(report.chain)}")
-    print(f"differences: {len(report.differences)}")
+    print(f"differences: {len(report.chain) - 1}")
     print("all differences nonzero with nonnegative coefficients: OK")
     return 0
 

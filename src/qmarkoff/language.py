@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import pairwise
 from typing import Sequence, Union
 
-from .morphism import is_christoffel, q_markoff
-from .qpoly import IntPolynomial, Scalar
+from .morphism import det_exponent, is_christoffel, packed_q_markoffs, packing_bits, q_markoff
+from .qpoly import IntPolynomial, Scalar, packed_bias, packed_precedes
 from .words import cyclic_factors, factors, is_balanced_periodic, parse_word, reversal
 
 
@@ -45,12 +46,18 @@ class MechanicalSpec:
 
 
 def mechanical_letter(spec: MechanicalSpec, pos: int) -> str:
-    """Letter at `pos`: difference of consecutive floors (lower) or ceilings (upper)."""
+    """Letter at `pos`: difference of consecutive floors (lower) or ceilings (upper).
+
+    alpha*pos + rho is x/den over the common denominator den, in integers.
+    """
     a, r = spec.alpha, spec.rho
+    den = a.denominator * r.denominator
+    step = a.numerator * r.denominator
+    x = step * pos + r.numerator * a.denominator
     if spec.kind == "lower":
-        bit = math.floor(a * (pos + 1) + r) - math.floor(a * pos + r)
-    else:
-        bit = math.ceil(a * (pos + 1) + r) - math.ceil(a * pos + r)
+        bit = (x + step) // den - x // den
+    else:  # ceil(t) = -floor(-t)
+        bit = (-x) // den - (-x - step) // den
     return "ab"[bit]
 
 
@@ -304,6 +311,14 @@ def _radix_words(spec: BalancedSpec, max_n: int) -> list[str]:
     return [""] + [w for n in range(1, max_n + 1) for w in enumerate_factors(spec, n).factors]
 
 
+def _chain_bits(chain: Sequence[str]) -> int:
+    """Slot width for packing q_markoff of every word of a radix chain.
+
+    Every word of the chain is a factor of one of its longest words.
+    """
+    return packing_bits(w for w in chain if len(w) == len(chain[-1]))
+
+
 class MonotonicityError(Exception):
     """A radix-consecutive pair whose q-Markoff difference is not positive."""
 
@@ -318,10 +333,21 @@ class MonotonicityError(Exception):
 
 @dataclass(frozen=True)
 class RadixChainReport:
-    """The radix-sorted factor chain with all consecutive q-Markoff differences."""
+    """The radix-sorted factor chain of a checked language.
+
+    Its consecutive q-Markoff differences are computed on first access.
+    """
 
     chain: tuple[str, ...]
-    differences: tuple[IntPolynomial, ...]
+
+    @cached_property
+    def differences(self) -> tuple[IntPolynomial, ...]:
+        """q_markoff(v) - q_markoff(u) for each consecutive pair (u, v) of the chain."""
+        bits = _chain_bits(self.chain)
+        return tuple(
+            IntPolynomial.from_packed(g - f, bits)
+            for f, g in pairwise(packed_q_markoffs(self.chain, bits))
+        )
 
 
 def radix_chain_check(spec: BalancedSpec, max_n: int) -> RadixChainReport:
@@ -331,18 +357,20 @@ def radix_chain_check(spec: BalancedSpec, max_n: int) -> RadixChainReport:
     (the empty word is the radix minimum) and checks that every
     consecutive difference is a nonzero polynomial with nonnegative
     coefficients; by transitivity this covers every radix-ordered pair.
-    Raises MonotonicityError on the first offending pair.
+    The check runs on packed polynomials, one matrix-row step per word.
+    Raises MonotonicityError on the first offending pair, with its exact
+    difference.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     chain = _radix_words(spec, max_n)
-    diffs: list[IntPolynomial] = []
-    for u, v in zip(chain, chain[1:]):
-        d = q_markoff(v) - q_markoff(u)
-        if not d.is_nonneg_nonzero():
-            raise MonotonicityError(u, v, d)
-        diffs.append(d)
-    return RadixChainReport(tuple(chain), tuple(diffs))
+    bits = _chain_bits(chain)
+    bias = packed_bias(bits, max(map(det_exponent, chain)) + 1)  # deg e12 < det_exponent
+    packed = pairwise(packed_q_markoffs(chain, bits))
+    for u, v, (f, g) in zip(chain, chain[1:], packed):
+        if not packed_precedes(f, g, bias):
+            raise MonotonicityError(u, v, q_markoff(v) - q_markoff(u))
+    return RadixChainReport(tuple(chain))
 
 
 def central_factorizations(spec: BalancedSpec, radius: int = 64) -> list[int]:
@@ -402,4 +430,8 @@ def curves_export(
     for g in gammas:
         if g <= 0:
             raise ValueError(f"positivity domain: gamma must be > 0, got {g}")
-    return [(w, g, q_markoff(w).evaluate(g)) for w in _radix_words(spec, max_len) for g in gammas]
+    rows = []
+    for w in _radix_words(spec, max_len):
+        p = q_markoff(w)
+        rows.extend((w, g, p.evaluate(g)) for g in gammas)
+    return rows

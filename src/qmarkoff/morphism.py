@@ -5,6 +5,18 @@ its q-deformation replaces the generator images by matrices over Z[q]
 that specialize back at q = 1.  The entry above the diagonal of the image
 of a Christoffel word is a Markoff number, and its q-deformation is the
 q-analog of that Markoff number.
+
+Every entry of mu_q(w) has nonnegative coefficients, and each coefficient
+is at most the entry's value at q = 1, so at most max mu(w); entries of mu
+only grow when w is extended on either side.  So an entry of mu_q(w), or
+of mu_q of any factor of w, packs into one int with one coefficient per
+slot of B = bitlen(max mu(w)) + 2 bits, rounded up to whole bytes
+(``packing_bits``; the two spare bits let ``qpoly.packed_precedes``
+compare packed entries).  A row (x, y) of the matrix times MU_Q_A or
+MU_Q_B is then a few shifts by B bits and adds (``_step``).  ``mu_q`` runs
+that step left to right over the word and unpacks the result into a
+QMatrix; ``packed_q_markoffs`` runs it along a factor-closed list of
+words, one step per word.
 """
 
 from __future__ import annotations
@@ -12,9 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .qpoly import IntPolynomial, QMatrix, poly
+from .qpoly import IntPolynomial, QMatrix, poly, slot_bits
 from .words import christoffel_word, reversal
 
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
@@ -45,15 +57,53 @@ def mu(w: str) -> IntMatrix:
     return m
 
 
-@lru_cache(maxsize=None)
+def _step(x: int, y: int, letter: str, bits: int) -> tuple[int, int]:
+    """Packed row (x, y) of mu_q(w) to the same row of mu_q(w + letter).
+
+    (x, y) * MU_Q_A = (q(x + y) + q^2 x, x + y) and (x, y) * MU_Q_B =
+    (q(x + y) + q^2(2x + y) + q^3 x + q^4 x, (1 + q)x + y), in Horner form.
+    """
+    s = x + y
+    if letter == "a":
+        return ((x << bits) + s) << bits, s
+    return ((((((x << bits) + x) << bits) + x + s) << bits) + s) << bits, (x << bits) + s
+
+
+def packing_bits(words: Iterable[str]) -> int:
+    """Slot width that packs every entry of mu_q(w), for w any factor of one of `words`."""
+    return slot_bits(max(max(map(max, mu(w))) for w in words))
+
+
+@lru_cache(maxsize=1024)
 def mu_q(w: str) -> QMatrix:
     """Image of w under the q-deformed morphism; mu_q("") is the identity.
 
     Evaluating every entry at q = 1 recovers mu(w).
     """
-    if not w:
-        return QMatrix.identity()
-    return mu_q(w[:-1]) * (MU_Q_A if w[-1] == "a" else MU_Q_B)
+    bits = packing_bits((w,))
+    rows = [(1, 0), (0, 1)]
+    for letter in w:
+        rows = [_step(x, y, letter, bits) for x, y in rows]
+    (e11, e12), (e21, e22) = rows
+    return QMatrix(*(IntPolynomial.from_packed(e, bits) for e in (e11, e12, e21, e22)))
+
+
+def packed_q_markoffs(words: Iterable[str], bits: int) -> Iterator[int]:
+    """q_markoff(w) packed in `bits`-bit slots, for each of `words` in turn.
+
+    The words run by nondecreasing length, and each nonempty w follows
+    w[:-1] among the words one letter shorter.  So the first row of mu_q(w)
+    is one step from a row kept from the previous length, and two lengths
+    of rows are held at a time.  `bits` is packing_bits of words of which
+    all the others are factors, such as the longest ones.
+    """
+    length, prev, rows = 0, {}, {"": (1, 0)}
+    for w in words:
+        if len(w) != length:
+            length, prev, rows = len(w), rows, {}
+        if w:
+            rows[w] = _step(*prev[w[:-1]], w[-1], bits)
+        yield rows[w][1]
 
 
 def q_markoff(w: str) -> IntPolynomial:

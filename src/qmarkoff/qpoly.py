@@ -3,6 +3,13 @@
 Coefficients are arbitrary-precision Python ints in a dense ascending
 representation: index i holds the coefficient of q^i.  The zero polynomial
 has an empty coefficient tuple and degree -inf.
+
+A polynomial with nonnegative coefficients below 2^B also packs into one
+int, sum c_i 2^(iB) (Kronecker substitution q -> 2^B), as long as every sum
+formed stays below 2^B per slot: multiplying by q is then a shift by B bits
+and adding polynomials adds ints.
+``IntPolynomial.from_packed`` unpacks such an int, and ``packed_precedes``
+compares two of them in the coefficientwise order without unpacking.
 """
 
 from __future__ import annotations
@@ -48,6 +55,16 @@ class IntPolynomial:
             raise ValueError("negative exponent")
         return cls([0] * exponent + [coefficient])
 
+    @classmethod
+    def from_packed(cls, value: int, bits: int) -> "IntPolynomial":
+        """The polynomial whose coefficient of q^i is slot i of `value`.
+
+        `value` is nonnegative and `bits`, the slot width, is a multiple of 8.
+        """
+        width = bits // 8
+        data = value.to_bytes(-(-value.bit_length() // 8), "little")
+        return cls(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
+
     @property
     def degree(self) -> float | int:
         """Degree; -inf for the zero polynomial."""
@@ -92,11 +109,24 @@ class IntPolynomial:
         return IntPolynomial(out)
 
     def evaluate(self, x: Scalar) -> Scalar:
-        """Horner evaluation; exact when x is an int or Fraction."""
-        acc: Scalar = 0
+        """Horner evaluation; exact when x is an int or Fraction.
+
+        For x = n/d the loop stays in integers: it computes d^k * p(n/d),
+        k the degree, and divides once.  Other x (floats) use the plain loop.
+        """
+        if not isinstance(x, (int, Fraction)):
+            acc: Scalar = 0
+            for c in reversed(self.coeffs):
+                acc = acc * x + c
+            return acc
+        n, d = x.numerator, x.denominator
+        total, scale = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            total = total * n + c * scale
+            scale *= d
+        if isinstance(x, int) or not self.coeffs:
+            return total
+        return Fraction(total, scale // d)
 
     def is_nonneg_nonzero(self) -> bool:
         """True iff the polynomial is nonzero with all coefficients >= 0."""
@@ -138,6 +168,27 @@ _ONE = IntPolynomial([1])
 def poly(*coeffs: int) -> IntPolynomial:
     """Shorthand constructor from ascending coefficients: poly(1, 4, 10) = 1 + 4q + 10q^2."""
     return IntPolynomial(coeffs)
+
+
+def slot_bits(bound: int) -> int:
+    """Slot width B for packing coefficients in [0, bound]: two spare bits, whole bytes."""
+    return -(-(bound.bit_length() + 2) // 8) * 8
+
+
+def packed_bias(bits: int, slots: int) -> int:
+    """The packed int holding 2^(bits-1) in each of `slots` slots; bits is a multiple of 8."""
+    return int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * slots, "little")
+
+
+def packed_precedes(f: int, g: int, bias: int) -> bool:
+    """IntPolynomial.precedes on packed polynomials: g - f is nonzero and nonnegative.
+
+    f and g share slots of B bits with coefficients below 2^(B-2), and `bias`
+    has 2^(B-1) in every slot either uses.  Slot i of g + bias - f is then
+    g_i - f_i + 2^(B-1), which borrows from no other slot and has its top bit
+    set iff g_i >= f_i.
+    """
+    return f != g and (g + bias - f) & bias == bias
 
 
 class QMatrix:

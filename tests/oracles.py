@@ -1,6 +1,11 @@
 """Slow reference implementations that the library's closed forms are tested against."""
 
+import math
+
+from qmarkoff.language import MonotonicityError
+from qmarkoff.morphism import MU_Q_A, MU_Q_B
 from qmarkoff.pairs import PairReport, Pattern, occ_diff
+from qmarkoff.qpoly import QMatrix
 from qmarkoff.spectrum import PeriodicCF, SpectrumValue, cf_tail
 from qmarkoff.words import cyclic_factors, is_balanced_family
 
@@ -77,3 +82,42 @@ def lambda_i_by_reversal(seq, i, depth):
     lo = seq[i] + right[0] + left[0]
     hi = seq[i] + right[1] + left[1]
     return SpectrumValue(value=float((lo + hi) / 2), error_bound=float(hi - lo))
+
+
+def mu_q_schoolbook(w):
+    """mu_q as the left-to-right product of generator images, in IntPolynomial arithmetic."""
+    m = QMatrix.identity()
+    for letter in w:
+        m = m * (MU_Q_A if letter == "a" else MU_Q_B)
+    return m
+
+
+def radix_chain_differences(chain):
+    """Consecutive q_markoff differences along `chain` in IntPolynomial arithmetic.
+
+    Raises MonotonicityError at the first pair whose difference is not
+    nonzero with nonnegative coefficients.
+    """
+    values = [mu_q_schoolbook(w).e12 for w in chain]
+    diffs = []
+    for u, v, f, g in zip(chain, chain[1:], values, values[1:]):
+        d = g - f
+        if not d.is_nonneg_nonzero():
+            raise MonotonicityError(u, v, d)
+        diffs.append(d)
+    return tuple(diffs)
+
+
+def evaluate_by_fraction_horner(p, x):
+    """p(x) by Horner's rule in the arithmetic of x."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def mechanical_letter_by_fractions(spec, pos):
+    """mechanical_letter by Fraction floors and ceilings of alpha*pos + rho."""
+    a, r = spec.alpha, spec.rho
+    rnd = math.floor if spec.kind == "lower" else math.ceil
+    return "ab"[rnd(a * (pos + 1) + r) - rnd(a * pos + r)]

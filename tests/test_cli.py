@@ -6,6 +6,7 @@ import pytest
 from qmarkoff import spectrum
 from qmarkoff.cli import main, parse_spec, SpecSyntaxError
 from qmarkoff.language import Characteristic, Mechanical, Periodic, Skew
+from qmarkoff.morphism import mu_q
 
 
 def run(capsys, *argv):
@@ -96,6 +97,15 @@ def test_language_json(capsys):
         {"from": "aba", "to": "baa", "kind": "flip_ab_ba"},
         {"from": "baa", "to": "bab", "kind": "last_letter"},
     ]
+
+
+def test_qmarkoff_long_word(capsys):
+    w = "a" * 600
+    mu_q.cache_clear()
+    code, out, err = run(capsys, "qmarkoff", w)
+    assert code == 0 and err == ""
+    (m11, m12), (m21, m22) = mu_q(w).evaluate(1)
+    assert f"mu: [[{m11}, {m12}], [{m21}, {m22}]]" in out.splitlines()
 
 
 def test_verify_monotone_ok(capsys):

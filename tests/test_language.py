@@ -1,7 +1,12 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qmarkoff import language
 
 from qmarkoff.language import (
     FLIP_AB_BA,
@@ -42,6 +47,20 @@ FIB_TABLE = {
     5: ("aabaa", "aabab", "abaab", "ababa", "baaba", "babaa"),
     6: ("aabaab", "aababa", "abaaba", "ababaa", "baabaa", "baabab", "babaab"),
 }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 200).flatmap(lambda q: st.tuples(st.integers(0, q), st.just(q))),
+    st.fractions(min_value=-3, max_value=3, max_denominator=200),
+    st.sampled_from(("lower", "upper")),
+)
+def test_mechanical_letter_matches_fraction_oracle(slope, rho, kind):
+    from oracles import mechanical_letter_by_fractions
+
+    spec = MechanicalSpec(Fraction(*slope), rho, kind)
+    for pos in range(-60, 60):
+        assert mechanical_letter(spec, pos) == mechanical_letter_by_fractions(spec, pos)
 
 
 def test_mechanical_letter_examples():
@@ -277,6 +296,49 @@ def test_radix_chain_fibonacci():
     assert len(report.chain) == 55
     assert len(report.differences) == 54
     assert all(d.is_nonneg_nonzero() for d in report.differences)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FIB,
+        Periodic("aabab"),
+        Skew(m="aba", form="blocks", xy="ba"),
+        Mechanical(MechanicalSpec(Fraction(3, 8), Fraction(1, 5), "upper")),
+    ],
+)
+def test_radix_chain_matches_schoolbook(spec):
+    from oracles import radix_chain_differences
+
+    report = radix_chain_check(spec, 16)
+    assert report.differences == radix_chain_differences(report.chain)
+
+
+def test_radix_chain_failure_matches_schoolbook(monkeypatch):
+    # all words of length <= 3 form a prefix-closed chain that is not balanced
+    from oracles import radix_chain_differences
+
+    chain = [""] + ["".join(t) for n in range(1, 4) for t in itertools.product("ab", repeat=n)]
+    monkeypatch.setattr(language, "_radix_words", lambda spec, n: chain)
+    with pytest.raises(MonotonicityError) as packed:
+        radix_chain_check(FIB, 3)
+    with pytest.raises(MonotonicityError) as schoolbook:
+        radix_chain_differences(chain)
+    err = packed.value
+    assert (err.src, err.dst) == (schoolbook.value.src, schoolbook.value.dst) == ("bb", "aaa")
+    assert err.difference == schoolbook.value.difference == q_markoff("aaa") - q_markoff("bb")
+
+
+def test_radix_chain_check_memory_is_bounded():
+    # 2145 words; their packed rows at all lengths would take about 8 MiB
+    radix_chain_check(FIB, 4)
+    tracemalloc.start()
+    try:
+        radix_chain_check(FIB, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20, peak
 
 
 def test_radix_chain_other_specs():

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmarkoff.morphism import (
@@ -24,10 +24,10 @@ from qmarkoff.morphism import (
     q_markoff,
     tree_paths,
 )
-from qmarkoff.qpoly import IntPolynomial, poly
+from qmarkoff.qpoly import IntPolynomial, QMatrix, poly
 from qmarkoff.words import reversal
 
-from oracles import christoffel_words_upto
+from oracles import christoffel_words_upto, mu_q_schoolbook
 
 words_st = st.text(alphabet="ab", max_size=8)
 
@@ -58,6 +58,7 @@ def test_mu_examples():
 def test_mu_q_generators():
     assert mu_q("a") == MU_Q_A
     assert mu_q("b") == MU_Q_B
+    assert mu_q("") == QMatrix.identity()
     assert mu_q("a").entries() == (poly(0, 1, 1), poly(1), poly(0, 1), poly(1))
     assert mu_q("b").entries() == (poly(0, 1, 2, 1, 1), poly(1, 1), poly(0, 1, 1), poly(1))
 
@@ -290,3 +291,18 @@ def test_known_q_collision_length6():
     expected = poly(1, 5, 16, 38, 70, 109, 145, 168, 171, 152, 118, 79, 44, 19, 6, 1)
     assert q_markoff("aaabbb") == expected
     assert q_markoff("abbaab") == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.text(alphabet="ab", max_size=120))
+def test_packed_mu_q_matches_schoolbook(w):
+    mu_q.cache_clear()
+    assert mu_q(w) == mu_q_schoolbook(w)
+    assert q_markoff(w) == mu_q_schoolbook(w).e12
+
+
+def test_mu_q_long_word_from_cold_cache():
+    # 600 letters: past the depth at which a prefix-recursive mu_q overflows the stack
+    w = "ab" * 300
+    mu_q.cache_clear()
+    assert mu_q(w).evaluate(1) == mu(w)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qmarkoff.qpoly import IntPolynomial, QMatrix, poly
+from qmarkoff.qpoly import IntPolynomial, QMatrix, packed_bias, packed_precedes, poly, slot_bits
+
+from oracles import evaluate_by_fraction_horner
 
 coeffs_st = st.lists(st.integers(min_value=-9, max_value=9), max_size=9)
 poly_st = coeffs_st.map(IntPolynomial)
@@ -118,3 +120,23 @@ def test_immutability():
     m = QMatrix.identity()
     with pytest.raises(AttributeError):
         m.e11 = f
+
+
+@given(poly_st, st.one_of(st.integers(-20, 20), st.fractions(max_denominator=30), st.floats(-4, 4)))
+def test_evaluate_matches_fraction_horner(p, x):
+    value, expected = p.evaluate(x), evaluate_by_fraction_horner(p, x)
+    assert value == expected
+    assert type(value) is type(expected)
+
+
+def pack(p, bits):
+    return sum(c << (i * bits) for i, c in enumerate(p.coeffs))
+
+
+@given(st.lists(st.integers(0, 300), max_size=9), st.lists(st.integers(0, 300), max_size=9))
+def test_packed_order_matches_coefficientwise_order(fc, gc):
+    f, g = IntPolynomial(fc), IntPolynomial(gc)
+    bits = slot_bits(max(fc + gc, default=0))
+    bias = packed_bias(bits, max(len(fc), len(gc)))
+    assert IntPolynomial.from_packed(pack(f, bits), bits) == f
+    assert packed_precedes(pack(f, bits), pack(g, bits), bias) == f.precedes(g)
