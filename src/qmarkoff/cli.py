@@ -38,6 +38,7 @@ from .spectrum import christoffel_supremum, closed_form_supremum
 from .words import parse_word, render_word
 
 FIBONACCI_DIRECTIVE = (1,) * 24
+MAX_QMARKOFF_LETTERS = 1024  # mu_q takes time cubic in the word length
 
 
 class SpecSyntaxError(ValueError):
@@ -125,6 +126,8 @@ def _cmd_tree(args) -> int:
 
 def _cmd_qmarkoff(args) -> int:
     w = parse_word(args.word)
+    if len(w) > MAX_QMARKOFF_LETTERS:
+        raise ValueError(f"word has {len(w)} letters; qmarkoff takes at most {MAX_QMARKOFF_LETTERS}")
     m = mu(w)
     mq = mu_q(w)
     print(f"word: {w}")
@@ -133,7 +136,7 @@ def _cmd_qmarkoff(args) -> int:
     print(f"mu_q[1,2]: {mq.e12}")
     print(f"mu_q[2,1]: {mq.e21}")
     print(f"mu_q[2,2]: {mq.e22}")
-    print(f"q_markoff: {q_markoff(w)}")
+    print(f"q_markoff: {mq.e12}")
     return 0
 
 

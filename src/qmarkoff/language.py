@@ -18,8 +18,8 @@ from functools import cached_property, lru_cache
 from itertools import pairwise
 from typing import Sequence, Union
 
-from .morphism import det_exponent, is_christoffel, packed_q_markoffs, packing_bits, q_markoff
-from .qpoly import IntPolynomial, Scalar, packed_bias, packed_precedes
+from .morphism import first_unordered, is_christoffel, q_markoff, q_markoff_chain
+from .qpoly import IntPolynomial, Scalar
 from .words import cyclic_factors, factors, is_balanced_periodic, parse_word, reversal
 
 
@@ -311,14 +311,6 @@ def _radix_words(spec: BalancedSpec, max_n: int) -> list[str]:
     return [""] + [w for n in range(1, max_n + 1) for w in enumerate_factors(spec, n).factors]
 
 
-def _chain_bits(chain: Sequence[str]) -> int:
-    """Slot width for packing q_markoff of every word of a radix chain.
-
-    Every word of the chain is a factor of one of its longest words.
-    """
-    return packing_bits(w for w in chain if len(w) == len(chain[-1]))
-
-
 class MonotonicityError(Exception):
     """A radix-consecutive pair whose q-Markoff difference is not positive."""
 
@@ -343,11 +335,7 @@ class RadixChainReport:
     @cached_property
     def differences(self) -> tuple[IntPolynomial, ...]:
         """q_markoff(v) - q_markoff(u) for each consecutive pair (u, v) of the chain."""
-        bits = _chain_bits(self.chain)
-        return tuple(
-            IntPolynomial.from_packed(g - f, bits)
-            for f, g in pairwise(packed_q_markoffs(self.chain, bits))
-        )
+        return tuple(g - f for f, g in pairwise(q_markoff_chain(self.chain)))
 
 
 def radix_chain_check(spec: BalancedSpec, max_n: int) -> RadixChainReport:
@@ -357,19 +345,17 @@ def radix_chain_check(spec: BalancedSpec, max_n: int) -> RadixChainReport:
     (the empty word is the radix minimum) and checks that every
     consecutive difference is a nonzero polynomial with nonnegative
     coefficients; by transitivity this covers every radix-ordered pair.
-    The check runs on packed polynomials, one matrix-row step per word.
+    The check is morphism.first_unordered, one matrix-row step per word.
     Raises MonotonicityError on the first offending pair, with its exact
     difference.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     chain = _radix_words(spec, max_n)
-    bits = _chain_bits(chain)
-    bias = packed_bias(bits, max(map(det_exponent, chain)) + 1)  # deg e12 < det_exponent
-    packed = pairwise(packed_q_markoffs(chain, bits))
-    for u, v, (f, g) in zip(chain, chain[1:], packed):
-        if not packed_precedes(f, g, bias):
-            raise MonotonicityError(u, v, q_markoff(v) - q_markoff(u))
+    i = first_unordered(chain)
+    if i is not None:
+        u, v = chain[i], chain[i + 1]
+        raise MonotonicityError(u, v, q_markoff(v) - q_markoff(u))
     return RadixChainReport(tuple(chain))
 
 
@@ -430,8 +416,8 @@ def curves_export(
     for g in gammas:
         if g <= 0:
             raise ValueError(f"positivity domain: gamma must be > 0, got {g}")
+    chain = _radix_words(spec, max_len)
     rows = []
-    for w in _radix_words(spec, max_len):
-        p = q_markoff(w)
+    for w, p in zip(chain, q_markoff_chain(chain)):
         rows.extend((w, g, p.evaluate(g)) for g in gammas)
     return rows

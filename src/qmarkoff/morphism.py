@@ -9,14 +9,13 @@ q-analog of that Markoff number.
 Every entry of mu_q(w) has nonnegative coefficients, and each coefficient
 is at most the entry's value at q = 1, so at most max mu(w); entries of mu
 only grow when w is extended on either side.  So an entry of mu_q(w), or
-of mu_q of any factor of w, packs into one int with one coefficient per
-slot of B = bitlen(max mu(w)) + 2 bits, rounded up to whole bytes
-(``packing_bits``; the two spare bits let ``qpoly.packed_precedes``
-compare packed entries).  A row (x, y) of the matrix times MU_Q_A or
-MU_Q_B is then a few shifts by B bits and adds (``_step``).  ``mu_q`` runs
-that step left to right over the word and unpacks the result into a
-QMatrix; ``packed_q_markoffs`` runs it along a factor-closed list of
-words, one step per word.
+of mu_q of any factor of w, packs into one int, sum c_i 2^(iB), with slots
+of B = bitlen(max mu(w)) + 2 bits rounded up to whole bytes; the two spare
+bits let ``_precedes`` compare packed entries.  A row (x, y) of the matrix
+times MU_Q_A or MU_Q_B is then a few shifts by B bits and adds (``_step``).
+``mu_q`` runs that step left to right over the word, and ``_chain_walk``
+along a radix chain of factors, one step per word, for ``q_markoff_chain``
+and ``first_unordered``.  No other module knows the packed format.
 """
 
 from __future__ import annotations
@@ -24,9 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from itertools import pairwise
+from typing import Iterable, Iterator, Sequence
 
-from .qpoly import IntPolynomial, QMatrix, poly, slot_bits
+from .qpoly import IntPolynomial, QMatrix, poly
 from .words import christoffel_word, reversal
 
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
@@ -57,6 +57,37 @@ def mu(w: str) -> IntMatrix:
     return m
 
 
+def _slot_bits(bound: int) -> int:
+    """Slot width B for packing coefficients in [0, bound]: two spare bits, whole bytes."""
+    return -(-(bound.bit_length() + 2) // 8) * 8
+
+
+def _bias(bits: int, slots: int) -> int:
+    """The packed int holding 2^(bits-1) in each of `slots` slots; bits is a multiple of 8."""
+    return int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * slots, "little")
+
+
+def _precedes(f: int, g: int, bias: int) -> bool:
+    """IntPolynomial.precedes on packed polynomials: g - f is nonzero and nonnegative.
+
+    f and g share slots of B bits with coefficients below 2^(B-2), and `bias`
+    has 2^(B-1) in every slot either uses.  Slot i of g + bias - f is then
+    g_i - f_i + 2^(B-1), which borrows from no other slot and has its top bit
+    set iff g_i >= f_i.
+    """
+    return f != g and (g + bias - f) & bias == bias
+
+
+def _unpack(value: int, bits: int) -> IntPolynomial:
+    """The polynomial whose coefficient of q^i is slot i of `value`.
+
+    `value` is nonnegative and `bits`, the slot width, is a multiple of 8.
+    """
+    width = bits // 8
+    data = value.to_bytes(-(-value.bit_length() // 8), "little")
+    return IntPolynomial(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
+
+
 def _step(x: int, y: int, letter: str, bits: int) -> tuple[int, int]:
     """Packed row (x, y) of mu_q(w) to the same row of mu_q(w + letter).
 
@@ -69,41 +100,64 @@ def _step(x: int, y: int, letter: str, bits: int) -> tuple[int, int]:
     return ((((((x << bits) + x) << bits) + x + s) << bits) + s) << bits, (x << bits) + s
 
 
-def packing_bits(words: Iterable[str]) -> int:
-    """Slot width that packs every entry of mu_q(w), for w any factor of one of `words`."""
-    return slot_bits(max(max(map(max, mu(w))) for w in words))
-
-
 @lru_cache(maxsize=1024)
 def mu_q(w: str) -> QMatrix:
     """Image of w under the q-deformed morphism; mu_q("") is the identity.
 
     Evaluating every entry at q = 1 recovers mu(w).
     """
-    bits = packing_bits((w,))
+    bits = _slot_bits(max(map(max, mu(w))))
     rows = [(1, 0), (0, 1)]
     for letter in w:
         rows = [_step(x, y, letter, bits) for x, y in rows]
     (e11, e12), (e21, e22) = rows
-    return QMatrix(*(IntPolynomial.from_packed(e, bits) for e in (e11, e12, e21, e22)))
+    return QMatrix(*(_unpack(e, bits) for e in (e11, e12, e21, e22)))
 
 
-def packed_q_markoffs(words: Iterable[str], bits: int) -> Iterator[int]:
-    """q_markoff(w) packed in `bits`-bit slots, for each of `words` in turn.
+def _chain_walk(chain: Sequence[str]) -> tuple[int, Iterator[int]]:
+    """Slot width B for `chain`, and q_markoff(w) packed in B-bit slots for each w of it.
 
-    The words run by nondecreasing length, and each nonempty w follows
-    w[:-1] among the words one letter shorter.  So the first row of mu_q(w)
-    is one step from a row kept from the previous length, and two lengths
-    of rows are held at a time.  `bits` is packing_bits of words of which
-    all the others are factors, such as the longest ones.
+    The longest words fix B, since every word is a factor of one of them.
+    The first row of mu_q(w) is one step from the row of w[:-1] kept from
+    the previous length, so two lengths of rows are held at a time.
     """
-    length, prev, rows = 0, {}, {"": (1, 0)}
-    for w in words:
-        if len(w) != length:
-            length, prev, rows = len(w), rows, {}
-        if w:
-            rows[w] = _step(*prev[w[:-1]], w[-1], bits)
-        yield rows[w][1]
+    longest = (w for w in chain if len(w) == len(chain[-1]))
+    bits = _slot_bits(max((max(map(max, mu(w))) for w in longest), default=0))
+
+    def packed() -> Iterator[int]:
+        length, prev, rows = 0, {}, {"": (1, 0)}
+        for w in chain:
+            if len(w) != length:
+                length, prev, rows = len(w), rows, {}
+            if w:
+                rows[w] = _step(*prev[w[:-1]], w[-1], bits)
+            yield rows[w][1]
+
+    return bits, packed()
+
+
+def q_markoff_chain(chain: Sequence[str]) -> Iterator[IntPolynomial]:
+    """q_markoff(w) for each w of `chain`, one matrix-row step per word and no mu_q.
+
+    As in the radix chain of a factor language, the words run by
+    nondecreasing length, each nonempty w follows w[:-1] among the words one
+    letter shorter, and every word is a factor of one of the longest.
+    """
+    bits, packed = _chain_walk(chain)
+    return (_unpack(p, bits) for p in packed)
+
+
+def first_unordered(chain: Sequence[str]) -> int | None:
+    """Least i with q_markoff(chain[i+1]) - q_markoff(chain[i]) not nonzero and nonnegative.
+
+    None when there is none; `chain` is as in q_markoff_chain.  Each pair is
+    decided on packed polynomials, with bias bits in every slot of degree
+    below the largest det_exponent.
+    """
+    bits, packed = _chain_walk(chain)
+    bias = _bias(bits, max(map(det_exponent, chain), default=0) + 1)  # deg e12 < det_exponent
+    pairs = enumerate(pairwise(packed))
+    return next((i for i, (f, g) in pairs if not _precedes(f, g, bias)), None)
 
 
 def q_markoff(w: str) -> IntPolynomial:

@@ -3,13 +3,6 @@
 Coefficients are arbitrary-precision Python ints in a dense ascending
 representation: index i holds the coefficient of q^i.  The zero polynomial
 has an empty coefficient tuple and degree -inf.
-
-A polynomial with nonnegative coefficients below 2^B also packs into one
-int, sum c_i 2^(iB) (Kronecker substitution q -> 2^B), as long as every sum
-formed stays below 2^B per slot: multiplying by q is then a shift by B bits
-and adding polynomials adds ints.
-``IntPolynomial.from_packed`` unpacks such an int, and ``packed_precedes``
-compares two of them in the coefficientwise order without unpacking.
 """
 
 from __future__ import annotations
@@ -54,16 +47,6 @@ class IntPolynomial:
         if exponent < 0:
             raise ValueError("negative exponent")
         return cls([0] * exponent + [coefficient])
-
-    @classmethod
-    def from_packed(cls, value: int, bits: int) -> "IntPolynomial":
-        """The polynomial whose coefficient of q^i is slot i of `value`.
-
-        `value` is nonnegative and `bits`, the slot width, is a multiple of 8.
-        """
-        width = bits // 8
-        data = value.to_bytes(-(-value.bit_length() // 8), "little")
-        return cls(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
 
     @property
     def degree(self) -> float | int:
@@ -170,27 +153,6 @@ def poly(*coeffs: int) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-def slot_bits(bound: int) -> int:
-    """Slot width B for packing coefficients in [0, bound]: two spare bits, whole bytes."""
-    return -(-(bound.bit_length() + 2) // 8) * 8
-
-
-def packed_bias(bits: int, slots: int) -> int:
-    """The packed int holding 2^(bits-1) in each of `slots` slots; bits is a multiple of 8."""
-    return int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * slots, "little")
-
-
-def packed_precedes(f: int, g: int, bias: int) -> bool:
-    """IntPolynomial.precedes on packed polynomials: g - f is nonzero and nonnegative.
-
-    f and g share slots of B bits with coefficients below 2^(B-2), and `bias`
-    has 2^(B-1) in every slot either uses.  Slot i of g + bias - f is then
-    g_i - f_i + 2^(B-1), which borrows from no other slot and has its top bit
-    set iff g_i >= f_i.
-    """
-    return f != g and (g + bias - f) & bias == bias
-
-
 class QMatrix:
     """Immutable 2x2 matrix with IntPolynomial entries."""
 
@@ -208,12 +170,6 @@ class QMatrix:
     @classmethod
     def identity(cls) -> "QMatrix":
         return _IDENTITY
-
-    @classmethod
-    def from_coeffs(cls, rows) -> "QMatrix":
-        """Build from [[c11, c12], [c21, c22]] where each c is a coefficient sequence."""
-        (a, b), (c, d) = rows
-        return cls(IntPolynomial(a), IntPolynomial(b), IntPolynomial(c), IntPolynomial(d))
 
     def entries(self) -> tuple[IntPolynomial, IntPolynomial, IntPolynomial, IntPolynomial]:
         return (self.e11, self.e12, self.e21, self.e22)

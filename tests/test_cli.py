@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,14 @@ def test_qmarkoff_long_word(capsys):
     assert f"mu: [[{m11}, {m12}], [{m21}, {m22}]]" in out.splitlines()
 
 
+def test_qmarkoff_refuses_word_over_limit(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "qmarkoff", "ab" * 512 + "a")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err == "error: word has 1025 letters; qmarkoff takes at most 1024\n"
+
+
 def test_verify_monotone_ok(capsys):
     code, out, _ = run(capsys, "verify-monotone", "--spec", "fibonacci", "--max-n", "9")
     assert code == 0
@@ -171,6 +180,83 @@ def test_curves_csv(capsys):
     assert len(lines) == 1 + 6 * 2  # eps, a, b, aa, ab, ba at two gammas
     assert lines[1] == ",0.5,0.0"
     assert "1,1,2.0" in lines  # word b at gamma 1 evaluates to mu(b)_12 = 2
+
+
+CURVES_SKEW_GOLDEN = """\
+word,gamma,value
+,1/3,0.0
+,2,0.0
+0,1/3,1.0
+0,2,1.0
+1,1/3,1.3333333333333333
+1,2,3.0
+00,1/3,1.4444444444444444
+00,2,7.0
+01,1/3,1.5925925925925926
+01,2,19.0
+10,1/3,1.9382716049382716
+10,2,37.0
+000,1/3,1.9753086419753085
+000,2,45.0
+001,1/3,2.152263374485597
+001,2,121.0
+010,1/3,2.3058984910836764
+010,2,229.0
+100,1/3,2.651577503429355
+100,2,247.0
+0000,1/3,2.692729766803841
+0000,2,287.0
+0001,1/3,2.931870141746685
+0001,2,771.0
+0010,1/3,3.1153787532388355
+0010,2,1455.0
+0100,1/3,3.1537875323883555
+0100,2,1527.0
+1000,1/3,3.6146928821825943
+1000,2,1581.0
+"""
+
+CURVES_MECHANICAL_GOLDEN = """\
+word,gamma,value
+,3/2,0.0
+0,3/2,1.0
+1,3/2,2.5
+00,3/2,4.75
+01,3/2,10.375
+10,3/2,16.9375
+001,3/2,43.65625
+010,3/2,68.265625
+100,3/2,74.828125
+101,3/2,161.6640625
+0010,3/2,286.15234375
+0100,3/2,300.91796875
+0101,3/2,649.896484375
+1001,3/2,681.068359375
+1010,3/2,1060.9755859375
+00100,3/2,1260.9970703125
+00101,3/2,2723.26416015625
+01001,3/2,2738.02978515625
+01010,3/2,4264.810791015625
+10010,3/2,4462.711181640625
+10100,3/2,4675.889892578125
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (("--spec", "skew", "--max-len", "4", "--gammas", "1/3,2"), CURVES_SKEW_GOLDEN),
+        (
+            ("--spec", "mechanical:alpha=3/8,rho=1/5,kind=upper", "--max-len", "5", "--gammas", "3/2"),
+            CURVES_MECHANICAL_GOLDEN,
+        ),
+    ],
+    ids=["skew", "mechanical"],
+)
+def test_curves_golden_stdout(capsys, argv, golden):
+    code, out, err = run(capsys, "curves", *argv)
+    assert code == 0 and err == ""
+    assert out == golden
 
 
 def test_pair_check(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmarkoff import language
+from qmarkoff import language, morphism
 
 from qmarkoff.language import (
     FLIP_AB_BA,
@@ -32,7 +32,7 @@ from qmarkoff.language import (
     radix_chain_check,
     sequence_window,
 )
-from qmarkoff.morphism import mu, q_markoff
+from qmarkoff.morphism import mu, q_markoff, q_markoff_chain
 from qmarkoff.qpoly import poly
 from qmarkoff.words import is_balanced_family, render_word, reversal
 
@@ -308,10 +308,24 @@ def test_radix_chain_fibonacci():
     ],
 )
 def test_radix_chain_matches_schoolbook(spec):
-    from oracles import radix_chain_differences
+    from oracles import mu_q_schoolbook, radix_chain_differences
 
     report = radix_chain_check(spec, 16)
     assert report.differences == radix_chain_differences(report.chain)
+    values = [mu_q_schoolbook(w).e12 for w in report.chain]
+    assert list(q_markoff_chain(report.chain)) == values
+    gammas = [Fraction(1, 3), 1, Fraction(7, 5)]
+    expected = [(w, g, p.evaluate(g)) for w, p in zip(report.chain, values) for g in gammas]
+    assert curves_export(spec, 16, gammas) == expected
+
+
+def test_curves_export_builds_no_mu_q(monkeypatch):
+    def refuse(w):
+        raise AssertionError(f"mu_q({w!r}) called")
+
+    monkeypatch.setattr(morphism, "mu_q", refuse)
+    rows = curves_export(FIB, 9, [1, Fraction(1, 2)])
+    assert len(rows) == 55 * 2
 
 
 def test_radix_chain_failure_matches_schoolbook(monkeypatch):

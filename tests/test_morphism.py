@@ -8,6 +8,10 @@ from hypothesis import strategies as st
 from qmarkoff.morphism import (
     MU_Q_A,
     MU_Q_B,
+    _bias,
+    _precedes,
+    _slot_bits,
+    _unpack,
     christoffel_node,
     flip_matrix,
     delta_last_letter,
@@ -15,6 +19,7 @@ from qmarkoff.morphism import (
     det_exponent,
     det_mu_q,
     flip_delta,
+    first_unordered,
     flip_prefix_delta,
     is_christoffel,
     markoff_triple,
@@ -22,6 +27,7 @@ from qmarkoff.morphism import (
     mu_q,
     positivity_report,
     q_markoff,
+    q_markoff_chain,
     tree_paths,
 )
 from qmarkoff.qpoly import IntPolynomial, QMatrix, poly
@@ -306,3 +312,29 @@ def test_mu_q_long_word_from_cold_cache():
     w = "ab" * 300
     mu_q.cache_clear()
     assert mu_q(w).evaluate(1) == mu(w)
+
+
+def pack(p, bits):
+    return sum(c << (i * bits) for i, c in enumerate(p.coeffs))
+
+
+@given(st.lists(st.integers(0, 300), max_size=9), st.lists(st.integers(0, 300), max_size=9))
+def test_packed_order_matches_coefficientwise_order(fc, gc):
+    f, g = IntPolynomial(fc), IntPolynomial(gc)
+    bits = _slot_bits(max(fc + gc, default=0))
+    bias = _bias(bits, max(len(fc), len(gc)))
+    assert _unpack(pack(f, bits), bits) == f
+    assert _precedes(pack(f, bits), pack(g, bits), bias) == f.precedes(g)
+
+
+def test_first_unordered_small_chains():
+    assert first_unordered(["", "a", "b"]) is None
+    assert first_unordered(["", "b", "a"]) == 1
+    assert first_unordered(["b", "a"]) == 0
+    assert first_unordered(["a", "a"]) == 0
+    # ordered up to its last pair, whose difference q^3 + q^4 + 2q^5 + q^6 - q^9 - q^10 - 2q^11 - q^12
+    # is negative only in slots above half the largest det_exponent (18)
+    chain = ["", "a", "aa", "ab", "aab", "aba", "abaa", "aabb", "abaab", "aabba", "aabbab", "abaabb"]
+    assert first_unordered(chain[:-1]) is None
+    assert first_unordered(chain) == len(chain) - 2
+    assert list(q_markoff_chain(chain)) == [mu_q_schoolbook(w).e12 for w in chain]

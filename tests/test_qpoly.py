@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qmarkoff.qpoly import IntPolynomial, QMatrix, packed_bias, packed_precedes, poly, slot_bits
+from qmarkoff.qpoly import IntPolynomial, QMatrix, poly
 
 from oracles import evaluate_by_fraction_horner
 
@@ -127,16 +127,3 @@ def test_evaluate_matches_fraction_horner(p, x):
     value, expected = p.evaluate(x), evaluate_by_fraction_horner(p, x)
     assert value == expected
     assert type(value) is type(expected)
-
-
-def pack(p, bits):
-    return sum(c << (i * bits) for i, c in enumerate(p.coeffs))
-
-
-@given(st.lists(st.integers(0, 300), max_size=9), st.lists(st.integers(0, 300), max_size=9))
-def test_packed_order_matches_coefficientwise_order(fc, gc):
-    f, g = IntPolynomial(fc), IntPolynomial(gc)
-    bits = slot_bits(max(fc + gc, default=0))
-    bias = packed_bias(bits, max(len(fc), len(gc)))
-    assert IntPolynomial.from_packed(pack(f, bits), bits) == f
-    assert packed_precedes(pack(f, bits), pack(g, bits), bias) == f.precedes(g)
