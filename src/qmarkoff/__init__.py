@@ -38,7 +38,6 @@ from .language import (
     Characteristic,
     FactorLanguage,
     Mechanical,
-    MechanicalSpec,
     MonotonicityError,
     Periodic,
     RadixChainReport,

@@ -10,12 +10,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import pairwise
 
 from .language import (
     BalancedSpec,
     Characteristic,
     Mechanical,
-    MechanicalSpec,
     MonotonicityError,
     Periodic,
     Skew,
@@ -39,6 +39,7 @@ from .words import parse_word, render_word
 
 FIBONACCI_DIRECTIVE = (1,) * 24
 MAX_QMARKOFF_LETTERS = 1024  # mu_q takes time cubic in the word length
+MAX_TREE_DEPTH = 10  # tree_paths builds all 2^(depth+1) - 1 paths up front
 
 
 class SpecSyntaxError(ValueError):
@@ -70,12 +71,11 @@ def parse_spec(text: str) -> BalancedSpec:
             opts = _parse_options(rest)
             if "alpha" not in opts:
                 raise SpecSyntaxError("mechanical spec needs alpha=P/Q")
-            spec = MechanicalSpec(
+            return Mechanical(
                 alpha=Fraction(opts.pop("alpha")),
                 rho=Fraction(opts.pop("rho", "0")),
                 kind=opts.pop("kind", "lower"),
             )
-            return Mechanical(spec)
     except SpecSyntaxError:
         raise
     except (ValueError, ZeroDivisionError) as exc:
@@ -98,6 +98,8 @@ def _spec_name(spec: BalancedSpec) -> str:
 
 
 def _cmd_tree(args) -> int:
+    if args.depth > MAX_TREE_DEPTH:
+        raise ValueError(f"tree takes --depth at most {MAX_TREE_DEPTH}, got {args.depth}")
     paths = tree_paths(args.depth)
     if args.json:
         nodes = []
@@ -144,7 +146,7 @@ def _cmd_language(args) -> int:
     spec = parse_spec(args.spec)
     n = args.n
     changes = flip_permutation(spec, n)
-    factors = enumerate_factors(spec, n).factors
+    factors = [changes[0].src] + [c.dst for c in changes]
     if args.json:
         payload = {
             "n": n,
@@ -162,19 +164,12 @@ def _cmd_language(args) -> int:
         return 0
     print(f"n: {n}")
     print(f"factors ({len(factors)}):")
-    rows: list[tuple[str, str]] = []
-    if n >= 2:
-        below = enumerate_factors(spec, n - 1).factors[-1]
-        rows.append((below, ""))
-        rows.append((factors[0], classify_change(below, factors[0])))
-    else:
-        rows.append((factors[0], ""))
-    for c in changes:
-        rows.append((c.dst, c.kind))
-    above = enumerate_factors(spec, n + 1).factors[0]
-    rows.append((above, classify_change(factors[-1], above)))
-    width = max(len(w) for w, _ in rows)
-    for word, kind in rows:
+    # one radix segment: last factor of length n-1, the length-n factors, first of length n+1
+    below = [enumerate_factors(spec, n - 1).factors[-1]] if n >= 2 else []
+    segment = below + factors + [enumerate_factors(spec, n + 1).factors[0]]
+    kinds = [""] + [classify_change(u, v) for u, v in pairwise(segment)]
+    width = max(map(len, segment))
+    for word, kind in zip(segment, kinds):
         line = render_word(word, args.alphabet).ljust(width + 2)
         print(f"{line}{kind}".rstrip())
     return 0
@@ -212,7 +207,10 @@ def _cmd_spectrum(args) -> int:
 def _cmd_curves(args) -> int:
     spec = parse_spec(args.spec)
     tokens = [tok for tok in args.gammas.split(",") if tok]
-    gammas = [Fraction(tok) for tok in tokens]
+    try:
+        gammas = [Fraction(tok) for tok in tokens]
+    except ZeroDivisionError as exc:
+        raise ValueError(f"bad gammas {args.gammas!r}: {exc}") from None
     rows = curves_export(spec, args.max_len, gammas)
     text = {g: tok for g, tok in zip(gammas, tokens)}
     print("word,gamma,value")
@@ -240,20 +238,15 @@ def _cmd_counterexamples(args) -> int:
         ok = ok and value
         print(f"  {label}: {'yes' if value else 'NO'}")
 
-    print("1) abb <radix baa, but the difference is not coefficientwise nonnegative")
-    d = q_markoff("baa") - q_markoff("abb")
-    print(f"   mu_q(baa)[1,2] - mu_q(abb)[1,2] = {d}")
-    verdict("has negative coefficients", any(c < 0 for c in d.coeffs))
-
-    print("2) abbbab <radix bababb, same failure at length 6")
-    d = q_markoff("bababb") - q_markoff("abbbab")
-    print(f"   mu_q(bababb)[1,2] - mu_q(abbbab)[1,2] = {d}")
-    verdict("has negative coefficients", any(c < 0 for c in d.coeffs))
-
-    print("3) abbb <radix aaaab, failure on Christoffel words")
-    d = q_markoff("aaaab") - q_markoff("abbb")
-    print(f"   mu_q(aaaab)[1,2] - mu_q(abbb)[1,2] = {d}")
-    verdict("has negative coefficients", any(c < 0 for c in d.coeffs))
+    for title, u, v in (
+        ("1) abb <radix baa, but the difference is not coefficientwise nonnegative", "abb", "baa"),
+        ("2) abbbab <radix bababb, same failure at length 6", "abbbab", "bababb"),
+        ("3) abbb <radix aaaab, failure on Christoffel words", "abbb", "aaaab"),
+    ):
+        print(title)
+        d = q_markoff(v) - q_markoff(u)
+        print(f"   mu_q({v})[1,2] - mu_q({u})[1,2] = {d}")
+        verdict("has negative coefficients", any(c < 0 for c in d.coeffs))
 
     print("4) ab^7 <radix a^12 b, another Christoffel failure")
     d = q_markoff("a" * 12 + "b") - q_markoff("a" + "b" * 7)

@@ -24,8 +24,8 @@ from .words import cyclic_factors, factors, is_balanced_periodic, parse_word, re
 
 
 @dataclass(frozen=True)
-class MechanicalSpec:
-    """Rotation coding with exact rational slope and intercept.
+class Mechanical:
+    """Rational-slope mechanical sequence: a rotation coding with exact slope and intercept.
 
     The intercept is normalized into [0, 1); slopes must lie in [0, 1].
     """
@@ -45,7 +45,7 @@ class MechanicalSpec:
         object.__setattr__(self, "rho", rho - math.floor(rho))
 
 
-def mechanical_letter(spec: MechanicalSpec, pos: int) -> str:
+def mechanical_letter(spec: Mechanical, pos: int) -> str:
     """Letter at `pos`: difference of consecutive floors (lower) or ceilings (upper).
 
     alpha*pos + rho is x/den over the common denominator den, in integers.
@@ -151,13 +151,6 @@ class Skew:
         object.__setattr__(self, "m", m)
 
 
-@dataclass(frozen=True)
-class Mechanical:
-    """Rational-slope mechanical sequence (periodic rotation coding)."""
-
-    spec: MechanicalSpec
-
-
 BalancedSpec = Union[Periodic, Characteristic, Skew, Mechanical]
 
 
@@ -187,7 +180,7 @@ def letter_at(spec: BalancedSpec, pos: int) -> str:
             return (y + spec.m + y)[pos + block_len]
         return (y + spec.m + x)[(pos + block_len) % block_len]
     if isinstance(spec, Mechanical):
-        return mechanical_letter(spec.spec, pos)
+        return mechanical_letter(spec, pos)
     raise TypeError(f"not a balanced spec: {spec!r}")
 
 
@@ -196,14 +189,10 @@ def sequence_window(spec: BalancedSpec, lo: int, hi: int) -> str:
     return "".join(letter_at(spec, i) for i in range(lo, hi))
 
 
-def _period_hint(spec: BalancedSpec) -> int:
-    if isinstance(spec, Periodic):
-        return len(spec.word)
+def _period_hint(spec: Skew | Mechanical) -> int:
     if isinstance(spec, Skew):
         return len(spec.m) + 2
-    if isinstance(spec, Mechanical):
-        return max(spec.spec.alpha.denominator, 1)
-    return 1
+    return spec.alpha.denominator
 
 
 def compact_representations(prefix: str) -> tuple[str, str]:

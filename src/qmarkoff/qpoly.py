@@ -38,10 +38,6 @@ class IntPolynomial:
         return _ZERO
 
     @classmethod
-    def one(cls) -> "IntPolynomial":
-        return _ONE
-
-    @classmethod
     def monomial(cls, exponent: int, coefficient: int = 1) -> "IntPolynomial":
         """coefficient * q^exponent"""
         if exponent < 0:
@@ -52,9 +48,6 @@ class IntPolynomial:
     def degree(self) -> float | int:
         """Degree; -inf for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else _MINUS_INF
-
-    def coefficient(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -187,10 +180,6 @@ class QMatrix:
             self.e21 * other.e11 + self.e22 * other.e21,
             self.e21 * other.e12 + self.e22 * other.e22,
         )
-
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix(self.e11 + other.e11, self.e12 + other.e12,
-                       self.e21 + other.e21, self.e22 + other.e22)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         return QMatrix(self.e11 - other.e11, self.e12 - other.e12,

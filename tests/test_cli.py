@@ -1,11 +1,12 @@
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qmarkoff import spectrum
-from qmarkoff.cli import main, parse_spec, SpecSyntaxError
+from qmarkoff.cli import MAX_TREE_DEPTH, main, parse_spec, SpecSyntaxError
 from qmarkoff.language import Characteristic, Mechanical, Periodic, Skew
 from qmarkoff.morphism import mu_q
 
@@ -25,9 +26,9 @@ def test_parse_spec_grammar():
     assert parse_spec("skew") == Skew()
     mech = parse_spec("mechanical:alpha=2/5,rho=1/3,kind=upper")
     assert isinstance(mech, Mechanical)
-    assert mech.spec.alpha == Fraction(2, 5)
-    assert mech.spec.rho == Fraction(1, 3)
-    assert mech.spec.kind == "upper"
+    assert mech.alpha == Fraction(2, 5)
+    assert mech.rho == Fraction(1, 3)
+    assert mech.kind == "upper"
 
 
 def test_parse_spec_errors():
@@ -66,6 +67,17 @@ def test_tree_words_and_qpoly(capsys):
     assert out.strip() == "1 + q + 2*q^2 + q^3"
 
 
+def test_tree_refuses_depth_over_limit(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "tree", "--depth", str(MAX_TREE_DEPTH + 1), "--json")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err == "error: tree takes --depth at most 10, got 11\n"
+    code, out, err = run(capsys, "tree", "--depth", str(MAX_TREE_DEPTH))
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 2 ** (MAX_TREE_DEPTH + 1) - 1
+
+
 def test_tree_json(capsys):
     code, out, _ = run(capsys, "tree", "--depth", "1", "--json")
     nodes = json.loads(out)
@@ -86,6 +98,103 @@ def test_language_text_listing(capsys):
     assert body[1] == ["00100101", "wrap_awb"]
     assert body[-2] == ["10100101", "last_letter"]
     assert body[-1] == ["001001010", "wrap_awa"]
+
+
+LANGUAGE_SPECS = {
+    "skew": "skew:m=aba,form=blocks,xy=ba",
+    "mechanical": "mechanical:alpha=2/5,rho=1/3,kind=upper",
+}
+
+LANGUAGE_TEXT_N1 = "n: 1\nfactors (2):\na\nb   last_letter\naa  wrap_awa\n"
+LANGUAGE_TEXT_N2 = (
+    "n: 2\nfactors (3):\nb\naa   wrap_awa\nab   last_letter\nba   flip_ab_ba\naab  wrap_awb\n"
+)
+LANGUAGE_SKEW_TEXT_N13 = """\
+n: 13
+factors (14):
+babaababaaba
+aabaababaabab   wrap_awb
+aababaabaabab   flip_ab_ba
+aababaababaab   flip_ab_ba
+abaabaababaab   flip_ab_ba
+abaababaabaab   flip_ab_ba
+abaababaababa   flip_ab_ba
+ababaabaababa   flip_ab_ba
+ababaababaaba   flip_ab_ba
+baabaababaaba   flip_ab_ba
+baababaabaaba   flip_ab_ba
+baababaababaa   flip_ab_ba
+babaabaababaa   flip_ab_ba
+babaababaabaa   flip_ab_ba
+babaababaabab   last_letter
+aabaababaababa  wrap_awa
+"""
+
+LANGUAGE_JSON_N1 = {
+    "n": 1,
+    "factors": ["0", "1"],
+    "changes": [{"from": "0", "to": "1", "kind": "last_letter"}],
+}
+LANGUAGE_JSON_N2 = {
+    "n": 2,
+    "factors": ["00", "01", "10"],
+    "changes": [
+        {"from": "00", "to": "01", "kind": "last_letter"},
+        {"from": "01", "to": "10", "kind": "flip_ab_ba"},
+    ],
+}
+LANGUAGE_SKEW_JSON_N13 = {
+    "n": 13,
+    "factors": [
+        "0010010100101", "0010100100101", "0010100101001", "0100100101001", "0100101001001",
+        "0100101001010", "0101001001010", "0101001010010", "1001001010010", "1001010010010",
+        "1001010010100", "1010010010100", "1010010100100", "1010010100101",
+    ],
+    "changes": [
+        {"from": "0010010100101", "to": "0010100100101", "kind": "flip_ab_ba"},
+        {"from": "0010100100101", "to": "0010100101001", "kind": "flip_ab_ba"},
+        {"from": "0010100101001", "to": "0100100101001", "kind": "flip_ab_ba"},
+        {"from": "0100100101001", "to": "0100101001001", "kind": "flip_ab_ba"},
+        {"from": "0100101001001", "to": "0100101001010", "kind": "flip_ab_ba"},
+        {"from": "0100101001010", "to": "0101001001010", "kind": "flip_ab_ba"},
+        {"from": "0101001001010", "to": "0101001010010", "kind": "flip_ab_ba"},
+        {"from": "0101001010010", "to": "1001001010010", "kind": "flip_ab_ba"},
+        {"from": "1001001010010", "to": "1001010010010", "kind": "flip_ab_ba"},
+        {"from": "1001010010010", "to": "1001010010100", "kind": "flip_ab_ba"},
+        {"from": "1001010010100", "to": "1010010010100", "kind": "flip_ab_ba"},
+        {"from": "1010010010100", "to": "1010010100100", "kind": "flip_ab_ba"},
+        {"from": "1010010100100", "to": "1010010100101", "kind": "last_letter"},
+    ],
+}
+# the mechanical sequence has period 5, so at most 5 factors of length 13
+MECHANICAL_N13_ERROR = "error: complexity violation: 5 factors of length 13, expected 14\n"
+
+
+LANGUAGE_GOLDEN = [
+    # (spec, n, text stdout, payload of --json --alphabet 01); None where exit 2 is expected
+    ("skew", 1, LANGUAGE_TEXT_N1, LANGUAGE_JSON_N1),
+    ("skew", 2, LANGUAGE_TEXT_N2, LANGUAGE_JSON_N2),
+    ("skew", 13, LANGUAGE_SKEW_TEXT_N13, LANGUAGE_SKEW_JSON_N13),
+    ("mechanical", 1, LANGUAGE_TEXT_N1, LANGUAGE_JSON_N1),
+    ("mechanical", 2, LANGUAGE_TEXT_N2, LANGUAGE_JSON_N2),
+    ("mechanical", 13, None, None),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,n,text,payload", LANGUAGE_GOLDEN, ids=[f"{spec}-{n}" for spec, n, *_ in LANGUAGE_GOLDEN]
+)
+def test_language_golden_stdout(capsys, spec, n, text, payload):
+    """Full stdout of the factor table, text and JSON, including the n < 2 and boundary rows."""
+    argv = ["language", "--spec", LANGUAGE_SPECS[spec], "--n", str(n)]
+    for extra, golden in (([], text), (["--json", "--alphabet", "01"], payload)):
+        code, out, err = run(capsys, *argv, *extra)
+        if golden is None:
+            assert (code, out, err) == (2, "", MECHANICAL_N13_ERROR)
+            continue
+        if extra:
+            golden = json.dumps(golden, indent=2) + "\n"
+        assert (code, out, err) == (0, golden, "")
 
 
 def test_language_json(capsys):
@@ -259,6 +368,12 @@ def test_curves_golden_stdout(capsys, argv, golden):
     assert out == golden
 
 
+def test_curves_refuses_zero_denominator(capsys):
+    code, out, err = run(capsys, "curves", "--spec", "fibonacci", "--max-len", "3", "--gammas", "1/2,1/0")
+    assert code == 2 and out == ""
+    assert err == "error: bad gammas '1/2,1/0': Fraction(1, 0)\n"
+
+
 def test_pair_check(capsys):
     code, out, _ = run(capsys, "pair-check", "--spec", "fibonacci", "--radius", "6")
     assert code == 0
@@ -316,3 +431,22 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_cli_examples_run(capsys):
+    block = README.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    commands = [argv[1:] for argv in commands if argv[:1] == ["qmarkoff"]]
+    assert len(commands) == 11
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert (argv, code, err) == (argv, 0, "")
+
+
+def test_readme_library_example_runs(capsys):
+    example = README.split("## Library example", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[1] == "194"

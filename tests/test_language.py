@@ -15,7 +15,6 @@ from qmarkoff.language import (
     WRAP_AWB,
     Characteristic,
     Mechanical,
-    MechanicalSpec,
     MonotonicityError,
     Periodic,
     Skew,
@@ -58,32 +57,32 @@ FIB_TABLE = {
 def test_mechanical_letter_matches_fraction_oracle(slope, rho, kind):
     from oracles import mechanical_letter_by_fractions
 
-    spec = MechanicalSpec(Fraction(*slope), rho, kind)
+    spec = Mechanical(Fraction(*slope), rho, kind)
     for pos in range(-60, 60):
         assert mechanical_letter(spec, pos) == mechanical_letter_by_fractions(spec, pos)
 
 
 def test_mechanical_letter_examples():
-    zero = MechanicalSpec(Fraction(0))
-    one = MechanicalSpec(Fraction(1))
+    zero = Mechanical(Fraction(0))
+    one = Mechanical(Fraction(1))
     assert all(mechanical_letter(zero, p) == "a" for p in range(-5, 6))
     assert all(mechanical_letter(one, p) == "b" for p in range(-5, 6))
-    half = MechanicalSpec(Fraction(1, 2))
+    half = Mechanical(Fraction(1, 2))
     assert [mechanical_letter(half, p) for p in range(4)] == ["a", "b", "a", "b"]
 
 
 def test_mechanical_spec_normalization():
-    spec = MechanicalSpec(Fraction(1, 3), Fraction(7, 3))
+    spec = Mechanical(Fraction(1, 3), Fraction(7, 3))
     assert spec.rho == Fraction(1, 3)
     with pytest.raises(ValueError):
-        MechanicalSpec(Fraction(3, 2))
+        Mechanical(Fraction(3, 2))
     with pytest.raises(ValueError):
-        MechanicalSpec(Fraction(1, 2), kind="middle")
+        Mechanical(Fraction(1, 2), kind="middle")
 
 
 def test_upper_vs_lower_mechanical():
-    lower = MechanicalSpec(Fraction(2, 5), kind="lower")
-    upper = MechanicalSpec(Fraction(2, 5), kind="upper")
+    lower = Mechanical(Fraction(2, 5), kind="lower")
+    upper = Mechanical(Fraction(2, 5), kind="upper")
     # rational slope with rho = 0: lower and upper differ in alignment only
     lw = "".join(mechanical_letter(lower, p) for p in range(10))
     uw = "".join(mechanical_letter(upper, p) for p in range(10))
@@ -149,7 +148,7 @@ def test_characteristic_prefix_occurs_in_mechanical_word():
     slope = Fraction(0)
     for d in reversed((directive[0] + 1,) + directive[1:]):
         slope = Fraction(1, d + slope)
-    spec = MechanicalSpec(slope)
+    spec = Mechanical(slope)
     window = "".join(mechanical_letter(spec, p) for p in range(0, 40))
     assert prefix in window
 
@@ -190,7 +189,7 @@ def test_factor_balance_all_variants():
         Periodic("ab"),
         Skew(),
         Skew(m="aba", form="blocks"),
-        Mechanical(MechanicalSpec(Fraction(2, 5), Fraction(1, 3))),
+        Mechanical(Fraction(2, 5), Fraction(1, 3)),
     ]
     for spec in specs:
         for n in range(1, 9):
@@ -304,7 +303,7 @@ def test_radix_chain_fibonacci():
         FIB,
         Periodic("aabab"),
         Skew(m="aba", form="blocks", xy="ba"),
-        Mechanical(MechanicalSpec(Fraction(3, 8), Fraction(1, 5), "upper")),
+        Mechanical(Fraction(3, 8), Fraction(1, 5), "upper"),
     ],
 )
 def test_radix_chain_matches_schoolbook(spec):
@@ -363,7 +362,7 @@ def test_radix_chain_other_specs():
         Skew(),
         Skew(m="aba", form="blocks"),
         Characteristic((2, 1, 2, 1, 2, 1, 2, 1, 2, 1)),
-        Mechanical(MechanicalSpec(Fraction(2, 5), Fraction(1, 3))),
+        Mechanical(Fraction(2, 5), Fraction(1, 3)),
     ):
         radix_chain_check(spec, 6)
 
@@ -396,7 +395,7 @@ def test_central_factorizations():
 def test_classify():
     assert classify(Periodic("aabab")) == "M1"
     assert classify(Periodic("ab")) == "M1"
-    assert classify(Mechanical(MechanicalSpec(Fraction(2, 5), Fraction(1, 3)))) == "M2"
+    assert classify(Mechanical(Fraction(2, 5), Fraction(1, 3))) == "M2"
     assert classify(FIB) == "M3"
     assert classify(Skew()) == "M4"
     assert classify(Skew(m="aba", form="blocks", xy="ab")) == "M4"
@@ -406,7 +405,7 @@ def test_classify_rho_zero_mechanical():
     # periodicity rules out any central factorization (s(p) = s(0) would
     # collide with the mirror image s(-1)), so even the rho = 0 alignment
     # classifies as declared
-    spec = Mechanical(MechanicalSpec(Fraction(2, 5), Fraction(0)))
+    spec = Mechanical(Fraction(2, 5), Fraction(0))
     assert central_factorizations(spec) == []
     assert classify(spec) == "M2"
 
@@ -460,7 +459,7 @@ def test_characteristic_factors_match_mechanical_window(directive):
     # equal those read off a long window of the convergent-slope rotation
     slope = _convergent_slope(directive)
     spec = Characteristic(directive)
-    mech = MechanicalSpec(slope, Fraction(0))
+    mech = Mechanical(slope, Fraction(0))
     length = 3 * slope.denominator + 24
     window = "".join(mechanical_letter(mech, k) for k in range(length))
     for n in range(1, 9):
@@ -486,7 +485,7 @@ def test_mechanical_limit_stabilization():
     target = Fraction(2, 5)
     windows = []
     for j in range(1, 8):
-        spec = Mechanical(MechanicalSpec(target + Fraction(1, 5 * 4**j)))
+        spec = Mechanical(target + Fraction(1, 5 * 4**j))
         windows.append(sequence_window(spec, -8, 9))
     assert len(set(windows[2:])) == 1
     stable = windows[-1]

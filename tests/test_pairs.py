@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmarkoff.language import Characteristic, Mechanical, MechanicalSpec, Periodic, Skew
+from qmarkoff.language import Characteristic, Mechanical, Periodic, Skew
 from qmarkoff.pairs import (
     AsymptoticPair,
     PairReport,
@@ -66,7 +66,7 @@ def test_build_pair_requires_central_factorization():
     with pytest.raises(ValueError, match="no central factorization"):
         build_pair(Periodic("ab"))
     with pytest.raises(ValueError, match="no central factorization"):
-        build_pair(Mechanical(MechanicalSpec(Fraction(2, 5), Fraction(1, 3))))
+        build_pair(Mechanical(Fraction(2, 5), Fraction(1, 3)))
 
 
 def test_build_pair_shift_equivariance():
