@@ -10,7 +10,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import pairwise
+from itertools import groupby, pairwise
+from operator import itemgetter
 
 from .language import (
     BalancedSpec,
@@ -101,20 +102,12 @@ def _cmd_tree(args) -> int:
     if args.depth > MAX_TREE_DEPTH:
         raise ValueError(f"tree takes --depth at most {MAX_TREE_DEPTH}, got {args.depth}")
     paths = tree_paths(args.depth)
-    if args.json:
-        nodes = []
-        for p in paths:
-            node = christoffel_node(p)
-            triple = markoff_triple(p)
-            nodes.append(
-                {
-                    "path": "".join(p),
-                    "word": node.word,
-                    "triple": [triple.x, triple.y, triple.z],
-                    "q_markoff": str(q_markoff(node.word)),
-                }
-            )
-        print(json.dumps(nodes, indent=2))
+    if args.json:  # json.dumps(nodes, indent=2), written one node at a time
+        for i, p in enumerate(paths):
+            word, t = christoffel_node(p).word, markoff_triple(p)
+            node = {"path": "".join(p), "word": word, "triple": [t.x, t.y, t.z], "q_markoff": str(q_markoff(word))}
+            print(",\n  " if i else "[\n  ", json.dumps(node, indent=2).replace("\n", "\n  "), sep="", end="")
+        print("\n]")
         return 0
     for p in paths:
         if args.triples:
@@ -212,10 +205,12 @@ def _cmd_curves(args) -> int:
     except ZeroDivisionError as exc:
         raise ValueError(f"bad gammas {args.gammas!r}: {exc}") from None
     rows = curves_export(spec, args.max_len, gammas)
-    text = {g: tok for g, tok in zip(gammas, tokens)}
-    print("word,gamma,value")
-    for word, gamma, value in rows:
-        print(f"{render_word(word, '01')},{text[gamma]},{float(value)!r}")
+    # every row is formatted before any is written, so a value too large for a float prints nothing
+    lines = ["word,gamma,value"]
+    for word, group in groupby(rows, key=itemgetter(0)):
+        text = render_word(word, "01")
+        lines.extend(f"{text},{tok},{float(value)!r}" for tok, (_, _, value) in zip(tokens, group))
+    print("\n".join(lines))
     return 0
 
 

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 from itertools import pairwise
 from typing import Sequence, Union
 
-from .morphism import first_unordered, is_christoffel, q_markoff, q_markoff_chain
+from .morphism import first_unordered, is_christoffel, q_markoff, q_markoff_chain, q_markoff_values
 from .qpoly import IntPolynomial, Scalar
 from .words import cyclic_factors, factors, is_balanced_periodic, parse_word, reversal
 
@@ -397,16 +397,16 @@ def curves_export(
 ) -> list[tuple[str, Scalar, Scalar]]:
     """Rows (word, gamma, q_markoff(word) evaluated at gamma) for |word| <= max_len.
 
-    Words run in radix order (empty word first); evaluation is exact for
-    int or Fraction gammas.  For every fixed gamma > 0 the values are
-    strictly increasing along the radix order.  Raises ValueError on any
-    gamma <= 0.
+    Words run in radix order (empty word first).  Each value is exact and
+    comes from one row step per word at q = gamma (q_markoff_values), with
+    no polynomial built: an int gamma gives an int, a Fraction or float
+    gamma gives a Fraction (a float gamma gave a float before the row walk).
+    For every fixed gamma > 0 the values are strictly increasing along the
+    radix order.  Raises ValueError on any gamma <= 0.
     """
     for g in gammas:
         if g <= 0:
             raise ValueError(f"positivity domain: gamma must be > 0, got {g}")
     chain = _radix_words(spec, max_len)
-    rows = []
-    for w, p in zip(chain, q_markoff_chain(chain)):
-        rows.extend((w, g, p.evaluate(g)) for g in gammas)
-    return rows
+    columns = [q_markoff_values(chain, g) for g in gammas]
+    return [(w, g, v) for w, *values in zip(chain, *columns) for g, v in zip(gammas, values)]

@@ -13,20 +13,25 @@ of mu_q of any factor of w, packs into one int, sum c_i 2^(iB), with slots
 of B = bitlen(max mu(w)) + 2 bits rounded up to whole bytes; the two spare
 bits let ``_precedes`` compare packed entries.  A row (x, y) of the matrix
 times MU_Q_A or MU_Q_B is then a few shifts by B bits and adds (``_step``).
-``mu_q`` runs that step left to right over the word, and ``_chain_walk``
-along a radix chain of factors, one step per word, for ``q_markoff_chain``
-and ``first_unordered``.  No other module knows the packed format.
+``mu_q`` runs that step left to right over the word on both rows, and
+``q_markoff`` on the first row alone, the only one holding e12.
+``_chain_rows`` steps along a radix chain of factors, one step per word
+from the kept row of w[:-1]: with ``_step`` for ``q_markoff_chain`` and
+``first_unordered``, and with ``_eval_step``, the same step at q = n/d on
+integer rows scaled by a power of d, for the exact values of
+``q_markoff_values``.  No other module knows the packed format.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import pairwise
 from typing import Iterable, Iterator, Sequence
 
-from .qpoly import IntPolynomial, QMatrix, poly
+from .qpoly import IntPolynomial, QMatrix, Scalar, poly
 from .words import christoffel_word, reversal
 
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
@@ -100,6 +105,25 @@ def _step(x: int, y: int, letter: str, bits: int) -> tuple[int, int]:
     return ((((((x << bits) + x) << bits) + x + s) << bits) + s) << bits, (x << bits) + s
 
 
+def _eval_step(x: int, y: int, letter: str, n: int, d: int) -> tuple[int, int]:
+    """_step at q = n/d on rows scaled by d^det_exponent(w), which keeps them integral.
+
+    The letter a multiplies the scale by d^2 and b by d^4, as it does q^det.
+    """
+    s = x + y
+    if letter == "a":
+        return (x * n + s * d) * n, s * d * d
+    dd = d * d
+    return (((x * (n + d) * n + (x + s) * dd) * n + s * dd * d) * n, (x * n + s * d) * dd * d)
+
+
+def _row(w: str, row: tuple[int, int], step, *args) -> tuple[int, int]:
+    """`row` carried through w left to right, one `step(x, y, letter, *args)` per letter."""
+    for letter in w:
+        row = step(*row, letter, *args)
+    return row
+
+
 @lru_cache(maxsize=1024)
 def mu_q(w: str) -> QMatrix:
     """Image of w under the q-deformed morphism; mu_q("") is the identity.
@@ -107,33 +131,33 @@ def mu_q(w: str) -> QMatrix:
     Evaluating every entry at q = 1 recovers mu(w).
     """
     bits = _slot_bits(max(map(max, mu(w))))
-    rows = [(1, 0), (0, 1)]
-    for letter in w:
-        rows = [_step(x, y, letter, bits) for x, y in rows]
-    (e11, e12), (e21, e22) = rows
+    (e11, e12), (e21, e22) = (_row(w, start, _step, bits) for start in ((1, 0), (0, 1)))
     return QMatrix(*(_unpack(e, bits) for e in (e11, e12, e21, e22)))
+
+
+def _chain_rows(chain: Sequence[str], step, *args) -> Iterator[tuple[int, int]]:
+    """First row of mu_q(w) for each w of `chain`, one `step(x, y, letter, *args)` per word.
+
+    The row of w is one step from the row of w[:-1], kept from the previous
+    length, so two lengths of rows are held at a time.
+    """
+    length, prev, rows = 0, {}, {"": (1, 0)}
+    for w in chain:
+        if len(w) != length:
+            length, prev, rows = len(w), rows, {}
+        if w:
+            rows[w] = step(*prev[w[:-1]], w[-1], *args)
+        yield rows[w]
 
 
 def _chain_walk(chain: Sequence[str]) -> tuple[int, Iterator[int]]:
     """Slot width B for `chain`, and q_markoff(w) packed in B-bit slots for each w of it.
 
     The longest words fix B, since every word is a factor of one of them.
-    The first row of mu_q(w) is one step from the row of w[:-1] kept from
-    the previous length, so two lengths of rows are held at a time.
     """
     longest = (w for w in chain if len(w) == len(chain[-1]))
     bits = _slot_bits(max((max(map(max, mu(w))) for w in longest), default=0))
-
-    def packed() -> Iterator[int]:
-        length, prev, rows = 0, {}, {"": (1, 0)}
-        for w in chain:
-            if len(w) != length:
-                length, prev, rows = len(w), rows, {}
-            if w:
-                rows[w] = _step(*prev[w[:-1]], w[-1], bits)
-            yield rows[w][1]
-
-    return bits, packed()
+    return bits, (y for _, y in _chain_rows(chain, _step, bits))
 
 
 def q_markoff_chain(chain: Sequence[str]) -> Iterator[IntPolynomial]:
@@ -145,6 +169,21 @@ def q_markoff_chain(chain: Sequence[str]) -> Iterator[IntPolynomial]:
     """
     bits, packed = _chain_walk(chain)
     return (_unpack(p, bits) for p in packed)
+
+
+def q_markoff_values(chain: Sequence[str], gamma: Scalar) -> Iterator[Scalar]:
+    """q_markoff(w) evaluated at q = gamma > 0 for each w of `chain`, exactly, with no polynomial.
+
+    `chain` is as in q_markoff_chain.  With (n, d) = gamma.as_integer_ratio(),
+    the walk carries d^det_exponent(w) times the first row of mu_q(w) at
+    n/d, in ints, and divides once per word.  An int gamma gives ints; a
+    Fraction or float gamma gives Fractions, exact even for the float.
+    """
+    n, d = gamma.as_integer_ratio()
+    rows = _chain_rows(chain, _eval_step, n, d)
+    if isinstance(gamma, int):
+        return (y for _, y in rows)
+    return (Fraction(y, d ** det_exponent(w)) for w, (_, y) in zip(chain, rows))
 
 
 def first_unordered(chain: Sequence[str]) -> int | None:
@@ -161,11 +200,14 @@ def first_unordered(chain: Sequence[str]) -> int | None:
 
 
 def q_markoff(w: str) -> IntPolynomial:
-    """The q-Markoff polynomial of w: entry (1,2) of mu_q(w).
+    """The q-Markoff polynomial of w: entry (1,2) of mu_q(w), from the first row alone.
 
-    Zero for the empty word (identity matrix).
+    The slots fit mu(w)[0][0], the largest entry of the first row of mu(w)
+    (e11 >= e12 at every step), computed by the same walk at q = 1.  Zero
+    for the empty word.
     """
-    return mu_q(w).e12
+    bits = _slot_bits(_row(w, (1, 0), _eval_step, 1, 1)[0])
+    return _unpack(_row(w, (1, 0), _step, bits)[1], bits)
 
 
 def det_exponent(w: str) -> int:

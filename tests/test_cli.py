@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qmarkoff import spectrum
+from qmarkoff import cli, morphism, spectrum
 from qmarkoff.cli import MAX_TREE_DEPTH, main, parse_spec, SpecSyntaxError
 from qmarkoff.language import Characteristic, Mechanical, Periodic, Skew
 from qmarkoff.morphism import mu_q
@@ -85,6 +85,30 @@ def test_tree_json(capsys):
     assert nodes[0]["word"] == "ab"
     assert nodes[0]["triple"] == [1, 5, 2]
     assert nodes[0]["q_markoff"] == "1 + q + 2*q^2 + q^3"
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("mode", ["json", "qpoly"])
+def test_tree_depth4_golden_stdout_builds_no_mu_q(capsys, monkeypatch, mode):
+    def refuse(w):
+        raise AssertionError(f"mu_q({w!r}) called")
+
+    monkeypatch.setattr(morphism, "mu_q", refuse)
+    monkeypatch.setattr(cli, "mu_q", refuse)
+    code, out, err = run(capsys, "tree", "--depth", "4", f"--{mode}")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"tree_{mode}_depth4.txt").read_text()
+
+
+def test_tree_json_is_one_json_dumps(capsys):
+    # the nodes are written one at a time, as json.dumps(nodes, indent=2) would write them
+    for depth in range(7):
+        code, out, _ = run(capsys, "tree", "--depth", str(depth), "--json")
+        nodes = json.loads(out)
+        assert (code, len(nodes)) == (0, 2 ** (depth + 1) - 1)
+        assert out == json.dumps(nodes, indent=2) + "\n"
 
 
 def test_language_text_listing(capsys):
@@ -359,8 +383,13 @@ word,gamma,value
             ("--spec", "mechanical:alpha=3/8,rho=1/5,kind=upper", "--max-len", "5", "--gammas", "3/2"),
             CURVES_MECHANICAL_GOLDEN,
         ),
+        # one gamma value written two ways: each row prints its own token
+        (
+            ("--spec", "fibonacci", "--max-len", "1", "--gammas", "1/2,0.5"),
+            "word,gamma,value\n,1/2,0.0\n,0.5,0.0\n0,1/2,1.0\n0,0.5,1.0\n1,1/2,1.5\n1,0.5,1.5\n",
+        ),
     ],
-    ids=["skew", "mechanical"],
+    ids=["skew", "mechanical", "repeated-gamma"],
 )
 def test_curves_golden_stdout(capsys, argv, golden):
     code, out, err = run(capsys, "curves", *argv)
@@ -372,6 +401,14 @@ def test_curves_refuses_zero_denominator(capsys):
     code, out, err = run(capsys, "curves", "--spec", "fibonacci", "--max-len", "3", "--gammas", "1/2,1/0")
     assert code == 2 and out == ""
     assert err == "error: bad gammas '1/2,1/0': Fraction(1, 0)\n"
+
+
+@pytest.mark.parametrize("gammas", ["1/2,1e400", "1e-300,1e300"])
+def test_curves_overflow_writes_no_partial_csv(capsys, gammas):
+    # a value too large for a float is found before any row is written
+    code, out, err = run(capsys, "curves", "--spec", "fibonacci", "--max-len", "4", "--gammas", gammas)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_pair_check(capsys):

@@ -32,7 +32,7 @@ from qmarkoff.language import (
     sequence_window,
 )
 from qmarkoff.morphism import mu, q_markoff, q_markoff_chain
-from qmarkoff.qpoly import poly
+from qmarkoff.qpoly import IntPolynomial, poly
 from qmarkoff.words import is_balanced_family, render_word, reversal
 
 FIB = Characteristic((1,) * 24)
@@ -323,8 +323,40 @@ def test_curves_export_builds_no_mu_q(monkeypatch):
         raise AssertionError(f"mu_q({w!r}) called")
 
     monkeypatch.setattr(morphism, "mu_q", refuse)
-    rows = curves_export(FIB, 9, [1, Fraction(1, 2)])
-    assert len(rows) == 55 * 2
+    monkeypatch.setattr(IntPolynomial, "evaluate", refuse)
+    rows = curves_export(FIB, 9, [1, Fraction(1, 2), 0.5])
+    assert len(rows) == 55 * 3
+
+
+positive_gammas = st.one_of(
+    st.integers(1, 30),
+    st.fractions(min_value=Fraction(1, 1000), max_value=30),
+    st.floats(min_value=1e-6, max_value=1e6),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(
+        [
+            FIB,
+            Periodic("aabab"),
+            Periodic("abb"),
+            Skew(m="aba", form="blocks", xy="ba"),
+            Skew(m="a", form="xxyxx", xy="ab"),
+            Mechanical(Fraction(3, 8), Fraction(1, 5), "upper"),
+            Mechanical(Fraction(2, 7), Fraction(0), "lower"),
+        ]
+    ),
+    st.integers(0, 12),
+    st.lists(positive_gammas, min_size=1, max_size=3),
+)
+def test_curves_export_matches_polynomial_evaluation(spec, max_len, gammas):
+    # exact for every kind of gamma: ints stay ints, Fractions and floats give Fractions
+    rows = curves_export(spec, max_len, gammas)
+    for w, g, value in rows:
+        assert value == q_markoff(w).evaluate(Fraction(g))
+        assert type(value) is (int if isinstance(g, int) else Fraction)
 
 
 def test_radix_chain_failure_matches_schoolbook(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmarkoff import morphism
 from qmarkoff.morphism import (
     MU_Q_A,
     MU_Q_B,
@@ -312,6 +313,24 @@ def test_mu_q_long_word_from_cold_cache():
     w = "ab" * 300
     mu_q.cache_clear()
     assert mu_q(w).evaluate(1) == mu(w)
+
+
+def test_q_markoff_long_word_from_cold_cache():
+    w = "ab" * 300
+    mu_q.cache_clear()
+    assert q_markoff(w) == mu_q_schoolbook(w).e12
+
+
+def test_q_markoff_builds_no_mu_q(monkeypatch):
+    def refuse(w):
+        raise AssertionError(f"mu_q({w!r}) called")
+
+    monkeypatch.setattr(morphism, "mu_q", refuse)
+    assert q_markoff("") == IntPolynomial.zero()
+    for w, p in TREE_POLYNOMIALS.items():
+        assert q_markoff(w) == p
+    for w in all_words(1, 7):
+        assert q_markoff(w) == mu_q_schoolbook(w).e12
 
 
 def pack(p, bits):
