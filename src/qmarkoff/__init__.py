@@ -36,6 +36,7 @@ from .language import (
     BalancedSpec,
     Change,
     Characteristic,
+    ComplexityViolation,
     FactorLanguage,
     Mechanical,
     MonotonicityError,

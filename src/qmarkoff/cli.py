@@ -1,7 +1,8 @@
 """Command-line front end: trees, factor tables, verification reports, CSV export.
 
-Exit codes: 0 on success, 1 on verification failure, 2 on usage errors
-(unknown spec string, malformed word, bad numeric flags).
+Exit codes: 0 on success, 1 on verification failure (including a spec whose
+factor count at the requested n is not n+1), 2 on usage errors (unknown spec
+string, malformed word, bad numeric flags).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from operator import itemgetter
 from .language import (
     BalancedSpec,
     Characteristic,
+    ComplexityViolation,
     Mechanical,
     MonotonicityError,
     Periodic,
@@ -41,6 +43,7 @@ from .words import parse_word, render_word
 FIBONACCI_DIRECTIVE = (1,) * 24
 MAX_QMARKOFF_LETTERS = 1024  # mu_q takes time cubic in the word length
 MAX_TREE_DEPTH = 10  # tree_paths builds all 2^(depth+1) - 1 paths up front
+MAX_SPECTRUM_DEPTH = 1024  # bracket widths fall like phi^(-2 depth): floats settle near depth 40
 
 
 class SpecSyntaxError(ValueError):
@@ -185,6 +188,8 @@ def _cmd_verify_monotone(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.depth > MAX_SPECTRUM_DEPTH:
+        raise ValueError(f"spectrum takes --depth at most {MAX_SPECTRUM_DEPTH}, got {args.depth}")
     w = parse_word(args.word)
     m, sup = christoffel_supremum(w, args.depth)
     closed = closed_form_supremum(m)
@@ -328,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (SpecSyntaxError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ComplexityViolation) else 2
 
 
 if __name__ == "__main__":

@@ -280,18 +280,22 @@ def classify_change(u: str, v: str) -> str:
     raise ValueError(f"{u!r} -> {v!r} is not a balanced-language local change")
 
 
+class ComplexityViolation(ValueError):
+    """A spec whose factor count at some length n is not n+1."""
+
+
 def flip_permutation(spec: BalancedSpec, n: int) -> list[Change]:
     """Tag the consecutive pairs of the lex-sorted length-n factors.
 
     Requires the spec to have complexity n+1 at this length (n+1 factors),
-    else raises ValueError("complexity violation").  Exactly one pair is a
-    final-letter change; every other pair is an ab -> ba flip.
+    else raises ComplexityViolation.  Exactly one pair is a final-letter
+    change; every other pair is an ab -> ba flip.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     fs = enumerate_factors(spec, n).factors
     if len(fs) != n + 1:
-        raise ValueError(f"complexity violation: {len(fs)} factors of length {n}, expected {n + 1}")
+        raise ComplexityViolation(f"complexity violation: {len(fs)} factors of length {n}, expected {n + 1}")
     return [Change(u, v, classify_change(u, v)) for u, v in zip(fs, fs[1:])]
 
 

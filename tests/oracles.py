@@ -6,7 +6,7 @@ from qmarkoff.language import MonotonicityError
 from qmarkoff.morphism import MU_Q_A, MU_Q_B
 from qmarkoff.pairs import PairReport, Pattern, occ_diff
 from qmarkoff.qpoly import QMatrix
-from qmarkoff.spectrum import PeriodicCF, SpectrumValue, cf_tail
+from qmarkoff.spectrum import PeriodicCF, SpectrumValue, cf_tail, lambda_i
 from qmarkoff.words import cyclic_factors, is_balanced_family
 
 
@@ -82,6 +82,13 @@ def lambda_i_by_reversal(seq, i, depth):
     lo = seq[i] + right[0] + left[0]
     hi = seq[i] + right[1] + left[1]
     return SpectrumValue(value=float((lo + hi) / 2), error_bound=float(hi - lo))
+
+
+def markoff_supremum_by_positions(seq, depth):
+    """markoff_supremum as the max of lambda_i over one period, each tail folded afresh."""
+    values = [lambda_i(seq, i, depth) for i in range(len(seq.period))]
+    best = max(values, key=lambda v: v.value)
+    return SpectrumValue(best.value, max(v.error_bound for v in values))
 
 
 def mu_q_schoolbook(w):

@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 
 from qmarkoff import cli, morphism, spectrum
-from qmarkoff.cli import MAX_TREE_DEPTH, main, parse_spec, SpecSyntaxError
+from qmarkoff.cli import MAX_SPECTRUM_DEPTH, MAX_TREE_DEPTH, main, parse_spec, SpecSyntaxError
 from qmarkoff.language import Characteristic, Mechanical, Periodic, Skew
 from qmarkoff.morphism import mu_q
+from qmarkoff.words import christoffel_word
 
 
 def run(capsys, *argv):
@@ -214,7 +215,7 @@ def test_language_golden_stdout(capsys, spec, n, text, payload):
     for extra, golden in (([], text), (["--json", "--alphabet", "01"], payload)):
         code, out, err = run(capsys, *argv, *extra)
         if golden is None:
-            assert (code, out, err) == (2, "", MECHANICAL_N13_ERROR)
+            assert (code, out, err) == (1, "", MECHANICAL_N13_ERROR)
             continue
         if extra:
             golden = json.dumps(golden, indent=2) + "\n"
@@ -271,17 +272,50 @@ def test_spectrum_command(capsys):
     assert "residual: 0.0" in out
 
 
+W233 = christoffel_word(89, 233)
+M233 = (
+    "8641143322291615712464175841411158048018898796414122594063910076954172824147795"
+    "072142819756233169741365491785589517740669633730"
+)
+SPECTRUM_GOLDEN = [
+    (["aabab"], "2.99998228641102", "5.37138051302235e-35", "2.99998228641102", "0.0"),
+    (["aabab", "--depth", "2"], "3.1666666666666665", "0.8333333333333334", "2.99998228641102", "0.16668438025564658"),
+    (["aabab", "--depth", "3"], "2.95", "0.23333333333333334", "2.99998228641102", "0.04998228641101976"),
+    # depth 500 > 2 * 233 quotients: both windows wrap the period
+    ([W233, "--depth", "64"], "3.0", "9.375364141474374e-35", "3.0", "0.0"),
+    ([W233, "--depth", "500"], "3.0", "4.162231895349508e-273", "3.0", "0.0"),
+]
+
+
 def test_spectrum_golden_stdout(capsys):
-    code, out, _ = run(capsys, "spectrum", "aabab")
-    assert code == 0
-    assert out == (
-        "word: aabab\n"
-        "m: 194\n"
-        "supremum: 2.99998228641102\n"
-        "error_bound: 5.37138051302235e-35\n"
-        "closed_form: 2.99998228641102\n"
-        "residual: 0.0\n"
-    )
+    for argv, sup, bound, closed, residual in SPECTRUM_GOLDEN:
+        code, out, err = run(capsys, "spectrum", *argv)
+        m = "194" if argv[0] == "aabab" else M233
+        assert (code, err) == (0, ""), argv
+        assert out == (
+            f"word: {argv[0]}\n"
+            f"m: {m}\n"
+            f"supremum: {sup}\n"
+            f"error_bound: {bound}\n"
+            f"closed_form: {closed}\n"
+            f"residual: {residual}\n"
+        ), argv
+
+
+def test_spectrum_refuses_depth_over_limit(capsys, monkeypatch):
+    code, out, err = run(capsys, "spectrum", "aab", "--depth", str(MAX_SPECTRUM_DEPTH))
+    assert (code, err) == (0, "") and "residual: " in out
+
+    def forbidden(*args):
+        raise AssertionError("word examined before the depth check")
+
+    monkeypatch.setattr(spectrum, "is_christoffel", forbidden)
+    monkeypatch.setattr(spectrum, "mu", forbidden)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spectrum", "aab", "--depth", "200000")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == f"error: spectrum takes --depth at most {MAX_SPECTRUM_DEPTH}, got 200000\n"
 
 
 def test_spectrum_rejects_non_christoffel(capsys):
@@ -461,7 +495,7 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, "tree", "--depth", "-1")
     assert code == 2
     code, _, err = run(capsys, "language", "--spec", "periodic:ab", "--n", "3")
-    assert code == 2 and "complexity violation" in err
+    assert code == 1 and "complexity violation" in err
 
 
 def test_unknown_subcommand_exits_2():

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmarkoff import spectrum
 from qmarkoff.morphism import mu
@@ -16,7 +18,7 @@ from qmarkoff.spectrum import (
     supremum_residual,
 )
 
-from oracles import christoffel_words_upto, lambda_i_by_reversal
+from oracles import christoffel_words_upto, lambda_i_by_reversal, markoff_supremum_by_positions
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -153,3 +155,37 @@ def test_markoff_supremum_builds_no_periodic_cf(monkeypatch):
 
     monkeypatch.setattr(spectrum.PeriodicCF, "__post_init__", forbidden)
     assert markoff_supremum(seq, 32) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(period=st.lists(st.integers(1, 3), min_size=1, max_size=40), depth=st.integers(2, 80))
+def test_markoff_supremum_matches_per_position_oracle(period, depth):
+    seq = PeriodicCF(tuple(period))
+    p = len(period)
+    # the drawn depth, and the largest multiple of p not above max(depth, p): windows that wrap
+    for d in {depth, p * max(1, depth // p)} - {1}:
+        assert markoff_supremum(seq, d) == markoff_supremum_by_positions(seq, d), (period, d)
+
+
+def test_markoff_supremum_matches_oracle_on_christoffel_words():
+    for w in sorted(christoffel_words_upto(40)):
+        seq = PeriodicCF(tuple(sigma_subst(w)))
+        assert markoff_supremum(seq, 64) == markoff_supremum_by_positions(seq, 64), w
+
+
+def test_markoff_supremum_folds_no_single_position(monkeypatch):
+    seq = PeriodicCF(tuple(sigma_subst("aabab")))
+    expected = markoff_supremum_by_positions(seq, 32)
+
+    def forbidden(*args):
+        raise AssertionError("single-position tail computed")
+
+    monkeypatch.setattr(spectrum, "cf_tail", forbidden)
+    monkeypatch.setattr(spectrum, "lambda_i", forbidden)
+    assert markoff_supremum(seq, 32) == expected
+
+
+def test_markoff_supremum_requires_depth_two():
+    for depth in (1, 0, -3):
+        with pytest.raises(ValueError, match="depth must be >= 2"):
+            markoff_supremum(PeriodicCF((1, 2)), depth)
