@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 on verification failure (including a spec whose
 factor count at the requested n is not n+1), 2 on usage errors (unknown spec
-string, malformed word, bad numeric flags).
+string, malformed word, bad numeric flags, a size flag over its limit in
+LIMITS, refused before any work).
 """
 
 from __future__ import annotations
@@ -44,6 +45,21 @@ FIBONACCI_DIRECTIVE = (1,) * 24
 MAX_QMARKOFF_LETTERS = 1024  # mu_q takes time cubic in the word length
 MAX_TREE_DEPTH = 10  # tree_paths builds all 2^(depth+1) - 1 paths up front
 MAX_SPECTRUM_DEPTH = 1024  # bracket widths fall like phi^(-2 depth): floats settle near depth 40
+# Wall time and peak RSS of the costliest spec at each limit, then one step above it
+# (2-vCPU Xeon, Python 3.11):
+MAX_MONOTONE_N = 256  # fibonacci 6.3 s, 70 MiB; --max-n 320: 13 s, 120 MiB
+MAX_CURVES_LEN = 160  # fibonacci, 5 gammas: 1.3 s, 64 MiB; --max-len 240: 3.5 s, 99 MiB
+MAX_PAIR_RADIUS = 1024  # 1.7 s, 21 MiB; --radius 1600: 5.3 s
+MAX_LANGUAGE_N = 2048  # skew: 1.1 s, 25 MiB; --n 4096: 4.1 s, 49 MiB
+# (subcommand, flag) -> largest accepted value, checked in main before any work
+LIMITS = {
+    ("tree", "depth"): MAX_TREE_DEPTH,
+    ("spectrum", "depth"): MAX_SPECTRUM_DEPTH,
+    ("verify-monotone", "max_n"): MAX_MONOTONE_N,
+    ("curves", "max_len"): MAX_CURVES_LEN,
+    ("pair-check", "radius"): MAX_PAIR_RADIUS,
+    ("language", "n"): MAX_LANGUAGE_N,
+}
 
 
 class SpecSyntaxError(ValueError):
@@ -102,8 +118,6 @@ def _spec_name(spec: BalancedSpec) -> str:
 
 
 def _cmd_tree(args) -> int:
-    if args.depth > MAX_TREE_DEPTH:
-        raise ValueError(f"tree takes --depth at most {MAX_TREE_DEPTH}, got {args.depth}")
     paths = tree_paths(args.depth)
     if args.json:  # json.dumps(nodes, indent=2), written one node at a time
         for i, p in enumerate(paths):
@@ -188,8 +202,6 @@ def _cmd_verify_monotone(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    if args.depth > MAX_SPECTRUM_DEPTH:
-        raise ValueError(f"spectrum takes --depth at most {MAX_SPECTRUM_DEPTH}, got {args.depth}")
     w = parse_word(args.word)
     m, sup = christoffel_supremum(w, args.depth)
     closed = closed_form_supremum(m)
@@ -326,8 +338,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     for attr in ("depth", "n", "max_n", "max_len", "radius"):
         value = getattr(args, attr, None)
-        if value is not None and value < 0:
-            print(f"error: --{attr.replace('_', '-')} must be nonnegative", file=sys.stderr)
+        if value is None:
+            continue
+        flag = "--" + attr.replace("_", "-")
+        limit = LIMITS.get((args.command, attr))
+        if value < 0:
+            print(f"error: {flag} must be nonnegative", file=sys.stderr)
+            return 2
+        if limit is not None and value > limit:
+            print(f"error: {args.command} takes {flag} at most {limit}, got {value}", file=sys.stderr)
             return 2
     try:
         return args.func(args)

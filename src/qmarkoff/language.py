@@ -1,64 +1,77 @@
 """Finite specifications of biinfinite balanced sequences and their factor languages.
 
 A balanced sequence is described by one of four spec variants (periodic,
-characteristic, skew, mechanical).  Each variant pins down a concrete
-biinfinite sequence, exposed through ``letter_at``; canonical placements
-put the mirror-symmetric center, when the variant has one, at the origin
-(between positions -1 and 0).  Factor languages, the per-length flip
-structure, the cross-length radix chain of q-Markoff polynomials, and the
-four-class classification all work on exactly generated finite windows.
+characteristic, skew, mechanical), each a NamedTuple that checks and
+normalises its fields when built.  Each variant pins down a concrete
+biinfinite sequence, exposed through ``letter_at`` and, for a run of
+positions, ``sequence_window``; canonical placements put the
+mirror-symmetric center, when the variant has one, at the origin (between
+positions -1 and 0).  Skew and mechanical windows are built in one pass:
+slices of the x·m·y, y·m·y and y·m·x blocks, or integer floor or ceiling
+differences over the whole range; their ``letter_at`` is a one-letter
+window.  Factor languages, the per-length flip structure, the cross-length
+radix chain of q-Markoff polynomials, and the four-class classification
+all work on exactly generated finite windows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import pairwise
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .morphism import first_unordered, is_christoffel, q_markoff, q_markoff_chain, q_markoff_values
 from .qpoly import IntPolynomial, Scalar
 from .words import cyclic_factors, factors, is_balanced_periodic, parse_word, reversal
 
 
-@dataclass(frozen=True)
-class Mechanical:
+class _MechanicalFields(NamedTuple):
+    alpha: Fraction
+    rho: Fraction = Fraction(0)
+    kind: str = "lower"
+
+
+class Mechanical(_MechanicalFields):
     """Rational-slope mechanical sequence: a rotation coding with exact slope and intercept.
 
     The intercept is normalized into [0, 1); slopes must lie in [0, 1].
     """
 
-    alpha: Fraction
-    rho: Fraction = Fraction(0)
-    kind: str = "lower"
+    __slots__ = ()
 
-    def __post_init__(self):
-        alpha = Fraction(self.alpha)
-        rho = Fraction(self.rho)
+    def __new__(cls, alpha: Fraction, rho: Fraction = Fraction(0), kind: str = "lower"):
+        alpha = Fraction(alpha)
+        rho = Fraction(rho)
         if not 0 <= alpha <= 1:
             raise ValueError("slope must lie in [0, 1]")
-        if self.kind not in ("lower", "upper"):
+        if kind not in ("lower", "upper"):
             raise ValueError("kind must be 'lower' or 'upper'")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "rho", rho - math.floor(rho))
+        return super().__new__(cls, alpha, rho - math.floor(rho), kind)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through __new__
 
 
 def mechanical_letter(spec: Mechanical, pos: int) -> str:
-    """Letter at `pos`: difference of consecutive floors (lower) or ceilings (upper).
+    """Letter at `pos`: difference of consecutive floors (lower) or ceilings (upper)."""
+    return _mechanical_window(spec, pos, pos + 1)
 
-    alpha*pos + rho is x/den over the common denominator den, in integers.
+
+def _mechanical_window(spec: Mechanical, lo: int, hi: int) -> str:
+    """Letters lo..hi-1 from the floors (lower) or ceilings (upper) of alpha*i + rho, i = lo..hi.
+
+    alpha*i + rho is (step*i + x0)/den over the common denominator den, in integers.
     """
     a, r = spec.alpha, spec.rho
     den = a.denominator * r.denominator
     step = a.numerator * r.denominator
-    x = step * pos + r.numerator * a.denominator
+    x0 = r.numerator * a.denominator
     if spec.kind == "lower":
-        bit = (x + step) // den - x // den
+        ends = [(step * i + x0) // den for i in range(lo, hi + 1)]
     else:  # ceil(t) = -floor(-t)
-        bit = (-x) // den - (-x - step) // den
-    return "ab"[bit]
+        ends = [-((-step * i - x0) // den) for i in range(lo, hi + 1)]
+    return "".join(["ab"[v - u] for u, v in pairwise(ends)])
 
 
 @lru_cache(maxsize=64)
@@ -91,43 +104,58 @@ def characteristic_word(directive: Sequence[int], length: int) -> str:
     return word
 
 
-@dataclass(frozen=True)
-class Periodic:
-    """Purely periodic balanced sequence: the biinfinite repetition of `word`."""
-
+class _PeriodicFields(NamedTuple):
     word: str
 
-    def __post_init__(self):
-        word = parse_word(self.word)
+
+class Periodic(_PeriodicFields):
+    """Purely periodic balanced sequence: the biinfinite repetition of `word`."""
+
+    __slots__ = ()
+
+    def __new__(cls, word: str):
+        word = parse_word(word)
         if not word:
             raise ValueError("period must be nonempty")
         if not is_balanced_periodic(word):
             raise ValueError(f"period {word!r} does not generate a balanced sequence")
-        object.__setattr__(self, "word", word)
+        return super().__new__(cls, word)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through __new__
 
 
-@dataclass(frozen=True)
-class Characteristic:
+class _CharacteristicFields(NamedTuple):
+    directive: tuple[int, ...]
+
+
+class Characteristic(_CharacteristicFields):
     """Balanced sequence with mirror center at the origin and characteristic right half.
 
     The canonical sequence reads ...p̃ a b p... with the a at position -1,
     the b at position 0, and p the standard word of the directive.
     """
 
-    directive: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        directive = tuple(int(d) for d in self.directive)
+    def __new__(cls, directive: Sequence[int]):
+        directive = tuple(int(d) for d in directive)
         if not directive or any(d < 1 for d in directive):
             raise ValueError("directive must be a nonempty sequence of positive integers")
-        object.__setattr__(self, "directive", directive)
+        return super().__new__(cls, directive)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through __new__
 
 
 SKEW_FORMS = ("xxyxx", "blocks")
 
 
-@dataclass(frozen=True)
-class Skew:
+class _SkewFields(NamedTuple):
+    m: str = ""
+    form: str = "xxyxx"
+    xy: str = "ab"
+
+
+class Skew(_SkewFields):
     """Ultimately periodic but not purely periodic balanced sequence.
 
     Form "xxyxx" is a constant x-sequence with one y (at the origin);
@@ -136,19 +164,19 @@ class Skew:
     the letters (x, y), and a·m·b must be a Christoffel word.
     """
 
-    m: str = ""
-    form: str = "xxyxx"
-    xy: str = "ab"
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = parse_word(self.m)
-        if self.form not in SKEW_FORMS:
+    def __new__(cls, m: str = "", form: str = "xxyxx", xy: str = "ab"):
+        m = parse_word(m)
+        if form not in SKEW_FORMS:
             raise ValueError(f"form must be one of {SKEW_FORMS}")
-        if self.xy not in ("ab", "ba"):
+        if xy not in ("ab", "ba"):
             raise ValueError("xy must be 'ab' or 'ba'")
         if not is_christoffel("a" + m + "b"):
             raise ValueError(f"'a{m}b' is not a Christoffel word")
-        object.__setattr__(self, "m", m)
+        return super().__new__(cls, m, form, xy)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through __new__
 
 
 BalancedSpec = Union[Periodic, Characteristic, Skew, Mechanical]
@@ -169,24 +197,39 @@ def letter_at(spec: BalancedSpec, pos: int) -> str:
         if idx >= len(p):
             raise ValueError(f"directive too short for position {pos}")
         return p[idx]
-    if isinstance(spec, Skew):
-        x, y = spec.xy
-        if spec.form == "xxyxx":
-            return y if pos == 0 else x
-        block_len = len(spec.m) + 2
-        if pos >= 0:
-            return (x + spec.m + y)[pos % block_len]
-        if pos >= -block_len:
-            return (y + spec.m + y)[pos + block_len]
-        return (y + spec.m + x)[(pos + block_len) % block_len]
-    if isinstance(spec, Mechanical):
-        return mechanical_letter(spec, pos)
+    if isinstance(spec, (Skew, Mechanical)):
+        return sequence_window(spec, pos, pos + 1)
     raise TypeError(f"not a balanced spec: {spec!r}")
 
 
 def sequence_window(spec: BalancedSpec, lo: int, hi: int) -> str:
-    """Letters at positions lo..hi-1 of the spec's canonical sequence."""
+    """Letters at positions lo..hi-1 of the spec's canonical sequence.
+
+    Skew and mechanical windows are built in one pass; the other variants go letter by letter.
+    """
+    if isinstance(spec, Mechanical):
+        return _mechanical_window(spec, lo, hi)
+    if isinstance(spec, Skew):
+        return _skew_window(spec, lo, hi)
     return "".join(letter_at(spec, i) for i in range(lo, hi))
+
+
+def _cyclic_slice(block: str, lo: int, hi: int) -> str:
+    """block[i % len(block)] for i = lo..hi-1."""
+    start = lo % len(block)
+    return (block * ((start + hi - lo) // len(block) + 1))[start : start + hi - lo]
+
+
+def _skew_window(spec: Skew, lo: int, hi: int) -> str:
+    """Letters lo..hi-1 of a skew spec, sliced from its blocks (see Skew)."""
+    x, y = spec.xy
+    if spec.form == "xxyxx":
+        return x * -lo + y + x * (hi - 1) if lo <= 0 < hi else x * (hi - lo)
+    m, size = spec.m, len(spec.m) + 2
+    left = _cyclic_slice(y + m + x, lo, min(hi, -size))  # the y·m·x blocks before position -size
+    center = (y + m + y)[max(lo + size, 0) : max(min(hi, 0) + size, 0)]  # positions -size..-1
+    right = _cyclic_slice(x + m + y, max(lo, 0), hi)
+    return left + center + right
 
 
 def _period_hint(spec: Skew | Mechanical) -> int:
@@ -205,15 +248,20 @@ def compact_representations(prefix: str) -> tuple[str, str]:
     return (rp + "ab" + prefix, rp + "ba" + prefix)
 
 
-@dataclass(frozen=True)
-class FactorLanguage:
-    """The lex-sorted set of length-n factors of a balanced sequence."""
-
+class _FactorLanguageFields(NamedTuple):
     n: int
     factors: tuple[str, ...]
 
+
+class FactorLanguage(_FactorLanguageFields):
+    """The lex-sorted set of length-n factors of a balanced sequence; its len is the factor count."""
+
+    __slots__ = ()
+
     def __len__(self) -> int:
         return len(self.factors)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # the inherited one checks len(), the factor count
 
 
 def enumerate_factors(spec: BalancedSpec, n: int) -> FactorLanguage:
@@ -247,8 +295,7 @@ WRAP_AWA = "wrap_awa"
 WRAP_AWB = "wrap_awb"
 
 
-@dataclass(frozen=True)
-class Change:
+class Change(NamedTuple):
     """A local change between radix-consecutive factors."""
 
     src: str
@@ -316,14 +363,19 @@ class MonotonicityError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class RadixChainReport:
+class _RadixChainReportFields(NamedTuple):
+    chain: tuple[str, ...]
+
+
+class RadixChainReport(_RadixChainReportFields):
     """The radix-sorted factor chain of a checked language.
 
-    Its consecutive q-Markoff differences are computed on first access.
+    Its consecutive q-Markoff differences are computed on first access and
+    kept in the instance __dict__, which is why this record has no __slots__.
     """
 
-    chain: tuple[str, ...]
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @cached_property
     def differences(self) -> tuple[IntPolynomial, ...]:
@@ -404,7 +456,7 @@ def curves_export(
     Words run in radix order (empty word first).  Each value is exact and
     comes from one row step per word at q = gamma (q_markoff_values), with
     no polynomial built: an int gamma gives an int, a Fraction or float
-    gamma gives a Fraction (a float gamma gave a float before the row walk).
+    gamma gives a Fraction.
     For every fixed gamma > 0 the values are strictly increasing along the
     radix order.  Raises ValueError on any gamma <= 0.
     """

@@ -25,11 +25,10 @@ integer rows scaled by a power of d, for the exact values of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import pairwise
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .qpoly import IntPolynomial, QMatrix, Scalar, poly
 from .words import christoffel_word, reversal
@@ -240,8 +239,7 @@ def flip_delta(u: str) -> QMatrix:
     return delta
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(NamedTuple):
     """Entries of mu_q(w) with the two positive combinations that drive monotonicity.
 
     combo1 = q*e11 - q^2*e12 + e21 and
@@ -273,8 +271,7 @@ def delta_last_letter(w: str) -> IntPolynomial:
     return q_markoff(w + "b") - q_markoff(w + "a")
 
 
-@dataclass(frozen=True)
-class WrapDeltas:
+class WrapDeltas(NamedTuple):
     """The two gaps along a length-increasing step bw -> awa -> awb."""
 
     awa_minus_bw: IntPolynomial
@@ -305,19 +302,25 @@ def flip_prefix_delta(u: str, v: str) -> IntPolynomial:
     return q_markoff(ru + "ba" + v) - q_markoff(ru + "ab" + v)
 
 
-@dataclass(frozen=True)
-class MarkoffTriple:
-    """Positive solution of x^2 + y^2 + z^2 = 3xyz."""
-
+class _MarkoffTripleFields(NamedTuple):
     x: int
     y: int
     z: int
 
-    def __post_init__(self):
-        if self.x <= 0 or self.y <= 0 or self.z <= 0:
+
+class MarkoffTriple(_MarkoffTripleFields):
+    """Positive solution of x^2 + y^2 + z^2 = 3xyz."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: int, y: int, z: int):
+        if x <= 0 or y <= 0 or z <= 0:
             raise ValueError("Markoff triples are positive")
-        if self.x**2 + self.y**2 + self.z**2 != 3 * self.x * self.y * self.z:
-            raise ValueError(f"({self.x},{self.y},{self.z}) does not solve the Markoff equation")
+        if x**2 + y**2 + z**2 != 3 * x * y * z:
+            raise ValueError(f"({x},{y},{z}) does not solve the Markoff equation")
+        return super().__new__(cls, x, y, z)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through __new__
 
     @property
     def is_proper(self) -> bool:
@@ -327,8 +330,7 @@ class MarkoffTriple:
         return f"({self.x},{self.y},{self.z})"
 
 
-@dataclass(frozen=True)
-class ChristoffelNode:
+class ChristoffelNode(NamedTuple):
     """A node of the Christoffel tree: the standard factorization u.v of its word."""
 
     u: str

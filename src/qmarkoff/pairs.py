@@ -10,22 +10,26 @@ set, so everything here is an exact finite computation.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .language import BalancedSpec, Characteristic, Skew, letter_at
 
 LetterFn = Callable[[int], str]
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """A finite assignment of letters to integer positions (support may have gaps)."""
-
+class _PatternFields(NamedTuple):
     assignment: Mapping[int, str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "assignment", dict(self.assignment))
+
+class Pattern(_PatternFields):
+    """A finite assignment of letters to integer positions (support may have gaps)."""
+
+    __slots__ = ()
+
+    def __new__(cls, assignment: Mapping[int, str]):
+        return super().__new__(cls, dict(assignment))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through __new__
 
     @property
     def support(self) -> frozenset[int]:
@@ -37,8 +41,7 @@ class Pattern:
         return cls({start + i: ch for i, ch in enumerate(word)})
 
 
-@dataclass(frozen=True)
-class AsymptoticPair:
+class AsymptoticPair(NamedTuple):
     """Two sequence generators together with their finite difference set."""
 
     s: LetterFn
@@ -109,14 +112,13 @@ def is_indistinguishable_up_to(pair: AsymptoticPair, radius: int) -> bool:
     return pair_report(pair, radius).indistinguishable
 
 
-@dataclass
-class PairReport:
+class PairReport(NamedTuple):
     """Outcome of an indistinguishability check."""
 
     radius: int
     patterns_checked: int
     indistinguishable: bool
-    failing: Pattern | None = field(default=None)
+    failing: Pattern | None = None
 
 
 def pair_report(pair: AsymptoticPair, radius: int) -> PairReport:

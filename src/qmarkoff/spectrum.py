@@ -18,9 +18,8 @@ the one lambda_i gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .morphism import is_christoffel, mu
 
@@ -33,17 +32,22 @@ def sigma_subst(w: str) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class PeriodicCF:
-    """Biinfinite periodic sequence of positive partial quotients."""
-
+class _PeriodicCFFields(NamedTuple):
     period: tuple[int, ...]
 
-    def __post_init__(self):
-        period = tuple(int(a) for a in self.period)
+
+class PeriodicCF(_PeriodicCFFields):
+    """Biinfinite periodic sequence of positive partial quotients; seq[i] reads it cyclically."""
+
+    __slots__ = ()
+
+    def __new__(cls, period: Iterable[int]):
+        period = tuple(int(a) for a in period)
         if not period or any(a < 1 for a in period):
             raise ValueError("period must be a nonempty sequence of positive integers")
-        object.__setattr__(self, "period", period)
+        return super().__new__(cls, period)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through __new__
 
     def __getitem__(self, i: int) -> int:
         return self.period[i % len(self.period)]
@@ -72,8 +76,7 @@ def cf_tail(seq: PeriodicCF, start: int, depth: int) -> tuple[Fraction, Fraction
     return _bracket(seq[start + j] for j in range(depth))
 
 
-@dataclass(frozen=True)
-class SpectrumValue:
+class SpectrumValue(NamedTuple):
     """A spectrum quantity with a certified bracket-derived error bound."""
 
     value: float

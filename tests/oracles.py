@@ -128,3 +128,29 @@ def mechanical_letter_by_fractions(spec, pos):
     a, r = spec.alpha, spec.rho
     rnd = math.floor if spec.kind == "lower" else math.ceil
     return "ab"[rnd(a * (pos + 1) + r) - rnd(a * pos + r)]
+
+
+def mechanical_letter_by_floors(spec, pos):
+    """One mechanical letter by integer floors (lower) or ceilings (upper): the per-letter window."""
+    a, r = spec.alpha, spec.rho
+    den = a.denominator * r.denominator
+    step = a.numerator * r.denominator
+    x = step * pos + r.numerator * a.denominator
+    if spec.kind == "lower":
+        bit = (x + step) // den - x // den
+    else:  # ceil(t) = -floor(-t)
+        bit = (-x) // den - (-x - step) // den
+    return "ab"[bit]
+
+
+def skew_letter_by_blocks(spec, pos):
+    """One skew letter by position arithmetic on the x·m·y, y·m·y and y·m·x blocks."""
+    x, y = spec.xy
+    if spec.form == "xxyxx":
+        return y if pos == 0 else x
+    block_len = len(spec.m) + 2
+    if pos >= 0:
+        return (x + spec.m + y)[pos % block_len]
+    if pos >= -block_len:
+        return (y + spec.m + y)[pos + block_len]
+    return (y + spec.m + x)[(pos + block_len) % block_len]

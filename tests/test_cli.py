@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmarkoff import cli, morphism, spectrum
-from qmarkoff.cli import MAX_SPECTRUM_DEPTH, MAX_TREE_DEPTH, main, parse_spec, SpecSyntaxError
+from qmarkoff.cli import LIMITS, MAX_SPECTRUM_DEPTH, MAX_TREE_DEPTH, main, parse_spec, SpecSyntaxError
 from qmarkoff.language import Characteristic, Mechanical, Periodic, Skew
 from qmarkoff.morphism import mu_q
 from qmarkoff.words import christoffel_word
@@ -521,3 +525,97 @@ def test_readme_library_example_runs(capsys):
     example = README.split("## Library example", 1)[1].split("```python", 1)[1].split("```", 1)[0]
     exec(compile(example, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines()[1] == "194"
+
+
+@pytest.mark.parametrize(
+    "argv, flag, limit",
+    [
+        (["verify-monotone", "--spec", "fibonacci"], "--max-n", cli.MAX_MONOTONE_N),
+        (["curves", "--spec", "fibonacci", "--gammas", "1/2"], "--max-len", cli.MAX_CURVES_LEN),
+        (["pair-check", "--spec", "skew"], "--radius", cli.MAX_PAIR_RADIUS),
+        (["language", "--spec", "skew"], "--n", cli.MAX_LANGUAGE_N),
+    ],
+)
+def test_size_flag_refused_over_limit_before_any_work(capsys, monkeypatch, argv, flag, limit):
+    def reached(text):
+        raise SpecSyntaxError("work started")
+
+    monkeypatch.setattr(cli, "parse_spec", reached)
+    assert run(capsys, *argv, flag, str(limit)) == (2, "", "error: work started\n")
+    for value in (limit + 1, 10**9):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, flag, str(value))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == f"error: {argv[0]} takes {flag} at most {limit}, got {value}\n"
+
+
+def test_limits_cover_every_size_flag_and_the_sizes_in_use():
+    assert set(LIMITS) == {
+        ("tree", "depth"), ("spectrum", "depth"), ("verify-monotone", "max_n"),
+        ("curves", "max_len"), ("pair-check", "radius"), ("language", "n"),
+    }
+    # the largest sizes the README, the tests and the benchmark run
+    assert cli.MAX_MONOTONE_N >= 256 and cli.MAX_CURVES_LEN >= 40 and cli.MAX_PAIR_RADIUS >= 48
+    assert cli.MAX_LANGUAGE_N >= 64
+
+
+SPECS = st.sampled_from([
+    "fibonacci", "periodic:aab", "periodic:aabb", "periodic:", "periodic:0x1", "characteristic:2,1",
+    "characteristic:1", "characteristic:0", "characteristic:", "skew", "skew:m=aba,form=blocks,xy=ba",
+    "skew:m=ab", "skew:form", "skew:form=spiral", "mechanical:alpha=2/7,rho=-1/3,kind=upper",
+    "mechanical:alpha=1/0", "mechanical:alpha=3/2", "mechanical", "mechanical:alpha=0", "bogus", "",
+])
+WORDS = st.text(alphabet="ab01c ", max_size=12)
+GAMMAS = st.sampled_from(["1/2,2", "0", "-1", "1/0", "abc", "1e400", "", "3,3", "0.5", "nan", ",,"])
+MALFORMED = st.sampled_from(["", "--", "-1", "--bogus", "x", "1.5", "0x10", " 7", "--depth", "-h"])
+
+
+def _size(command, attr):
+    """Cheap real sizes, negatives and malformed tokens, or refused sizes up to twice the limit."""
+    limit = LIMITS[command, attr]
+    return st.one_of(
+        st.integers(-2, 5).map(str),
+        st.integers(limit + 1, 2 * limit).map(str),
+        MALFORMED,
+    )
+
+
+def _argv(command):
+    """Strategy for one argv of `command`: its flags in order, each value drawn from its own strategy."""
+    size = {c: _size(c, a) for c, a in LIMITS}.get(command, MALFORMED)
+    parts = {
+        "tree": [st.just(["--depth"]), size.map(lambda v: [v]), st.sampled_from(
+            [[], ["--triples"], ["--qpoly"], ["--json"], ["--json", "--qpoly"], ["--triples", "--qpoly"]])],
+        "qmarkoff": [WORDS.map(lambda w: [w])],
+        "language": [SPECS.map(lambda s: ["--spec", s, "--n"]), size.map(lambda v: [v]),
+                     st.sampled_from([[], ["--json"], ["--alphabet", "01"], ["--alphabet", "xy"]])],
+        "verify-monotone": [SPECS.map(lambda s: ["--spec", s, "--max-n"]), size.map(lambda v: [v])],
+        "spectrum": [WORDS.map(lambda w: [w, "--depth"]), size.map(lambda v: [v])],
+        "curves": [SPECS.map(lambda s: ["--spec", s, "--max-len"]), size.map(lambda v: [v]),
+                   GAMMAS.map(lambda g: ["--gammas", g])],
+        "pair-check": [SPECS.map(lambda s: ["--spec", s, "--radius"]), size.map(lambda v: [v])],
+    }.get(command, [])
+    return st.tuples(*parts).map(lambda drawn: [command] + [tok for part in drawn for tok in part])
+
+
+COMMANDS = ["tree", "qmarkoff", "language", "verify-monotone", "spectrum", "curves", "pair-check",
+            "counterexamples", "frobnicate"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(COMMANDS).flatmap(_argv),
+    st.lists(st.tuples(st.integers(0, 12), st.none() | MALFORMED), max_size=2),
+)
+def test_fuzzed_argv_keeps_the_exit_code_contract(argv, edits):
+    for at, token in edits:  # None deletes the token at `at`; a string is inserted there
+        argv = argv[:at] + argv[at + 1 :] if token is None else argv[:at] + [token] + argv[at:]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from qmarkoff.language import (
 )
 from qmarkoff.morphism import mu, q_markoff, q_markoff_chain
 from qmarkoff.qpoly import IntPolynomial, poly
-from qmarkoff.words import is_balanced_family, render_word, reversal
+from qmarkoff.words import christoffel_word, is_balanced_family, render_word, reversal
 
 FIB = Characteristic((1,) * 24)
 
@@ -226,6 +227,73 @@ def test_skew_sequences():
     blocks = Skew(m="", form="blocks")
     assert sequence_window(blocks, -6, 6) == "bababbababab"
     assert letter_at(blocks, -3) == "a" and letter_at(blocks, -4) == "b"
+
+
+WINDOW_BOUNDS = st.integers(-600, 600)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 200).flatmap(lambda q: st.tuples(st.integers(0, q), st.just(q))),
+    st.fractions(min_value=-3, max_value=3, max_denominator=200),
+    st.sampled_from(("lower", "upper")),
+    WINDOW_BOUNDS,
+    WINDOW_BOUNDS,
+)
+def test_mechanical_window_matches_per_letter_oracle(slope, rho, kind, lo, hi):
+    from oracles import mechanical_letter_by_floors
+
+    spec = Mechanical(Fraction(*slope), rho, kind)
+    assert sequence_window(spec, lo, hi) == "".join(mechanical_letter_by_floors(spec, i) for i in range(lo, hi))
+
+
+def _christoffel_middle(n):
+    """The m of a·m·b over the Christoffel words of length n."""
+    coprime = [k for k in range(1, n) if math.gcd(k, n) == 1]
+    return st.sampled_from(coprime).map(lambda k: christoffel_word(k, n)[1:-1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 40).flatmap(_christoffel_middle),
+    st.sampled_from(("xxyxx", "blocks")),
+    st.sampled_from(("ab", "ba")),
+    WINDOW_BOUNDS,
+    WINDOW_BOUNDS,
+)
+def test_skew_window_matches_per_letter_oracle(m, form, xy, lo, hi):
+    from oracles import skew_letter_by_blocks
+
+    spec = Skew(m, form, xy)
+    assert sequence_window(spec, lo, hi) == "".join(skew_letter_by_blocks(spec, i) for i in range(lo, hi))
+
+
+def test_windows_cross_every_block_boundary():
+    from oracles import mechanical_letter_by_floors, skew_letter_by_blocks
+
+    for m in ("", "a", "aba", christoffel_word(3, 8)[1:-1]):
+        size = len(m) + 2
+        for spec in (Skew(m, form, xy) for form in ("xxyxx", "blocks") for xy in ("ab", "ba")):
+            for lo in range(-3 * size - 1, size + 2):
+                for hi in range(lo - 1, size + 3):
+                    expected = "".join(skew_letter_by_blocks(spec, i) for i in range(lo, hi))
+                    assert sequence_window(spec, lo, hi) == expected, (spec, lo, hi)
+    for spec in (Mechanical(Fraction(2, 7), Fraction(1, 3), kind) for kind in ("lower", "upper")):
+        for lo in range(-8, 3):
+            for hi in range(lo - 1, 9):
+                expected = "".join(mechanical_letter_by_floors(spec, i) for i in range(lo, hi))
+                assert sequence_window(spec, lo, hi) == expected, (spec, lo, hi)
+
+
+def test_skew_and_mechanical_factors_read_no_single_letter(monkeypatch):
+    specs = (Skew("aba", "blocks", "ba"), Skew(), Mechanical(Fraction(3, 8), Fraction(5, 7), "upper"))
+    expected = [enumerate_factors(spec, 9) for spec in specs]
+
+    def refuse(*args):
+        raise AssertionError("letter_at called")
+
+    monkeypatch.setattr(language, "letter_at", refuse)
+    assert [enumerate_factors(spec, 9) for spec in specs] == expected
 
 
 def test_flip_permutation_fibonacci_n3():

@@ -1,0 +1,217 @@
+"""The record types keep the contract they had as frozen dataclasses.
+
+Every expected repr and error message below was recorded from the dataclass
+versions.  The records are NamedTuples now; the differences that brings on
+purpose (tuple equality, iteration, ``_replace``) are pinned down at the end.
+"""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import qmarkoff
+from qmarkoff.language import (
+    Change,
+    Characteristic,
+    FactorLanguage,
+    Mechanical,
+    Periodic,
+    RadixChainReport,
+    Skew,
+    enumerate_factors,
+    radix_chain_check,
+)
+from qmarkoff.morphism import (
+    ChristoffelNode,
+    MarkoffTriple,
+    PositivityReport,
+    WrapDeltas,
+    christoffel_node,
+    delta_wrap,
+    markoff_triple,
+    positivity_report,
+)
+from qmarkoff.pairs import AsymptoticPair, PairReport, Pattern
+from qmarkoff.spectrum import PeriodicCF, SpectrumValue
+
+# (type, build, a record of the same type with other values, repr of build())
+RECORDS = [
+    (Mechanical, lambda: Mechanical(Fraction(2, 5), Fraction(7, 3), "upper"), Mechanical("1/3"),
+     "Mechanical(alpha=Fraction(2, 5), rho=Fraction(1, 3), kind='upper')"),
+    (Mechanical, lambda: Mechanical("1/3"), Mechanical("1/3", kind="upper"),
+     "Mechanical(alpha=Fraction(1, 3), rho=Fraction(0, 1), kind='lower')"),
+    (Periodic, lambda: Periodic("00101"), Periodic("ab"), "Periodic(word='aabab')"),
+    (Characteristic, lambda: Characteristic([2, 1]), Characteristic((1, 2)), "Characteristic(directive=(2, 1))"),
+    (Skew, lambda: Skew("aba", "blocks", "ba"), Skew("aba", "blocks"), "Skew(m='aba', form='blocks', xy='ba')"),
+    (Skew, lambda: Skew(), Skew(xy="ba"), "Skew(m='', form='xxyxx', xy='ab')"),
+    (FactorLanguage, lambda: enumerate_factors(Periodic("aab"), 2), FactorLanguage(2, ("aa", "ab")),
+     "FactorLanguage(n=2, factors=('aa', 'ab', 'ba'))"),
+    (Change, lambda: Change("ab", "ba", "flip_ab_ba"), Change("ab", "bb", "last_letter"),
+     "Change(src='ab', dst='ba', kind='flip_ab_ba')"),
+    (RadixChainReport, lambda: radix_chain_check(Periodic("ab"), 2), RadixChainReport(("", "a")),
+     "RadixChainReport(chain=('', 'a', 'b', 'ab', 'ba'))"),
+    (PositivityReport, lambda: positivity_report("ab"), positivity_report("ba"),
+     "PositivityReport(e11=IntPolynomial([0, 1, 2, 3, 3, 2, 1]), e12=IntPolynomial([1, 1, 2, 1]), "
+     "e21=IntPolynomial([0, 1, 2, 2, 1, 1]), e22=IntPolynomial([1, 1, 1]), "
+     "combo1=IntPolynomial([0, 1, 2, 3, 2, 3, 2, 1]), combo2=IntPolynomial([0, 0, 1, 2, 2, 3, 2, 2, 1]))"),
+    (WrapDeltas, lambda: delta_wrap("a"), delta_wrap("b"),
+     "WrapDeltas(awa_minus_bw=IntPolynomial([0, 0, 0, 1]), awb_minus_awa=IntPolynomial([0, 0, 1, 1, 2, 1]))"),
+    (MarkoffTriple, lambda: markoff_triple("LR"), MarkoffTriple(1, 5, 2), "MarkoffTriple(x=13, y=194, z=5)"),
+    (ChristoffelNode, lambda: christoffel_node("RL"), ChristoffelNode("a", "b"), "ChristoffelNode(u='ab', v='abb')"),
+    (Pattern, lambda: Pattern({1: "b", 0: "a"}), Pattern.from_word("ab", 1), "Pattern(assignment={1: 'b', 0: 'a'})"),
+    (AsymptoticPair, lambda: AsymptoticPair(str, len, frozenset({0})), AsymptoticPair(str, len, frozenset()),
+     "AsymptoticPair(s=<class 'str'>, t=<built-in function len>, difference_set=frozenset({0}))"),
+    (PairReport, lambda: PairReport(4, 10, False, Pattern.from_word("ab", -1)), PairReport(4, 10, False),
+     "PairReport(radius=4, patterns_checked=10, indistinguishable=False, "
+     "failing=Pattern(assignment={-1: 'a', 0: 'b'}))"),
+    (PairReport, lambda: PairReport(4, 0, True), PairReport(5, 0, True),
+     "PairReport(radius=4, patterns_checked=0, indistinguishable=True, failing=None)"),
+    (PeriodicCF, lambda: PeriodicCF([1, 2, 2]), PeriodicCF((2, 2, 1)), "PeriodicCF(period=(1, 2, 2))"),
+    (SpectrumValue, lambda: SpectrumValue(2.5, 0.125), SpectrumValue(2.5, 0.25),
+     "SpectrumValue(value=2.5, error_bound=0.125)"),
+]
+
+FORMER_DATACLASSES = {
+    Mechanical, Periodic, Characteristic, Skew, FactorLanguage, Change, RadixChainReport, PositivityReport,
+    WrapDeltas, MarkoffTriple, ChristoffelNode, Pattern, AsymptoticPair, PairReport, PeriodicCF, SpectrumValue,
+}
+
+IDS = [expected.partition("(")[0] for *_, expected in RECORDS]
+
+
+def test_every_former_dataclass_is_covered():
+    assert {cls for cls, *_ in RECORDS} == FORMER_DATACLASSES
+    assert len(FORMER_DATACLASSES) == 16
+
+
+@pytest.mark.parametrize("cls, build, other, expected", RECORDS, ids=IDS)
+def test_repr_and_equality(cls, build, other, expected):
+    record = build()
+    assert type(record) is cls and type(other) is cls
+    assert repr(record) == expected
+    assert record == build() and not (record != build())
+    assert record != other and not (record == other)
+
+
+@pytest.mark.parametrize("cls, build, other, expected", RECORDS, ids=IDS)
+def test_hash_follows_the_field_values(cls, build, other, expected):
+    record = build()
+    values = tuple(getattr(record, name) for name in record._fields)
+    try:
+        expected = hash(values)
+    except TypeError:  # a Pattern holds a dict
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+        return
+    assert hash(record) == hash(build()) == expected
+
+
+@pytest.mark.parametrize("cls, build, other, expected", RECORDS, ids=IDS)
+def test_attributes_cannot_be_assigned(cls, build, other, expected):
+    record = build()
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], getattr(other, other._fields[0]))
+    with pytest.raises(AttributeError):
+        record.note = "x"
+    assert record == build()
+
+
+def test_radix_chain_report_caches_its_differences():
+    report = radix_chain_check(Periodic("aab"), 4)
+    first = report.differences
+    assert report.differences is first
+    assert len(first) == len(report.chain) - 1
+
+
+VALIDATION_ERRORS = [
+    (lambda: Mechanical(Fraction(3, 2)), "slope must lie in [0, 1]"),
+    (lambda: Mechanical(-1), "slope must lie in [0, 1]"),
+    (lambda: Mechanical("1/2", 0, "middle"), "kind must be 'lower' or 'upper'"),
+    (lambda: Mechanical("x"), "Invalid literal for Fraction: 'x'"),
+    (lambda: Periodic(""), "period must be nonempty"),
+    (lambda: Periodic("aabb"), "period 'aabb' does not generate a balanced sequence"),
+    (lambda: Periodic("abc"), "malformed word 'abc': letters ['c'] not in {a,b,0,1}"),
+    (lambda: Characteristic(()), "directive must be a nonempty sequence of positive integers"),
+    (lambda: Characteristic((1, 0)), "directive must be a nonempty sequence of positive integers"),
+    (lambda: Characteristic(("x",)), "invalid literal for int() with base 10: 'x'"),
+    (lambda: Skew("abc"), "malformed word 'abc': letters ['c'] not in {a,b,0,1}"),
+    (lambda: Skew("", "other"), "form must be one of ('xxyxx', 'blocks')"),
+    (lambda: Skew("", "blocks", "aa"), "xy must be 'ab' or 'ba'"),
+    (lambda: Skew("ab"), "'aabb' is not a Christoffel word"),
+    (lambda: MarkoffTriple(0, 1, 1), "Markoff triples are positive"),
+    (lambda: MarkoffTriple(1, 2, 2), "(1,2,2) does not solve the Markoff equation"),
+    (lambda: PeriodicCF(()), "period must be a nonempty sequence of positive integers"),
+    (lambda: PeriodicCF((1, 0)), "period must be a nonempty sequence of positive integers"),
+]
+
+
+@pytest.mark.parametrize("build, message", VALIDATION_ERRORS)
+def test_validation_messages(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_keyword_construction_and_defaults():
+    assert Mechanical(alpha=Fraction(1, 3)) == Mechanical(Fraction(1, 3), Fraction(0), "lower")
+    assert Skew(form="blocks") == Skew("", "blocks", "ab")
+    assert PairReport(radius=3, patterns_checked=1, indistinguishable=True).failing is None
+    assert Pattern(assignment=((0, "a"),)).assignment == {0: "a"}
+
+
+# The differences a NamedTuple brings, on purpose.
+
+
+def test_records_are_tuples_of_their_fields():
+    spec = Mechanical("2/5", "1/3", "upper")
+    assert tuple(spec) == (Fraction(2, 5), Fraction(1, 3), "upper")
+    assert spec == (Fraction(2, 5), Fraction(1, 3), "upper")
+    assert Periodic("ab") == ("ab",)
+    alpha, rho, kind = spec
+    assert (alpha, rho, kind) == (spec.alpha, spec.rho, spec.kind)
+
+
+def test_replace_validates_and_normalises():
+    spec = Mechanical("2/5", "1/3")
+    assert spec._replace(kind="upper") == Mechanical("2/5", "1/3", "upper")
+    assert spec._replace(rho=Fraction(7, 3)).rho == Fraction(1, 3)
+    with pytest.raises(ValueError, match=r"slope must lie in \[0, 1\]"):
+        spec._replace(alpha=2)
+    with pytest.raises(ValueError, match="does not generate a balanced sequence"):
+        Periodic("ab")._replace(word="aabb")
+    with pytest.raises(ValueError, match="Christoffel"):
+        Skew()._replace(m="ab")
+    with pytest.raises(ValueError, match="Markoff equation"):
+        markoff_triple("")._replace(x=2)
+    assert Pattern.from_word("ab")._replace(assignment=((3, "b"),)).assignment == {3: "b"}
+
+
+def test_factor_language_len_counts_factors():
+    fl = enumerate_factors(Periodic("aab"), 2)
+    assert len(fl) == 3
+    assert fl._replace(factors=("aa",)) == FactorLanguage(2, ("aa",))
+
+
+def test_pair_report_is_immutable_and_hashable():
+    report = PairReport(4, 0, True)
+    with pytest.raises(AttributeError):
+        report.radius = 5
+    assert hash(report) == hash((4, 0, True, None))
+
+
+def test_import_loads_every_module_and_no_dataclasses():
+    src = Path(qmarkoff.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, qmarkoff\n"
+        "eager = [m for m in ('words', 'qpoly', 'morphism', 'language', 'pairs', 'spectrum')"
+        " if 'qmarkoff.' + m not in sys.modules]\n"
+        "import qmarkoff.cli\n"
+        "print(eager, 'dataclasses' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+    assert out == "[] False\n"

@@ -150,10 +150,10 @@ def test_markoff_supremum_builds_no_periodic_cf(monkeypatch):
     seq = PeriodicCF(tuple(sigma_subst("aabab")))
     expected = markoff_supremum(seq, 32)
 
-    def forbidden(self):
+    def forbidden(cls, *args, **kwargs):
         raise AssertionError("PeriodicCF constructed")
 
-    monkeypatch.setattr(spectrum.PeriodicCF, "__post_init__", forbidden)
+    monkeypatch.setattr(spectrum.PeriodicCF, "__new__", forbidden)
     assert markoff_supremum(seq, 32) == expected
 
 
