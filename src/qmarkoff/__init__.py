@@ -4,7 +4,6 @@ from .words import (
     christoffel_word,
     factors,
     has_markoff_property_periodic,
-    is_balanced_family,
     is_balanced_periodic,
     lex_cmp,
     parse_word,
@@ -44,26 +43,21 @@ from .language import (
     RadixChainReport,
     Skew,
     characteristic_word,
-    classify,
     compact_representations,
     curves_export,
     enumerate_factors,
     flip_permutation,
     letter_at,
-    mechanical_letter,
     radix_chain_check,
     sequence_window,
 )
-from .pairs import AsymptoticPair, Pattern, build_pair, is_indistinguishable_up_to, occ_diff
+from .pairs import AsymptoticPair, Pattern, build_pair
 from .spectrum import (
     PeriodicCF,
     SpectrumValue,
-    cf_tail,
     closed_form_supremum,
-    lambda_i,
     markoff_supremum,
     sigma_subst,
-    supremum_residual,
 )
 
 __version__ = "0.1.0"

@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 on verification failure (including a spec whose
 factor count at the requested n is not n+1), 2 on usage errors (unknown spec
-string, malformed word, bad numeric flags, a size flag over its limit in
-LIMITS, refused before any work).
+string or spec key, malformed word, bad numeric flags, a size flag over its
+limit in LIMITS, or curves gammas over MAX_CURVES_GAMMAS or MAX_GAMMA_TERM,
+refused before any work).
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ MAX_SPECTRUM_DEPTH = 1024  # bracket widths fall like phi^(-2 depth): floats set
 # (2-vCPU Xeon, Python 3.11):
 MAX_MONOTONE_N = 256  # fibonacci 6.3 s, 70 MiB; --max-n 320: 13 s, 120 MiB
 MAX_CURVES_LEN = 160  # fibonacci, 5 gammas: 1.3 s, 64 MiB; --max-len 240: 3.5 s, 99 MiB
+# curves --max-len 160, skew blocks, gammas like 255/256: 8 gammas 6.2 s, 155 MiB; 16 gammas
+# 12.5 s, 292 MiB; 8 gammas with terms near 512: 6.8 s, 163 MiB.  Checked before the spec.
+MAX_CURVES_GAMMAS = 8
+MAX_GAMMA_TERM = 256  # largest numerator and denominator of a gamma
 MAX_PAIR_RADIUS = 1024  # 1.7 s, 21 MiB; --radius 1600: 5.3 s
 MAX_LANGUAGE_N = 2048  # skew: 1.1 s, 25 MiB; --n 4096: 4.1 s, 49 MiB
 # (subcommand, flag) -> largest accepted value, checked in main before any work
@@ -81,21 +86,12 @@ def parse_spec(text: str) -> BalancedSpec:
         if head == "characteristic":
             return Characteristic(tuple(int(tok) for tok in rest.split(",") if tok))
         if head == "skew":
-            opts = _parse_options(rest)
-            return Skew(
-                m=parse_word(opts.pop("m", "")),
-                form=opts.pop("form", "xxyxx"),
-                xy=opts.pop("xy", "ab"),
-            )
+            return Skew(**_parse_options(rest, Skew._fields))
         if head == "mechanical":
-            opts = _parse_options(rest)
+            opts = _parse_options(rest, Mechanical._fields)
             if "alpha" not in opts:
                 raise SpecSyntaxError("mechanical spec needs alpha=P/Q")
-            return Mechanical(
-                alpha=Fraction(opts.pop("alpha")),
-                rho=Fraction(opts.pop("rho", "0")),
-                kind=opts.pop("kind", "lower"),
-            )
+            return Mechanical(_fraction(opts.pop("alpha")), _fraction(opts.pop("rho", "0")), **opts)
     except SpecSyntaxError:
         raise
     except (ValueError, ZeroDivisionError) as exc:
@@ -103,14 +99,23 @@ def parse_spec(text: str) -> BalancedSpec:
     raise SpecSyntaxError(f"unknown spec {text!r}")
 
 
-def _parse_options(rest: str) -> dict[str, str]:
+def _parse_options(rest: str, keys: tuple[str, ...]) -> dict[str, str]:
     opts: dict[str, str] = {}
     for item in filter(None, rest.split(",")):
         key, sep, value = item.partition("=")
         if not sep:
             raise SpecSyntaxError(f"expected key=value, got {item!r}")
+        if key not in keys or key in opts:
+            raise SpecSyntaxError(f"unknown or repeated key {key!r}; expected one of {', '.join(keys)}")
         opts[key] = value
     return opts
+
+
+def _fraction(token: str) -> Fraction:
+    """Fraction(token) for P/Q and decimal tokens; exponent forms such as 1e10000000 cost seconds."""
+    if "e" in token.lower():
+        raise ValueError(f"exponent form {token!r} is not accepted")
+    return Fraction(token)
 
 
 def _spec_name(spec: BalancedSpec) -> str:
@@ -215,12 +220,16 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_curves(args) -> int:
-    spec = parse_spec(args.spec)
     tokens = [tok for tok in args.gammas.split(",") if tok]
+    if len(tokens) > MAX_CURVES_GAMMAS:
+        raise ValueError(f"curves takes at most {MAX_CURVES_GAMMAS} gammas, got {len(tokens)}")
     try:
-        gammas = [Fraction(tok) for tok in tokens]
+        gammas = [_fraction(tok) for tok in tokens]
     except ZeroDivisionError as exc:
         raise ValueError(f"bad gammas {args.gammas!r}: {exc}") from None
+    if any(max(abs(g.numerator), g.denominator) > MAX_GAMMA_TERM for g in gammas):
+        raise ValueError(f"curves takes gamma numerators and denominators at most {MAX_GAMMA_TERM}")
+    spec = parse_spec(args.spec)
     rows = curves_export(spec, args.max_len, gammas)
     # every row is formatted before any is written, so a value too large for a float prints nothing
     lines = ["word,gamma,value"]

@@ -9,9 +9,10 @@ mirror-symmetric center, when the variant has one, at the origin (between
 positions -1 and 0).  Skew and mechanical windows are built in one pass:
 slices of the x·m·y, y·m·y and y·m·x blocks, or integer floor or ceiling
 differences over the whole range; their ``letter_at`` is a one-letter
-window.  Factor languages, the per-length flip structure, the cross-length
-radix chain of q-Markoff polynomials, and the four-class classification
-all work on exactly generated finite windows.
+window.  Factor languages, the per-length flip structure and the
+cross-length radix chain of q-Markoff polynomials all work on exactly
+generated finite windows.  The class of a sequence (M1 periodic, M2
+mechanical, M3 characteristic, M4 skew) is its declared variant.
 """
 
 from __future__ import annotations
@@ -51,11 +52,6 @@ class Mechanical(_MechanicalFields):
         return super().__new__(cls, alpha, rho - math.floor(rho), kind)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through __new__
-
-
-def mechanical_letter(spec: Mechanical, pos: int) -> str:
-    """Letter at `pos`: difference of consecutive floors (lower) or ceilings (upper)."""
-    return _mechanical_window(spec, pos, pos + 1)
 
 
 def _mechanical_window(spec: Mechanical, lo: int, hi: int) -> str:
@@ -402,50 +398,6 @@ def radix_chain_check(spec: BalancedSpec, max_n: int) -> RadixChainReport:
         u, v = chain[i], chain[i + 1]
         raise MonotonicityError(u, v, q_markoff(v) - q_markoff(u))
     return RadixChainReport(tuple(chain))
-
-
-def central_factorizations(spec: BalancedSpec, radius: int = 64) -> list[int]:
-    """Positions n0 where the sequence reads p̃·x·y·p around (n0-1, n0).
-
-    The mirror condition is verified for radius positions on each side;
-    candidates are searched within |n0| <= radius // 2.
-    """
-    hits = []
-    for n0 in range(-(radius // 2), radius // 2 + 1):
-        if letter_at(spec, n0 - 1) == letter_at(spec, n0):
-            continue
-        if all(letter_at(spec, n0 + k) == letter_at(spec, n0 - 1 - k) for k in range(1, radius + 1)):
-            hits.append(n0)
-    return hits
-
-
-def classify(spec: BalancedSpec, radius: int = 64) -> str:
-    """Classify the sequence as M1 (periodic), M2 (generic), M3 (characteristic) or M4 (skew).
-
-    The class follows the declared variant; a window-level consistency
-    assertion (the count of mirror-symmetric central factorizations within
-    `radius`) guards against mislabeled specs and raises ValueError
-    ("spec/class mismatch") when it fails.  Finite windows cannot decide
-    M2 vs M3 for arbitrary sequences; only declared specs are accepted.
-    """
-    hits = central_factorizations(spec, radius)
-    if isinstance(spec, Periodic):
-        if hits:
-            raise ValueError(f"spec/class mismatch: periodic spec has central factorization at {hits}")
-        return "M1"
-    if isinstance(spec, Mechanical):
-        if hits:
-            raise ValueError(f"spec/class mismatch: mechanical spec has central factorization at {hits}")
-        return "M2"
-    if isinstance(spec, Characteristic):
-        if hits != [0]:
-            raise ValueError(f"spec/class mismatch: characteristic spec factorizations {hits} != [0]")
-        return "M3"
-    if isinstance(spec, Skew):
-        if len(hits) < 2:
-            raise ValueError(f"spec/class mismatch: skew spec has {len(hits)} factorizations, needs >= 2")
-        return "M4"
-    raise TypeError(f"not a balanced spec: {spec!r}")
 
 
 def curves_export(

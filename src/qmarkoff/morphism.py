@@ -46,21 +46,6 @@ MU_Q_B = QMatrix(poly(0, 1, 2, 1, 1), poly(1, 1), poly(0, 1, 1), poly(1))
 _FLIP_MATRIX = QMatrix(poly(), poly(0, 1, 0, 0, 1), poly(0, 0, -1, 0, 0, -1), poly())
 
 
-def _int_mat_mul(x: IntMatrix, y: IntMatrix) -> IntMatrix:
-    return (
-        (x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]),
-        (x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]),
-    )
-
-
-def mu(w: str) -> IntMatrix:
-    """Image of w under the integer morphism; mu("") is the identity."""
-    m: IntMatrix = ((1, 0), (0, 1))
-    for ch in w:
-        m = _int_mat_mul(m, MU_A if ch == "a" else MU_B)
-    return m
-
-
 def _slot_bits(bound: int) -> int:
     """Slot width B for packing coefficients in [0, bound]: two spare bits, whole bytes."""
     return -(-(bound.bit_length() + 2) // 8) * 8
@@ -123,13 +108,31 @@ def _row(w: str, row: tuple[int, int], step, *args) -> tuple[int, int]:
     return row
 
 
+def mu(w: str) -> IntMatrix:
+    """Image of w under the integer morphism, one row walk per row; mu("") is the identity.
+
+    _eval_step at q = 1 is the integer step: (x, y) * MU_A and (x, y) * MU_B.
+    """
+    return tuple(_row(w, start, _eval_step, 1, 1) for start in ((1, 0), (0, 1)))
+
+
+def _max_entry(w: str) -> int:
+    """max mu(w) = mu(w)[0][0], by the first-row walk at q = 1.
+
+    Both generator images have first row >= second row and first column >=
+    second column entrywise, and right products by them keep both orders,
+    so e11 is the largest entry (1 for the identity).
+    """
+    return _row(w, (1, 0), _eval_step, 1, 1)[0]
+
+
 @lru_cache(maxsize=1024)
 def mu_q(w: str) -> QMatrix:
     """Image of w under the q-deformed morphism; mu_q("") is the identity.
 
     Evaluating every entry at q = 1 recovers mu(w).
     """
-    bits = _slot_bits(max(map(max, mu(w))))
+    bits = _slot_bits(_max_entry(w))
     (e11, e12), (e21, e22) = (_row(w, start, _step, bits) for start in ((1, 0), (0, 1)))
     return QMatrix(*(_unpack(e, bits) for e in (e11, e12, e21, e22)))
 
@@ -155,7 +158,7 @@ def _chain_walk(chain: Sequence[str]) -> tuple[int, Iterator[int]]:
     The longest words fix B, since every word is a factor of one of them.
     """
     longest = (w for w in chain if len(w) == len(chain[-1]))
-    bits = _slot_bits(max((max(map(max, mu(w))) for w in longest), default=0))
+    bits = _slot_bits(max(map(_max_entry, longest), default=0))
     return bits, (y for _, y in _chain_rows(chain, _step, bits))
 
 
@@ -201,11 +204,10 @@ def first_unordered(chain: Sequence[str]) -> int | None:
 def q_markoff(w: str) -> IntPolynomial:
     """The q-Markoff polynomial of w: entry (1,2) of mu_q(w), from the first row alone.
 
-    The slots fit mu(w)[0][0], the largest entry of the first row of mu(w)
-    (e11 >= e12 at every step), computed by the same walk at q = 1.  Zero
-    for the empty word.
+    The slots fit mu(w)[0][0], the largest entry of mu(w).  Zero for the
+    empty word.
     """
-    bits = _slot_bits(_row(w, (1, 0), _eval_step, 1, 1)[0])
+    bits = _slot_bits(_max_entry(w))
     return _unpack(_row(w, (1, 0), _step, bits)[1], bits)
 
 

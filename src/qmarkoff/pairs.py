@@ -1,10 +1,13 @@
-"""Indistinguishable asymptotic pairs: patterns, occurrence counting, verification.
+"""Indistinguishable asymptotic pairs: patterns and their verification.
 
 Two biinfinite sequences that differ at finitely many positions form an
 asymptotic pair; the pair is indistinguishable when every finite pattern
 gains exactly as many occurrences as it loses.  Occurrence differences
 can only happen at shifts whose translated support touches the difference
-set, so everything here is an exact finite computation.
+set, so everything here is an exact finite computation.  ``pair_report``
+compares, per support, the multisets of words read from both sequences at
+those shifts; the one-pattern count occ_diff is its reference in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -48,16 +51,6 @@ class AsymptoticPair(NamedTuple):
     t: LetterFn
     difference_set: frozenset[int]
 
-    def check_window(self, radius: int) -> bool:
-        """Verify on [-radius, radius] that s and t differ exactly on the difference set."""
-        return all(
-            (self.s(i) != self.t(i)) == (i in self.difference_set)
-            for i in range(-radius, radius + 1)
-        )
-
-    def swapped(self) -> "AsymptoticPair":
-        return AsymptoticPair(self.t, self.s, self.difference_set)
-
 
 def build_pair(spec: BalancedSpec, n0: int = 0) -> AsymptoticPair:
     """The asymptotic pair of a spec with mirror center, shifted to difference set {n0-1, n0}.
@@ -84,34 +77,6 @@ def build_pair(spec: BalancedSpec, n0: int = 0) -> AsymptoticPair:
     return AsymptoticPair(s, t, frozenset({n0 - 1, n0}))
 
 
-def occ_diff(pair: AsymptoticPair, pattern: Pattern) -> tuple[int, int]:
-    """(#occurrences gained by s, #occurrences gained by t) for one pattern.
-
-    A shift n is an occurrence of the pattern in a sequence when the
-    sequence matches the assignment translated by n.  Outside the shifts
-    whose translated support meets the difference set both sequences
-    agree, so only those finitely many shifts are examined.
-    """
-    items = tuple(pattern.assignment.items())
-    if not items:
-        return (0, 0)
-    shifts = {d - off for d in pair.difference_set for off, _ in items}
-    s_only = t_only = 0
-    for n in sorted(shifts):
-        in_s = all(pair.s(n + off) == letter for off, letter in items)
-        in_t = all(pair.t(n + off) == letter for off, letter in items)
-        if in_s and not in_t:
-            s_only += 1
-        elif in_t and not in_s:
-            t_only += 1
-    return (s_only, t_only)
-
-
-def is_indistinguishable_up_to(pair: AsymptoticPair, radius: int) -> bool:
-    """Whether every pattern checked by pair_report(pair, radius) is balanced."""
-    return pair_report(pair, radius).indistinguishable
-
-
 class PairReport(NamedTuple):
     """Outcome of an indistinguishability check."""
 
@@ -126,7 +91,8 @@ def pair_report(pair: AsymptoticPair, radius: int) -> PairReport:
 
     Also checks the full-window support [-radius, radius].  Only shifts
     whose translated support meets the difference set D can tell s and t
-    apart, and occ_diff of a contiguous pattern is (gained, lost) with
+    apart, and the occurrence count of a contiguous pattern (occ_diff in
+    tests/oracles.py) is (gained, lost) with
     gained - lost = (times its word is read from s) - (times from t) over
     those shifts.  So a support is balanced iff the multisets of words
     read there from s and from t are equal.  Each sequence is read once,

@@ -4,7 +4,7 @@ A balanced word maps through a -> 11, b -> 22 to a periodic sequence of
 partial quotients; the Markoff supremum of that sequence is at most 3
 exactly when the word side is balanced, and for a Christoffel word w with
 Markoff number m it equals sqrt(9 - 4/m^2).  Tail values are bracketed by
-consecutive convergents computed exactly over big-integer rationals.
+consecutive convergents computed exactly over big integers.
 
 markoff_supremum folds one window per direction once and slides it: with
 A(x) = [[x, 1], [1, 0]], A(a_1)...A(a_k) = [[q_k, q_k-1], [p_k, p_k-1]] holds
@@ -12,7 +12,7 @@ the last two convergents of [0; a_1, ..., a_k], and as A(x)^-1 = [[0, 1], [1, -x
 R_i+1 = A(a_i+1)^-1 R_i A(a_i+1+depth) and L_i+1 = A(a_i) L_i A(a_i-depth)^-1 are
 a few integer multiply-adds.  Bracket sums stay integer ratios, and one int true
 division rounds them correctly, as Fraction.__float__ does, so every float equals
-the one lambda_i gives.
+the one the per-position oracle lambda_i in tests/oracles.py gives.
 """
 
 from __future__ import annotations
@@ -63,19 +63,6 @@ def _convergents(quotients: Iterable[int]) -> tuple[int, int, int, int]:
     return q_cur, q_prev, p_cur, p_prev
 
 
-def _bracket(quotients: Iterable[int]) -> tuple[Fraction, Fraction]:
-    """The last two convergents of [0; a_1, a_2, ...], sorted; the value lies between them."""
-    q_cur, q_prev, p_cur, p_prev = _convergents(quotients)
-    return tuple(sorted((Fraction(p_prev, q_prev), Fraction(p_cur, q_cur))))
-
-
-def cf_tail(seq: PeriodicCF, start: int, depth: int) -> tuple[Fraction, Fraction]:
-    """Bracket for [0; a_start, a_start+1, ...] read cyclically; width shrinks like 1/F_depth^2."""
-    if depth < 2:
-        raise ValueError("depth must be >= 2")
-    return _bracket(seq[start + j] for j in range(depth))
-
-
 class SpectrumValue(NamedTuple):
     """A spectrum quantity with a certified bracket-derived error bound."""
 
@@ -83,17 +70,8 @@ class SpectrumValue(NamedTuple):
     error_bound: float
 
 
-def lambda_i(seq: PeriodicCF, i: int, depth: int) -> SpectrumValue:
-    """a_i plus the tails read rightward from i+1 and leftward from i-1; error sums the widths."""
-    right = cf_tail(seq, i + 1, depth)
-    left = _bracket(seq[i - 1 - j] for j in range(depth))
-    lo = seq[i] + right[0] + left[0]
-    hi = seq[i] + right[1] + left[1]
-    return SpectrumValue(value=float((lo + hi) / 2), error_bound=float(hi - lo))
-
-
 def markoff_supremum(seq: PeriodicCF, depth: int = 64) -> SpectrumValue:
-    """sup over positions of lambda_i (largest value, largest error bound) over one period."""
+    """sup over one period of lambda_i = a_i + both tails (largest value, largest error bound)."""
     if depth < 2:
         raise ValueError("depth must be >= 2")
     a, p = seq.period, len(seq.period)
@@ -127,12 +105,3 @@ def christoffel_supremum(w: str, depth: int = 64) -> tuple[int, SpectrumValue]:
         raise ValueError("precondition: Christoffel word required")
     return mu(w)[0][1], markoff_supremum(PeriodicCF(tuple(sigma_subst(w))), depth)
 
-
-def supremum_residual(w: str, depth: int = 64) -> float:
-    """Residual between the computed supremum of the periodized image of w and its closed form.
-
-    w must be a Christoffel word; its Markoff number m = mu(w) entry (1,2)
-    gives the closed form sqrt(9 - 4/m^2).
-    """
-    m, sup = christoffel_supremum(w, depth)
-    return abs(sup.value - closed_form_supremum(m))

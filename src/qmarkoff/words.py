@@ -73,20 +73,6 @@ def factors(w: str, n: int) -> list[str]:
     return sorted({w[i : i + n] for i in range(len(w) - n + 1)})
 
 
-def is_balanced_family(words, letter: str) -> bool:
-    """True iff the letter-counts over a set of same-length words differ by <= 1.
-
-    Raises ValueError when the words do not all have the same length.
-    """
-    words = list(words)
-    if not words:
-        return True
-    if len({len(w) for w in words}) != 1:
-        raise ValueError("heterogeneous lengths")
-    counts = [w.count(letter) for w in words]
-    return max(counts) - min(counts) <= 1
-
-
 def cyclic_factors(w: str, n: int) -> list[str]:
     """Length-n factors of the periodic repetition of w: those of its (|w|+n-1)-letter prefix."""
     if not w:

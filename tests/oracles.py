@@ -1,13 +1,18 @@
-"""Slow reference implementations that the library's closed forms are tested against."""
+"""Slow reference implementations that the library's closed forms are tested against.
+
+The single-position definitions (cf_tail, lambda_i, occ_diff) live here as
+stated; the library computes the same values in folded or windowed passes.
+"""
 
 import math
+from fractions import Fraction
 
 from qmarkoff.language import MonotonicityError
 from qmarkoff.morphism import MU_Q_A, MU_Q_B
-from qmarkoff.pairs import PairReport, Pattern, occ_diff
+from qmarkoff.pairs import AsymptoticPair, PairReport, Pattern, pair_report
 from qmarkoff.qpoly import QMatrix
-from qmarkoff.spectrum import PeriodicCF, SpectrumValue, cf_tail, lambda_i
-from qmarkoff.words import cyclic_factors, is_balanced_family
+from qmarkoff.spectrum import PeriodicCF, SpectrumValue, _convergents, christoffel_supremum, closed_form_supremum
+from qmarkoff.words import cyclic_factors
 
 
 def christoffel_words_upto(max_len):
@@ -30,6 +35,20 @@ def christoffel_words_upto(max_len):
     return found
 
 
+def is_balanced_family(words, letter: str) -> bool:
+    """True iff the letter-counts over a set of same-length words differ by <= 1.
+
+    Raises ValueError when the words do not all have the same length.
+    """
+    words = list(words)
+    if not words:
+        return True
+    if len({len(w) for w in words}) != 1:
+        raise ValueError("heterogeneous lengths")
+    counts = [w.count(letter) for w in words]
+    return max(counts) - min(counts) <= 1
+
+
 def balanced_periodic_scan(w, max_n=None):
     """Whether the periodic repetition of w is balanced, by scanning factor lengths.
 
@@ -43,6 +62,46 @@ def balanced_periodic_scan(w, max_n=None):
         if not is_balanced_family(fs, "a") or not is_balanced_family(fs, "b"):
             return False
     return True
+
+
+def check_window(pair: AsymptoticPair, radius: int) -> bool:
+    """Verify on [-radius, radius] that s and t differ exactly on the difference set."""
+    return all(
+        (pair.s(i) != pair.t(i)) == (i in pair.difference_set)
+        for i in range(-radius, radius + 1)
+    )
+
+
+def swapped(pair: AsymptoticPair) -> AsymptoticPair:
+    return AsymptoticPair(pair.t, pair.s, pair.difference_set)
+
+
+def occ_diff(pair: AsymptoticPair, pattern: Pattern) -> tuple[int, int]:
+    """(#occurrences gained by s, #occurrences gained by t) for one pattern.
+
+    A shift n is an occurrence of the pattern in a sequence when the
+    sequence matches the assignment translated by n.  Outside the shifts
+    whose translated support meets the difference set both sequences
+    agree, so only those finitely many shifts are examined.
+    """
+    items = tuple(pattern.assignment.items())
+    if not items:
+        return (0, 0)
+    shifts = {d - off for d in pair.difference_set for off, _ in items}
+    s_only = t_only = 0
+    for n in sorted(shifts):
+        in_s = all(pair.s(n + off) == letter for off, letter in items)
+        in_t = all(pair.t(n + off) == letter for off, letter in items)
+        if in_s and not in_t:
+            s_only += 1
+        elif in_t and not in_s:
+            t_only += 1
+    return (s_only, t_only)
+
+
+def is_indistinguishable_up_to(pair: AsymptoticPair, radius: int) -> bool:
+    """Whether every pattern checked by pair_report(pair, radius) is balanced."""
+    return pair_report(pair, radius).indistinguishable
 
 
 def pair_report_by_patterns(pair, radius):
@@ -72,6 +131,38 @@ def pair_report_by_patterns(pair, radius):
                 if gained != lost:
                     return PairReport(radius, checked, False, pattern)
     return PairReport(radius, checked, True)
+
+
+def _bracket(quotients) -> tuple[Fraction, Fraction]:
+    """The last two convergents of [0; a_1, a_2, ...], sorted; the value lies between them."""
+    q_cur, q_prev, p_cur, p_prev = _convergents(quotients)
+    return tuple(sorted((Fraction(p_prev, q_prev), Fraction(p_cur, q_cur))))
+
+
+def cf_tail(seq: PeriodicCF, start: int, depth: int) -> tuple[Fraction, Fraction]:
+    """Bracket for [0; a_start, a_start+1, ...] read cyclically; width shrinks like 1/F_depth^2."""
+    if depth < 2:
+        raise ValueError("depth must be >= 2")
+    return _bracket(seq[start + j] for j in range(depth))
+
+
+def lambda_i(seq: PeriodicCF, i: int, depth: int) -> SpectrumValue:
+    """a_i plus the tails read rightward from i+1 and leftward from i-1; error sums the widths."""
+    right = cf_tail(seq, i + 1, depth)
+    left = _bracket(seq[i - 1 - j] for j in range(depth))
+    lo = seq[i] + right[0] + left[0]
+    hi = seq[i] + right[1] + left[1]
+    return SpectrumValue(value=float((lo + hi) / 2), error_bound=float(hi - lo))
+
+
+def supremum_residual(w: str, depth: int = 64) -> float:
+    """Residual between the computed supremum of the periodized image of w and its closed form.
+
+    w must be a Christoffel word; its Markoff number m = mu(w) entry (1,2)
+    gives the closed form sqrt(9 - 4/m^2).
+    """
+    m, sup = christoffel_supremum(w, depth)
+    return abs(sup.value - closed_form_supremum(m))
 
 
 def lambda_i_by_reversal(seq, i, depth):
@@ -124,7 +215,7 @@ def evaluate_by_fraction_horner(p, x):
 
 
 def mechanical_letter_by_fractions(spec, pos):
-    """mechanical_letter by Fraction floors and ceilings of alpha*pos + rho."""
+    """One mechanical letter by Fraction floors and ceilings of alpha*pos + rho."""
     a, r = spec.alpha, spec.rho
     rnd = math.floor if spec.kind == "lower" else math.ceil
     return "ab"[rnd(a * (pos + 1) + r) - rnd(a * pos + r)]

@@ -36,12 +36,12 @@ from qmarkoff.morphism import (
     q_markoff,
     tree_paths,
 )
-from qmarkoff.pairs import AsymptoticPair, Pattern, build_pair, is_indistinguishable_up_to, occ_diff
+from qmarkoff.pairs import AsymptoticPair, Pattern, build_pair
 from qmarkoff.qpoly import IntPolynomial, poly
-from qmarkoff.spectrum import PeriodicCF, markoff_supremum, sigma_subst, supremum_residual
+from qmarkoff.spectrum import PeriodicCF, markoff_supremum, sigma_subst
 from qmarkoff.words import has_markoff_property_periodic, is_balanced_periodic, render_word
 
-from oracles import christoffel_words_upto
+from oracles import christoffel_words_upto, is_indistinguishable_up_to, occ_diff, supremum_residual
 
 FIB = Characteristic((1,) * 24)
 

@@ -441,12 +441,62 @@ def test_curves_refuses_zero_denominator(capsys):
     assert err == "error: bad gammas '1/2,1/0': Fraction(1, 0)\n"
 
 
-@pytest.mark.parametrize("gammas", ["1/2,1e400", "1e-300,1e300"])
-def test_curves_overflow_writes_no_partial_csv(capsys, gammas):
-    # a value too large for a float is found before any row is written
-    code, out, err = run(capsys, "curves", "--spec", "fibonacci", "--max-len", "4", "--gammas", gammas)
+@pytest.mark.parametrize(
+    "gammas, max_len, reason",
+    [("1/2,1e400", 4, "exponent form"), ("1e-300,1e300", 4, "exponent form"), ("1/2,256", 48, "too large for a float")],
+    ids=["1/2,1e400", "1e-300,1e300", "1/2,256"],
+)
+def test_curves_overflow_writes_no_partial_csv(capsys, gammas, max_len, reason):
+    # exponent forms are refused outright; an in-bound gamma whose value is too
+    # large for a float is found before any row is written
+    code, out, err = run(capsys, "curves", "--spec", "fibonacci", "--max-len", str(max_len), "--gammas", gammas)
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and reason in err
+
+
+@pytest.mark.parametrize(
+    "gammas, message",
+    [
+        (",".join(["1/2"] * 9), "curves takes at most 8 gammas, got 9"),
+        (",".join(["1/2"] * 10**5), "curves takes at most 8 gammas, got 100000"),
+        ("1/2,1/257", "curves takes gamma numerators and denominators at most 256"),
+        ("0.001", "curves takes gamma numerators and denominators at most 256"),
+        ("1e10000000", "exponent form '1e10000000' is not accepted"),
+        ("1/2,1E-9999999", "exponent form '1E-9999999' is not accepted"),
+    ],
+    ids=["9-gammas", "100000-gammas", "denominator-257", "decimal-1/1000", "exponent", "exponent-upper"],
+)
+def test_curves_gammas_refused_over_limit_before_any_work(capsys, monkeypatch, gammas, message):
+    def reached(text):
+        raise SpecSyntaxError("work started")
+
+    monkeypatch.setattr(cli, "parse_spec", reached)
+    argv = ["curves", "--spec", "fibonacci", "--max-len", str(cli.MAX_CURVES_LEN), "--gammas"]
+    assert run(capsys, *argv, ",".join(["255/256"] * cli.MAX_CURVES_GAMMAS)) == (2, "", "error: work started\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, gammas)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["pair-check", "--spec", "skew:m=aba,fomr=blocks", "--radius", "4"], "key 'fomr'"),
+        (["verify-monotone", "--spec", "mechanical:alpha=1/3,rh0=1/2", "--max-n", "4"], "key 'rh0'"),
+        (["pair-check", "--spec", "skew:m=aba,m=,form=blocks", "--radius", "4"], "key 'm'"),
+        (["verify-monotone", "--spec", "mechanical:alpha=1e-9999999", "--max-n", "4"], "'1e-9999999'"),
+        (["curves", "--spec", "mechanical:alpha=1/3,rho=5E-9999999", "--max-len", "4", "--gammas", "1"],
+         "'5E-9999999'"),
+    ],
+    ids=["skew-key", "mechanical-key", "repeated-key", "alpha-exponent", "rho-exponent"],
+)
+def test_bad_spec_fields_refused_before_any_work(capsys, argv, named):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
 
 def test_pair_check(capsys):
@@ -557,17 +607,19 @@ def test_limits_cover_every_size_flag_and_the_sizes_in_use():
     }
     # the largest sizes the README, the tests and the benchmark run
     assert cli.MAX_MONOTONE_N >= 256 and cli.MAX_CURVES_LEN >= 40 and cli.MAX_PAIR_RADIUS >= 48
-    assert cli.MAX_LANGUAGE_N >= 64
+    assert cli.MAX_LANGUAGE_N >= 64 and cli.MAX_CURVES_GAMMAS >= 5 and cli.MAX_GAMMA_TERM >= 100
 
 
 SPECS = st.sampled_from([
     "fibonacci", "periodic:aab", "periodic:aabb", "periodic:", "periodic:0x1", "characteristic:2,1",
     "characteristic:1", "characteristic:0", "characteristic:", "skew", "skew:m=aba,form=blocks,xy=ba",
-    "skew:m=ab", "skew:form", "skew:form=spiral", "mechanical:alpha=2/7,rho=-1/3,kind=upper",
+    "skew:m=ab", "skew:form", "skew:form=spiral", "skew:m=aba,fomr=blocks",
+    "mechanical:alpha=2/7,rho=-1/3,kind=upper", "mechanical:alpha=1/3,rh0=1/2",
     "mechanical:alpha=1/0", "mechanical:alpha=3/2", "mechanical", "mechanical:alpha=0", "bogus", "",
 ])
 WORDS = st.text(alphabet="ab01c ", max_size=12)
-GAMMAS = st.sampled_from(["1/2,2", "0", "-1", "1/0", "abc", "1e400", "", "3,3", "0.5", "nan", ",,"])
+GAMMAS = st.sampled_from(["1/2,2", "0", "-1", "1/0", "abc", "1e400", "", "3,3", "0.5", "nan", ",,", "1/257",
+                          "1,2,3,4,5,6,7,8,9"])
 MALFORMED = st.sampled_from(["", "--", "-1", "--bogus", "x", "1.5", "0x10", " 7", "--depth", "-h"])
 
 

@@ -19,22 +19,21 @@ from qmarkoff.language import (
     MonotonicityError,
     Periodic,
     Skew,
-    central_factorizations,
     characteristic_word,
-    classify,
     classify_change,
     compact_representations,
     curves_export,
     enumerate_factors,
     flip_permutation,
     letter_at,
-    mechanical_letter,
     radix_chain_check,
     sequence_window,
 )
 from qmarkoff.morphism import mu, q_markoff, q_markoff_chain
 from qmarkoff.qpoly import IntPolynomial, poly
-from qmarkoff.words import christoffel_word, is_balanced_family, render_word, reversal
+from qmarkoff.words import christoffel_word, render_word, reversal
+
+from oracles import is_balanced_family
 
 FIB = Characteristic((1,) * 24)
 
@@ -60,16 +59,16 @@ def test_mechanical_letter_matches_fraction_oracle(slope, rho, kind):
 
     spec = Mechanical(Fraction(*slope), rho, kind)
     for pos in range(-60, 60):
-        assert mechanical_letter(spec, pos) == mechanical_letter_by_fractions(spec, pos)
+        assert letter_at(spec, pos) == mechanical_letter_by_fractions(spec, pos)
 
 
 def test_mechanical_letter_examples():
     zero = Mechanical(Fraction(0))
     one = Mechanical(Fraction(1))
-    assert all(mechanical_letter(zero, p) == "a" for p in range(-5, 6))
-    assert all(mechanical_letter(one, p) == "b" for p in range(-5, 6))
+    assert all(letter_at(zero, p) == "a" for p in range(-5, 6))
+    assert all(letter_at(one, p) == "b" for p in range(-5, 6))
     half = Mechanical(Fraction(1, 2))
-    assert [mechanical_letter(half, p) for p in range(4)] == ["a", "b", "a", "b"]
+    assert [letter_at(half, p) for p in range(4)] == ["a", "b", "a", "b"]
 
 
 def test_mechanical_spec_normalization():
@@ -85,8 +84,8 @@ def test_upper_vs_lower_mechanical():
     lower = Mechanical(Fraction(2, 5), kind="lower")
     upper = Mechanical(Fraction(2, 5), kind="upper")
     # rational slope with rho = 0: lower and upper differ in alignment only
-    lw = "".join(mechanical_letter(lower, p) for p in range(10))
-    uw = "".join(mechanical_letter(upper, p) for p in range(10))
+    lw = "".join(letter_at(lower, p) for p in range(10))
+    uw = "".join(letter_at(upper, p) for p in range(10))
     assert sorted(lw) == sorted(uw)
     assert lw != uw
 
@@ -150,7 +149,7 @@ def test_characteristic_prefix_occurs_in_mechanical_word():
     for d in reversed((directive[0] + 1,) + directive[1:]):
         slope = Fraction(1, d + slope)
     spec = Mechanical(slope)
-    window = "".join(mechanical_letter(spec, p) for p in range(0, 40))
+    window = "".join(letter_at(spec, p) for p in range(0, 40))
     assert prefix in window
 
 
@@ -485,31 +484,6 @@ def test_radix_chain_requires_positive_max_n():
         radix_chain_check(FIB, 0)
 
 
-def test_central_factorizations():
-    assert central_factorizations(FIB) == [0]
-    assert central_factorizations(Skew()) == [0, 1]
-    assert central_factorizations(Skew(m="aba", form="blocks")) == [-5, 0]
-    assert central_factorizations(Periodic("aabab")) == []
-
-
-def test_classify():
-    assert classify(Periodic("aabab")) == "M1"
-    assert classify(Periodic("ab")) == "M1"
-    assert classify(Mechanical(Fraction(2, 5), Fraction(1, 3))) == "M2"
-    assert classify(FIB) == "M3"
-    assert classify(Skew()) == "M4"
-    assert classify(Skew(m="aba", form="blocks", xy="ab")) == "M4"
-
-
-def test_classify_rho_zero_mechanical():
-    # periodicity rules out any central factorization (s(p) = s(0) would
-    # collide with the mirror image s(-1)), so even the rho = 0 alignment
-    # classifies as declared
-    spec = Mechanical(Fraction(2, 5), Fraction(0))
-    assert central_factorizations(spec) == []
-    assert classify(spec) == "M2"
-
-
 def test_curves_export_counts_and_specialization():
     gammas = [Fraction(1, 2), 1]
     rows = curves_export(FIB, 9, gammas)
@@ -561,7 +535,7 @@ def test_characteristic_factors_match_mechanical_window(directive):
     spec = Characteristic(directive)
     mech = Mechanical(slope, Fraction(0))
     length = 3 * slope.denominator + 24
-    window = "".join(mechanical_letter(mech, k) for k in range(length))
+    window = "".join(letter_at(mech, k) for k in range(length))
     for n in range(1, 9):
         from_compact = set(enumerate_factors(spec, n).factors)
         from_window = {window[i : i + n] for i in range(length - n + 1)}

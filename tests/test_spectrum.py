@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 
 from qmarkoff import spectrum
 from qmarkoff.morphism import mu
-from qmarkoff.spectrum import (
-    PeriodicCF,
+from qmarkoff.spectrum import PeriodicCF, closed_form_supremum, markoff_supremum, sigma_subst
+
+from oracles import (
     cf_tail,
-    closed_form_supremum,
+    christoffel_words_upto,
     lambda_i,
-    markoff_supremum,
-    sigma_subst,
+    lambda_i_by_reversal,
+    markoff_supremum_by_positions,
     supremum_residual,
 )
-
-from oracles import christoffel_words_upto, lambda_i_by_reversal, markoff_supremum_by_positions
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -171,18 +170,6 @@ def test_markoff_supremum_matches_oracle_on_christoffel_words():
     for w in sorted(christoffel_words_upto(40)):
         seq = PeriodicCF(tuple(sigma_subst(w)))
         assert markoff_supremum(seq, 64) == markoff_supremum_by_positions(seq, 64), w
-
-
-def test_markoff_supremum_folds_no_single_position(monkeypatch):
-    seq = PeriodicCF(tuple(sigma_subst("aabab")))
-    expected = markoff_supremum_by_positions(seq, 32)
-
-    def forbidden(*args):
-        raise AssertionError("single-position tail computed")
-
-    monkeypatch.setattr(spectrum, "cf_tail", forbidden)
-    monkeypatch.setattr(spectrum, "lambda_i", forbidden)
-    assert markoff_supremum(seq, 32) == expected
 
 
 def test_markoff_supremum_requires_depth_two():

@@ -9,7 +9,6 @@ from qmarkoff.words import (
     cyclic_factors,
     factors,
     has_markoff_property_periodic,
-    is_balanced_family,
     is_balanced_periodic,
     lex_cmp,
     parse_word,
@@ -19,7 +18,7 @@ from qmarkoff.words import (
     reversal,
 )
 
-from oracles import balanced_periodic_scan
+from oracles import balanced_periodic_scan, is_balanced_family
 
 words_st = st.text(alphabet="ab", max_size=12)
 nonempty_words_st = st.text(alphabet="ab", min_size=1, max_size=10)
