@@ -17,17 +17,10 @@ from .morphism import (
     ChristoffelNode,
     MarkoffTriple,
     christoffel_node,
-    flip_matrix,
-    delta_last_letter,
-    delta_wrap,
-    det_mu_q,
-    flip_delta,
-    flip_prefix_delta,
     is_christoffel,
     markoff_triple,
     mu,
     mu_q,
-    positivity_report,
     q_markoff,
     tree_paths,
 )

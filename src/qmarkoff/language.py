@@ -3,16 +3,13 @@
 A balanced sequence is described by one of four spec variants (periodic,
 characteristic, skew, mechanical), each a NamedTuple that checks and
 normalises its fields when built.  Each variant pins down a concrete
-biinfinite sequence, exposed through ``letter_at`` and, for a run of
-positions, ``sequence_window``; canonical placements put the
-mirror-symmetric center, when the variant has one, at the origin (between
-positions -1 and 0).  Skew and mechanical windows are built in one pass:
-slices of the x·m·y, y·m·y and y·m·x blocks, or integer floor or ceiling
-differences over the whole range; their ``letter_at`` is a one-letter
-window.  Factor languages, the per-length flip structure and the
-cross-length radix chain of q-Markoff polynomials all work on exactly
-generated finite windows.  The class of a sequence (M1 periodic, M2
-mechanical, M3 characteristic, M4 skew) is its declared variant.
+biinfinite sequence, read through ``sequence_window`` in one pass per
+variant; canonical placements put the mirror-symmetric center, when the
+variant has one, at the origin (between positions -1 and 0).  A periodic
+or mechanical spec has the language of its slope p/q, that of the
+repetition of christoffel_word(p, q), so ``enumerate_factors`` reads it
+from p/q alone.  The class of a sequence (M1 periodic, M2 mechanical, M3
+characteristic, M4 skew) is its declared variant.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from typing import NamedTuple, Sequence, Union
 
 from .morphism import first_unordered, is_christoffel, q_markoff, q_markoff_chain, q_markoff_values
 from .qpoly import IntPolynomial, Scalar
-from .words import cyclic_factors, factors, is_balanced_periodic, parse_word, reversal
+from .words import christoffel_word, factors, is_balanced_periodic, parse_word, reversal
 
 
 class _MechanicalFields(NamedTuple):
@@ -180,40 +177,40 @@ BalancedSpec = Union[Periodic, Characteristic, Skew, Mechanical]
 
 def letter_at(spec: BalancedSpec, pos: int) -> str:
     """Letter of the spec's canonical biinfinite sequence at position `pos`."""
-    if isinstance(spec, Periodic):
-        return spec.word[pos % len(spec.word)]
-    if isinstance(spec, Characteristic):
-        if pos == -1:
-            return "a"
-        if pos == 0:
-            return "b"
-        idx = pos - 1 if pos > 0 else -pos - 2
-        # cached by the next power of two: O(idx) letters, one lookup per call
-        p = _standard_prefix(spec.directive, 1 << idx.bit_length())
-        if idx >= len(p):
-            raise ValueError(f"directive too short for position {pos}")
-        return p[idx]
-    if isinstance(spec, (Skew, Mechanical)):
-        return sequence_window(spec, pos, pos + 1)
-    raise TypeError(f"not a balanced spec: {spec!r}")
+    return sequence_window(spec, pos, pos + 1)
 
 
 def sequence_window(spec: BalancedSpec, lo: int, hi: int) -> str:
-    """Letters at positions lo..hi-1 of the spec's canonical sequence.
-
-    Skew and mechanical windows are built in one pass; the other variants go letter by letter.
-    """
+    """Letters at positions lo..hi-1 of the spec's canonical sequence, built in one pass."""
+    if isinstance(spec, Periodic):
+        return _cyclic_slice(spec.word, lo, hi)
+    if isinstance(spec, Characteristic):
+        return _characteristic_window(spec, lo, hi)
     if isinstance(spec, Mechanical):
         return _mechanical_window(spec, lo, hi)
     if isinstance(spec, Skew):
         return _skew_window(spec, lo, hi)
-    return "".join(letter_at(spec, i) for i in range(lo, hi))
+    raise TypeError(f"not a balanced spec: {spec!r}")
 
 
 def _cyclic_slice(block: str, lo: int, hi: int) -> str:
     """block[i % len(block)] for i = lo..hi-1."""
     start = lo % len(block)
     return (block * ((start + hi - lo) // len(block) + 1))[start : start + hi - lo]
+
+
+def _characteristic_window(spec: Characteristic, lo: int, hi: int) -> str:
+    """Letters lo..hi-1 of p̃·ab·p, the b at position 0 and p the standard word (see Characteristic)."""
+    if hi <= lo:
+        return ""
+    last = max(-lo - 2, hi - 2)  # the largest index of p read
+    # cached by the next power of two: O(last) letters, one lookup per window
+    p = _standard_prefix(spec.directive, 1 << last.bit_length()) if last >= 0 else ""
+    if last >= len(p):  # name the first position out of reach
+        pos = lo if -lo - 2 >= len(p) else max(lo, len(p) + 1)
+        raise ValueError(f"directive too short for position {pos}")
+    left = p[max(-hi - 1, 0) : max(-lo - 1, 0)][::-1]  # positions < -1
+    return left + "ab"[max(lo + 1, 0) : max(min(hi + 1, 2), 0)] + p[max(lo, 1) - 1 : max(hi - 1, 0)]
 
 
 def _skew_window(spec: Skew, lo: int, hi: int) -> str:
@@ -226,12 +223,6 @@ def _skew_window(spec: Skew, lo: int, hi: int) -> str:
     center = (y + m + y)[max(lo + size, 0) : max(min(hi, 0) + size, 0)]  # positions -size..-1
     right = _cyclic_slice(x + m + y, max(lo, 0), hi)
     return left + center + right
-
-
-def _period_hint(spec: Skew | Mechanical) -> int:
-    if isinstance(spec, Skew):
-        return len(spec.m) + 2
-    return spec.alpha.denominator
 
 
 def compact_representations(prefix: str) -> tuple[str, str]:
@@ -263,25 +254,32 @@ class FactorLanguage(_FactorLanguageFields):
 def enumerate_factors(spec: BalancedSpec, n: int) -> FactorLanguage:
     """All length-n factors of the spec's sequence, lex-sorted.
 
-    Characteristic specs go through the two compact representations (whose
-    factor sets are checked to agree); periodic specs through one cyclic
-    period; skew and mechanical specs through a centered window of radius
-    2n + period.
+    A periodic or mechanical spec of slope p/q (the b-density of the period,
+    or alpha) has the factors of the repetition of christoffel_word(p, q):
+    read off q + n - 1 letters of it when q <= n, and otherwise, like a
+    characteristic spec, off the two compact representations of the
+    length-(n-1) central word, whose factor sets are checked to agree.  A
+    skew spec is read off a centered window of radius 2n + |m| + 2.
     """
     if n < 0:
         raise ValueError("factor length must be >= 0")
     if n == 0:
         return FactorLanguage(0, ("",))
+    if isinstance(spec, Skew):
+        radius = 2 * n + len(spec.m) + 2
+        return FactorLanguage(n, tuple(factors(sequence_window(spec, -radius, radius), n)))
     if isinstance(spec, Characteristic):
-        first, second = compact_representations(characteristic_word(spec.directive, n - 1))
-        fs = factors(first, n)
-        if fs != factors(second, n):
-            raise AssertionError(f"compact representations disagree at n={n}")
-    elif isinstance(spec, Periodic):
-        fs = cyclic_factors(spec.word, n)
+        central = characteristic_word(spec.directive, n - 1)
     else:
-        radius = 2 * n + _period_hint(spec)
-        fs = factors(sequence_window(spec, -radius, radius), n)
+        slope = spec.alpha if isinstance(spec, Mechanical) else Fraction(spec.word.count("b"), len(spec.word))
+        p, q = slope.numerator, slope.denominator
+        if q <= n:
+            return FactorLanguage(n, tuple(factors(_cyclic_slice(christoffel_word(p, q), 0, q + n - 1), n)))
+        central = "".join("ab"[(i + 2) * p // q - (i + 1) * p // q] for i in range(n - 1))
+    first, second = compact_representations(central)
+    fs = factors(first, n)
+    if fs != factors(second, n):
+        raise AssertionError(f"compact representations disagree at n={n}")
     return FactorLanguage(n, tuple(fs))
 
 

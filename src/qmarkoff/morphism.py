@@ -31,7 +31,7 @@ from itertools import pairwise
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .qpoly import IntPolynomial, QMatrix, Scalar, poly
-from .words import christoffel_word, reversal
+from .words import christoffel_word
 
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
 
@@ -40,11 +40,6 @@ MU_B: IntMatrix = ((5, 2), (2, 1))
 
 MU_Q_A = QMatrix(poly(0, 1, 1), poly(1), poly(0, 1), poly(1))
 MU_Q_B = QMatrix(poly(0, 1, 2, 1, 1), poly(1, 1), poly(0, 1, 1), poly(1))
-
-# D = mu_q(ba) - mu_q(ab) = [[0, q + q^4], [-q^2 - q^5, 0]]; conjugation by a
-# generator image multiplies it by the generator's determinant q^2 or q^4.
-_FLIP_MATRIX = QMatrix(poly(), poly(0, 1, 0, 0, 1), poly(0, 0, -1, 0, 0, -1), poly())
-
 
 def _slot_bits(bound: int) -> int:
     """Slot width B for packing coefficients in [0, bound]: two spare bits, whole bytes."""
@@ -214,94 +209,6 @@ def q_markoff(w: str) -> IntPolynomial:
 def det_exponent(w: str) -> int:
     """Exponent n such that det(mu_q(w)) = q^n, namely 2|w|_a + 4|w|_b."""
     return 2 * w.count("a") + 4 * w.count("b")
-
-
-def det_mu_q(w: str) -> IntPolynomial:
-    """det(mu_q(w)) in closed form: the monomial q^(2|w|_a + 4|w|_b)."""
-    return IntPolynomial.monomial(det_exponent(w))
-
-
-def flip_matrix() -> QMatrix:
-    """The constant flip matrix mu_q(ba) - mu_q(ab)."""
-    return _FLIP_MATRIX
-
-
-def flip_delta(u: str) -> QMatrix:
-    """mu_q(reversal(u)·ba·u) - mu_q(reversal(u)·ab·u), checked against q^n * D.
-
-    The difference always equals det(mu_q(u)) * D with det(mu_q(u)) = q^n,
-    n = 2|u|_a + 4|u|_b; a mismatch would indicate broken arithmetic and
-    raises ArithmeticError.
-    """
-    ru = reversal(u)
-    delta = mu_q(ru + "ba" + u) - mu_q(ru + "ab" + u)
-    expected = _FLIP_MATRIX.scale(det_mu_q(u))
-    if delta != expected:
-        raise ArithmeticError(f"flip identity violated for u={u!r}")
-    return delta
-
-
-class PositivityReport(NamedTuple):
-    """Entries of mu_q(w) with the two positive combinations that drive monotonicity.
-
-    combo1 = q*e11 - q^2*e12 + e21 and
-    combo2 = (q+q^2)*e11 - (q^2+q^3+q^4)*e12 + e21 - q*e22;
-    combo2 equals the rewrap gap q_markoff(awa) - q_markoff(bw).
-    All six fields are nonzero with nonnegative coefficients, except that
-    e12 = e21 = 0 when w is empty.
-    """
-
-    e11: IntPolynomial
-    e12: IntPolynomial
-    e21: IntPolynomial
-    e22: IntPolynomial
-    combo1: IntPolynomial
-    combo2: IntPolynomial
-
-
-def positivity_report(w: str) -> PositivityReport:
-    """Compute the positivity certificate fields for mu_q(w)."""
-    m = mu_q(w)
-    q1 = poly(0, 1)
-    combo1 = q1 * m.e11 - poly(0, 0, 1) * m.e12 + m.e21
-    combo2 = poly(0, 1, 1) * m.e11 - poly(0, 0, 1, 1, 1) * m.e12 + m.e21 - q1 * m.e22
-    return PositivityReport(m.e11, m.e12, m.e21, m.e22, combo1, combo2)
-
-
-def delta_last_letter(w: str) -> IntPolynomial:
-    """q_markoff(w·b) - q_markoff(w·a); equals q * mu_q(w).e11, so nonzero nonnegative."""
-    return q_markoff(w + "b") - q_markoff(w + "a")
-
-
-class WrapDeltas(NamedTuple):
-    """The two gaps along a length-increasing step bw -> awa -> awb."""
-
-    awa_minus_bw: IntPolynomial
-    awb_minus_awa: IntPolynomial
-
-
-def delta_wrap(w: str) -> WrapDeltas:
-    """Gaps q_markoff(awa) - q_markoff(bw) and q_markoff(awb) - q_markoff(awa).
-
-    The first equals combo2 of positivity_report(w); both are nonzero with
-    nonnegative coefficients.
-    """
-    return WrapDeltas(
-        q_markoff("a" + w + "a") - q_markoff("b" + w),
-        q_markoff("a" + w + "b") - q_markoff("a" + w + "a"),
-    )
-
-
-def flip_prefix_delta(u: str, v: str) -> IntPolynomial:
-    """q_markoff(ũ·ba·v) - q_markoff(ũ·ab·v) for u a prefix of v or vice versa.
-
-    Nonzero with nonnegative coefficients; raises ValueError when neither
-    word is a prefix of the other.
-    """
-    if not (v.startswith(u) or u.startswith(v)):
-        raise ValueError("prefix precondition violated")
-    ru = reversal(u)
-    return q_markoff(ru + "ba" + v) - q_markoff(ru + "ab" + v)
 
 
 class _MarkoffTripleFields(NamedTuple):

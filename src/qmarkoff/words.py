@@ -73,13 +73,6 @@ def factors(w: str, n: int) -> list[str]:
     return sorted({w[i : i + n] for i in range(len(w) - n + 1)})
 
 
-def cyclic_factors(w: str, n: int) -> list[str]:
-    """Length-n factors of the periodic repetition of w: those of its (|w|+n-1)-letter prefix."""
-    if not w:
-        raise ValueError("empty period")
-    return factors((w * (n // len(w) + 2))[: len(w) + n - 1], n)
-
-
 def christoffel_word(k: int, n: int) -> str:
     """The word whose letter i < n is b iff ⌊(i+1)k/n⌋ - ⌊ik/n⌋ = 1, for 0 <= k <= n.
 

@@ -2,17 +2,20 @@
 
 The single-position definitions (cf_tail, lambda_i, occ_diff) live here as
 stated; the library computes the same values in folded or windowed passes.
+The lemma helpers (flip_delta, positivity_report, delta_wrap, ...) state
+the identities behind monotonicity in IntPolynomial and QMatrix arithmetic.
 """
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
-from qmarkoff.language import MonotonicityError
-from qmarkoff.morphism import MU_Q_A, MU_Q_B
+from qmarkoff.language import MonotonicityError, Periodic, Skew, _standard_prefix, sequence_window
+from qmarkoff.morphism import MU_Q_A, MU_Q_B, det_exponent, mu_q, q_markoff
 from qmarkoff.pairs import AsymptoticPair, PairReport, Pattern, pair_report
-from qmarkoff.qpoly import QMatrix
+from qmarkoff.qpoly import IntPolynomial, QMatrix, poly
 from qmarkoff.spectrum import PeriodicCF, SpectrumValue, _convergents, christoffel_supremum, closed_form_supremum
-from qmarkoff.words import cyclic_factors
+from qmarkoff.words import factors, reversal
 
 
 def christoffel_words_upto(max_len):
@@ -245,3 +248,138 @@ def skew_letter_by_blocks(spec, pos):
     if pos >= -block_len:
         return (y + spec.m + y)[pos + block_len]
     return (y + spec.m + x)[(pos + block_len) % block_len]
+
+
+def periodic_letter_by_index(spec, pos):
+    """One periodic letter by indexing the period."""
+    return spec.word[pos % len(spec.word)]
+
+
+def characteristic_letter_by_prefix(spec, pos):
+    """One characteristic letter: a at -1, b at 0, the standard word p rightwards and p̃ leftwards."""
+    if pos == -1:
+        return "a"
+    if pos == 0:
+        return "b"
+    idx = pos - 1 if pos > 0 else -pos - 2
+    # cached by the next power of two: O(idx) letters, one lookup per call
+    p = _standard_prefix(spec.directive, 1 << idx.bit_length())
+    if idx >= len(p):
+        raise ValueError(f"directive too short for position {pos}")
+    return p[idx]
+
+
+def cyclic_factors(w: str, n: int) -> list[str]:
+    """Length-n factors of the periodic repetition of w: those of its (|w|+n-1)-letter prefix."""
+    if not w:
+        raise ValueError("empty period")
+    return factors((w * (n // len(w) + 2))[: len(w) + n - 1], n)
+
+
+def window_factors(spec, n):
+    """Length-n factors of a periodic, skew or mechanical spec, off a window of radius 2n + period.
+
+    The window is centered at the origin; the period is |word|, |m| + 2 or
+    the slope's denominator.
+    """
+    if isinstance(spec, Periodic):
+        period = len(spec.word)
+    elif isinstance(spec, Skew):
+        period = len(spec.m) + 2
+    else:
+        period = spec.alpha.denominator
+    radius = 2 * n + period
+    return tuple(factors(sequence_window(spec, -radius, radius), n))
+
+
+# D = mu_q(ba) - mu_q(ab) = [[0, q + q^4], [-q^2 - q^5, 0]]; conjugation by a
+# generator image multiplies it by the generator's determinant q^2 or q^4.
+_FLIP_MATRIX = QMatrix(poly(), poly(0, 1, 0, 0, 1), poly(0, 0, -1, 0, 0, -1), poly())
+
+
+def det_mu_q(w: str) -> IntPolynomial:
+    """det(mu_q(w)) in closed form: the monomial q^(2|w|_a + 4|w|_b)."""
+    return IntPolynomial.monomial(det_exponent(w))
+
+
+def flip_matrix() -> QMatrix:
+    """The constant flip matrix mu_q(ba) - mu_q(ab)."""
+    return _FLIP_MATRIX
+
+
+def flip_delta(u: str) -> QMatrix:
+    """mu_q(reversal(u)·ba·u) - mu_q(reversal(u)·ab·u), checked against q^n * D.
+
+    The difference always equals det(mu_q(u)) * D with det(mu_q(u)) = q^n,
+    n = 2|u|_a + 4|u|_b; a mismatch would indicate broken arithmetic and
+    raises ArithmeticError.
+    """
+    ru = reversal(u)
+    delta = mu_q(ru + "ba" + u) - mu_q(ru + "ab" + u)
+    expected = _FLIP_MATRIX.scale(det_mu_q(u))
+    if delta != expected:
+        raise ArithmeticError(f"flip identity violated for u={u!r}")
+    return delta
+
+
+class PositivityReport(NamedTuple):
+    """Entries of mu_q(w) with the two positive combinations that drive monotonicity.
+
+    combo1 = q*e11 - q^2*e12 + e21 and
+    combo2 = (q+q^2)*e11 - (q^2+q^3+q^4)*e12 + e21 - q*e22;
+    combo2 equals the rewrap gap q_markoff(awa) - q_markoff(bw).
+    All six fields are nonzero with nonnegative coefficients, except that
+    e12 = e21 = 0 when w is empty.
+    """
+
+    e11: IntPolynomial
+    e12: IntPolynomial
+    e21: IntPolynomial
+    e22: IntPolynomial
+    combo1: IntPolynomial
+    combo2: IntPolynomial
+
+
+def positivity_report(w: str) -> PositivityReport:
+    """Compute the positivity certificate fields for mu_q(w)."""
+    m = mu_q(w)
+    q1 = poly(0, 1)
+    combo1 = q1 * m.e11 - poly(0, 0, 1) * m.e12 + m.e21
+    combo2 = poly(0, 1, 1) * m.e11 - poly(0, 0, 1, 1, 1) * m.e12 + m.e21 - q1 * m.e22
+    return PositivityReport(m.e11, m.e12, m.e21, m.e22, combo1, combo2)
+
+
+def delta_last_letter(w: str) -> IntPolynomial:
+    """q_markoff(w·b) - q_markoff(w·a); equals q * mu_q(w).e11, so nonzero nonnegative."""
+    return q_markoff(w + "b") - q_markoff(w + "a")
+
+
+class WrapDeltas(NamedTuple):
+    """The two gaps along a length-increasing step bw -> awa -> awb."""
+
+    awa_minus_bw: IntPolynomial
+    awb_minus_awa: IntPolynomial
+
+
+def delta_wrap(w: str) -> WrapDeltas:
+    """Gaps q_markoff(awa) - q_markoff(bw) and q_markoff(awb) - q_markoff(awa).
+
+    The first equals combo2 of positivity_report(w); both are nonzero with
+    nonnegative coefficients.
+    """
+    return WrapDeltas(
+        q_markoff("a" + w + "a") - q_markoff("b" + w),
+        q_markoff("a" + w + "b") - q_markoff("a" + w + "a"),
+    )
+
+
+def flip_prefix_delta(u: str, v: str) -> IntPolynomial:
+    """q_markoff(ũ·ba·v) - q_markoff(ũ·ab·v) for u a prefix of v or vice versa.
+
+    Nonzero with nonnegative coefficients; raises ValueError when neither
+    word is a prefix of the other.
+    """
+    if not (v.startswith(u) or u.startswith(v)):
+        raise ValueError("prefix precondition violated")
+    ru = reversal(u)
+    return q_markoff(ru + "ba" + v) - q_markoff(ru + "ab" + v)

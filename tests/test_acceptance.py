@@ -25,14 +25,10 @@ from qmarkoff.language import (
 )
 from qmarkoff.morphism import (
     christoffel_node,
-    flip_matrix,
     det_exponent,
-    det_mu_q,
-    flip_delta,
     markoff_triple,
     mu,
     mu_q,
-    positivity_report,
     q_markoff,
     tree_paths,
 )
@@ -41,7 +37,16 @@ from qmarkoff.qpoly import IntPolynomial, poly
 from qmarkoff.spectrum import PeriodicCF, markoff_supremum, sigma_subst
 from qmarkoff.words import has_markoff_property_periodic, is_balanced_periodic, render_word
 
-from oracles import christoffel_words_upto, is_indistinguishable_up_to, occ_diff, supremum_residual
+from oracles import (
+    christoffel_words_upto,
+    det_mu_q,
+    flip_delta,
+    flip_matrix,
+    is_indistinguishable_up_to,
+    occ_diff,
+    positivity_report,
+    supremum_residual,
+)
 
 FIB = Characteristic((1,) * 24)
 

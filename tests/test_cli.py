@@ -132,6 +132,8 @@ def test_language_text_listing(capsys):
 LANGUAGE_SPECS = {
     "skew": "skew:m=aba,form=blocks,xy=ba",
     "mechanical": "mechanical:alpha=2/5,rho=1/3,kind=upper",
+    "periodic-power": "periodic:aabaab",
+    "mechanical-off-grid": "mechanical:alpha=3/7,rho=1/4",
 }
 
 LANGUAGE_TEXT_N1 = "n: 1\nfactors (2):\na\nb   last_letter\naa  wrap_awa\n"
@@ -195,18 +197,52 @@ LANGUAGE_SKEW_JSON_N13 = {
         {"from": "1010010100100", "to": "1010010100101", "kind": "last_letter"},
     ],
 }
-# the mechanical sequence has period 5, so at most 5 factors of length 13
-MECHANICAL_N13_ERROR = "error: complexity violation: 5 factors of length 13, expected 14\n"
+LANGUAGE_OFF_GRID_TEXT_N6 = """\
+n: 6
+factors (7):
+babab
+aababa   wrap_awa
+abaaba   flip_ab_ba
+ababaa   flip_ab_ba
+ababab   last_letter
+baabab   flip_ab_ba
+babaab   flip_ab_ba
+bababa   flip_ab_ba
+aababab  wrap_awb
+"""
+LANGUAGE_OFF_GRID_JSON_N6 = {
+    "n": 6,
+    "factors": ["001010", "010010", "010100", "010101", "100101", "101001", "101010"],
+    "changes": [
+        {"from": "001010", "to": "010010", "kind": "flip_ab_ba"},
+        {"from": "010010", "to": "010100", "kind": "flip_ab_ba"},
+        {"from": "010100", "to": "010101", "kind": "last_letter"},
+        {"from": "010101", "to": "100101", "kind": "flip_ab_ba"},
+        {"from": "100101", "to": "101001", "kind": "flip_ab_ba"},
+        {"from": "101001", "to": "101010", "kind": "flip_ab_ba"},
+    ],
+}
+# a sequence of period q has at most q factors of each length: period 5, 3 (aabaab is (aab)^2) and 7
+COMPLEXITY_ERRORS = {
+    ("mechanical", 13): "error: complexity violation: 5 factors of length 13, expected 14\n",
+    ("periodic-power", 3): "error: complexity violation: 3 factors of length 3, expected 4\n",
+    ("mechanical-off-grid", 7): "error: complexity violation: 7 factors of length 7, expected 8\n",
+}
 
 
 LANGUAGE_GOLDEN = [
-    # (spec, n, text stdout, payload of --json --alphabet 01); None where exit 2 is expected
+    # (spec, n, text stdout, payload of --json --alphabet 01); None where exit 1 is expected
     ("skew", 1, LANGUAGE_TEXT_N1, LANGUAGE_JSON_N1),
     ("skew", 2, LANGUAGE_TEXT_N2, LANGUAGE_JSON_N2),
     ("skew", 13, LANGUAGE_SKEW_TEXT_N13, LANGUAGE_SKEW_JSON_N13),
     ("mechanical", 1, LANGUAGE_TEXT_N1, LANGUAGE_JSON_N1),
     ("mechanical", 2, LANGUAGE_TEXT_N2, LANGUAGE_JSON_N2),
     ("mechanical", 13, None, None),
+    # slope 1/3 and slope 3/7 with rho = 1/4 off the 1/7 grid: n below and at the slope's denominator
+    ("periodic-power", 2, LANGUAGE_TEXT_N2, LANGUAGE_JSON_N2),
+    ("periodic-power", 3, None, None),
+    ("mechanical-off-grid", 6, LANGUAGE_OFF_GRID_TEXT_N6, LANGUAGE_OFF_GRID_JSON_N6),
+    ("mechanical-off-grid", 7, None, None),
 ]
 
 
@@ -219,7 +255,7 @@ def test_language_golden_stdout(capsys, spec, n, text, payload):
     for extra, golden in (([], text), (["--json", "--alphabet", "01"], payload)):
         code, out, err = run(capsys, *argv, *extra)
         if golden is None:
-            assert (code, out, err) == (1, "", MECHANICAL_N13_ERROR)
+            assert (code, out, err) == (1, "", COMPLEXITY_ERRORS[spec, n])
             continue
         if extra:
             golden = json.dumps(golden, indent=2) + "\n"
@@ -261,6 +297,17 @@ def test_verify_monotone_ok(capsys):
     assert "factors: 55" in out
     assert "differences: 54" in out
     assert "OK" in out
+
+
+def test_verify_monotone_unbounded_slope_denominator(capsys):
+    # the factors come from the slope 1/10^9 itself, not from a window of about 4*10^9 letters
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "verify-monotone", "--spec", "mechanical:alpha=1/1000000000,rho=1/3,kind=upper", "--max-n", "64"
+    )
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (0, "")
+    assert "factors: 2145" in out and "OK" in out
 
 
 def test_verify_monotone_deterministic(capsys):
@@ -616,6 +663,7 @@ SPECS = st.sampled_from([
     "skew:m=ab", "skew:form", "skew:form=spiral", "skew:m=aba,fomr=blocks",
     "mechanical:alpha=2/7,rho=-1/3,kind=upper", "mechanical:alpha=1/3,rh0=1/2",
     "mechanical:alpha=1/0", "mechanical:alpha=3/2", "mechanical", "mechanical:alpha=0", "bogus", "",
+    "mechanical:alpha=1/1000000000,rho=1/3", "mechanical:alpha=0.0000000001",
 ])
 WORDS = st.text(alphabet="ab01c ", max_size=12)
 GAMMAS = st.sampled_from(["1/2,2", "0", "-1", "1/0", "abc", "1e400", "", "3,3", "0.5", "nan", ",,", "1/257",

@@ -252,6 +252,19 @@ def _christoffel_middle(n):
     return st.sampled_from(coprime).map(lambda k: christoffel_word(k, n)[1:-1])
 
 
+def _christoffel_powers(n):
+    """Conjugates of the first, second and third powers of the Christoffel words of length n."""
+    coprime = [k for k in range(n + 1) if math.gcd(k, n) == 1]
+    return st.tuples(st.sampled_from(coprime), st.integers(1, 3), st.integers(0, 3 * n - 1)).map(
+        lambda kes: _rotate(christoffel_word(kes[0], n) * kes[1], kes[2])
+    )
+
+
+def _rotate(w, shift):
+    shift %= len(w)
+    return w[shift:] + w[:shift]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(2, 40).flatmap(_christoffel_middle),
@@ -265,6 +278,20 @@ def test_skew_window_matches_per_letter_oracle(m, form, xy, lo, hi):
 
     spec = Skew(m, form, xy)
     assert sequence_window(spec, lo, hi) == "".join(skew_letter_by_blocks(spec, i) for i in range(lo, hi))
+
+
+def _or_message(read, spec, lo, hi):
+    """The window `read` gives, or the message of its ValueError."""
+    try:
+        return read(spec, lo, hi)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _characteristic_window_by_letters(spec, lo, hi):
+    from oracles import characteristic_letter_by_prefix
+
+    return "".join(characteristic_letter_by_prefix(spec, i) for i in range(lo, hi))
 
 
 def test_windows_cross_every_block_boundary():
@@ -282,6 +309,55 @@ def test_windows_cross_every_block_boundary():
             for hi in range(lo - 1, 9):
                 expected = "".join(mechanical_letter_by_floors(spec, i) for i in range(lo, hi))
                 assert sequence_window(spec, lo, hi) == expected, (spec, lo, hi)
+    for spec in (Characteristic(directive) for directive in ((1, 1), (2, 1, 3), (1,) * 8)):
+        for lo in range(-12, 4):
+            for hi in range(lo - 1, 14):
+                expected = _or_message(_characteristic_window_by_letters, spec, lo, hi)
+                assert _or_message(sequence_window, spec, lo, hi) == expected, (spec, lo, hi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40).flatmap(_christoffel_powers), WINDOW_BOUNDS, WINDOW_BOUNDS)
+def test_periodic_window_matches_per_letter_oracle(word, lo, hi):
+    from oracles import periodic_letter_by_index
+
+    spec = Periodic(word)
+    assert sequence_window(spec, lo, hi) == "".join(periodic_letter_by_index(spec, i) for i in range(lo, hi))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=12), WINDOW_BOUNDS, WINDOW_BOUNDS)
+def test_characteristic_window_matches_per_letter_oracle(directive, lo, hi):
+    # a short directive runs out of letters; then both name the same position
+    spec = Characteristic(directive)
+    expected = _or_message(_characteristic_window_by_letters, spec, lo, hi)
+    assert _or_message(sequence_window, spec, lo, hi) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 60).flatmap(lambda q: st.tuples(st.integers(0, q), st.just(q))),
+    st.integers(-60, 120),
+    st.integers(2, 9).flatmap(lambda d: st.tuples(st.integers(0, d - 1), st.just(d))),
+    st.sampled_from(("lower", "upper")),
+    st.integers(0, 40),
+)
+def test_mechanical_factors_match_window_oracle(slope, k, offset, kind, n):
+    # rho = k/q + j/(dq): on the 1/q grid when j = 0, strictly between two of its points otherwise
+    from oracles import window_factors
+
+    (p, q), (j, d) = slope, offset
+    spec = Mechanical(Fraction(p, q), Fraction(k * d + j, q * d), kind)
+    assert enumerate_factors(spec, n).factors == window_factors(spec, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40).flatmap(_christoffel_powers), st.integers(0, 40))
+def test_periodic_factors_match_cyclic_and_window_oracles(word, n):
+    from oracles import cyclic_factors, window_factors
+
+    fs = enumerate_factors(Periodic(word), n).factors
+    assert fs == tuple(cyclic_factors(word, n)) == window_factors(Periodic(word), n)
 
 
 def test_skew_and_mechanical_factors_read_no_single_letter(monkeypatch):

@@ -14,19 +14,12 @@ from qmarkoff.morphism import (
     _slot_bits,
     _unpack,
     christoffel_node,
-    flip_matrix,
-    delta_last_letter,
-    delta_wrap,
     det_exponent,
-    det_mu_q,
-    flip_delta,
     first_unordered,
-    flip_prefix_delta,
     is_christoffel,
     markoff_triple,
     mu,
     mu_q,
-    positivity_report,
     q_markoff,
     q_markoff_chain,
     tree_paths,
@@ -34,7 +27,17 @@ from qmarkoff.morphism import (
 from qmarkoff.qpoly import IntPolynomial, QMatrix, poly
 from qmarkoff.words import reversal
 
-from oracles import christoffel_words_upto, mu_q_schoolbook
+from oracles import (
+    christoffel_words_upto,
+    delta_last_letter,
+    delta_wrap,
+    det_mu_q,
+    flip_delta,
+    flip_matrix,
+    flip_prefix_delta,
+    mu_q_schoolbook,
+    positivity_report,
+)
 
 words_st = st.text(alphabet="ab", max_size=8)
 

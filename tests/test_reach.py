@@ -1,9 +1,10 @@
-"""Which library definitions no other library code names.
+"""Which library definitions no other library code names, and which imports no code uses.
 
 A top-level function or class of src/qmarkoff that no other top-level
 statement of the package names (ignoring the re-exports of __init__.py) is
 reached only from tests.  Such a definition either moves to
 tests/oracles.py as a reference, or goes, unless it is allowlisted here.
+A name a module imports and never uses is what such a move leaves behind.
 """
 
 import ast
@@ -12,13 +13,13 @@ from pathlib import Path
 import qmarkoff
 
 ALLOWED = {
-    # the lemma helpers, until a CLI command runs the lemma suite
-    "flip_matrix", "flip_delta", "flip_prefix_delta", "delta_last_letter", "delta_wrap", "positivity_report",
     # the Markoff-property predicate, until a CLI command runs balance <=> Markoff property
     "has_markoff_property_periodic",
     # the word orders that radix_key and plain string comparison realise
     "lex_cmp", "radix_cmp",
 }
+
+PACKAGE = Path(qmarkoff.__file__).parent
 
 
 def _unnamed_definitions(package: Path) -> set[str]:
@@ -38,4 +39,22 @@ def _unnamed_definitions(package: Path) -> set[str]:
 
 
 def test_definitions_no_library_code_names_are_exactly_the_allowlist():
-    assert _unnamed_definitions(Path(qmarkoff.__file__).parent) == ALLOWED
+    assert _unnamed_definitions(PACKAGE) == ALLOWED
+
+
+def _unused_imports(path: Path) -> set[str]:
+    """Names bound by an import in `path` that the rest of the module never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_library_import_is_used():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    assert {p.name: _unused_imports(p) for p in modules} == {p.name: set() for p in modules}

@@ -25,18 +25,11 @@ from qmarkoff.language import (
     enumerate_factors,
     radix_chain_check,
 )
-from qmarkoff.morphism import (
-    ChristoffelNode,
-    MarkoffTriple,
-    PositivityReport,
-    WrapDeltas,
-    christoffel_node,
-    delta_wrap,
-    markoff_triple,
-    positivity_report,
-)
+from qmarkoff.morphism import ChristoffelNode, MarkoffTriple, christoffel_node, markoff_triple
 from qmarkoff.pairs import AsymptoticPair, PairReport, Pattern
 from qmarkoff.spectrum import PeriodicCF, SpectrumValue
+
+from oracles import PositivityReport, WrapDeltas, delta_wrap, positivity_report
 
 # (type, build, a record of the same type with other values, repr of build())
 RECORDS = [

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from qmarkoff.words import (
     christoffel_word,
-    cyclic_factors,
     factors,
     has_markoff_property_periodic,
     is_balanced_periodic,
@@ -18,7 +17,7 @@ from qmarkoff.words import (
     reversal,
 )
 
-from oracles import balanced_periodic_scan, is_balanced_family
+from oracles import balanced_periodic_scan, cyclic_factors, is_balanced_family
 
 words_st = st.text(alphabet="ab", max_size=12)
 nonempty_words_st = st.text(alphabet="ab", min_size=1, max_size=10)
