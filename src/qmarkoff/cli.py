@@ -1,16 +1,18 @@
 """Command-line front end: trees, factor tables, verification reports, CSV export.
 
-Exit codes: 0 on success, 1 on verification failure (including a spec whose
-factor count at the requested n is not n+1), 2 on usage errors (unknown spec
-string or spec key, malformed word, bad numeric flags, a size flag over its
-limit in LIMITS, or curves gammas over MAX_CURVES_GAMMAS or MAX_GAMMA_TERM,
-refused before any work).
+Exit codes: 0 on success, 1 on verification failure (including a spec whose factor count at
+the requested n is not n+1), 2 on usage errors (unknown spec string or spec key, malformed
+word, bad numeric flags, a size flag over its limit in LIMITS, or curves gammas over
+MAX_CURVES_GAMMAS or MAX_GAMMA_TERM, refused before any work), 3 on output or internal
+errors (a closed or full stdout, a failed tree worker process), each with one error: line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import marshal
+import os
 import sys
 from fractions import Fraction
 from itertools import groupby, pairwise
@@ -44,7 +46,7 @@ from .words import parse_word, render_word
 
 FIBONACCI_DIRECTIVE = (1,) * 24
 MAX_QMARKOFF_LETTERS = 1024  # mu_q takes time cubic in the word length
-MAX_TREE_DEPTH = 10  # tree_paths builds all 2^(depth+1) - 1 paths up front
+MAX_TREE_DEPTH = 10  # all 2^(depth+1) - 1 paths up front; tree --json at 10: 2.9 s in two processes, 16 + 13 MiB
 MAX_SPECTRUM_DEPTH = 1024  # bracket widths fall like phi^(-2 depth): floats settle near depth 40
 # Wall time and peak RSS of the costliest spec at each limit, then one step above it
 # (2-vCPU Xeon, Python 3.11):
@@ -122,22 +124,45 @@ def _spec_name(spec: BalancedSpec) -> str:
     return type(spec).__name__.lower()
 
 
-def _cmd_tree(args) -> int:
-    paths = tree_paths(args.depth)
-    if args.json:  # json.dumps(nodes, indent=2), written one node at a time
+def _print_nodes(paths, render, head: str = "", sep: str = "\n", tail: str = "\n") -> None:
+    """Write head, str(render(p)) for each path joined by sep, then tail, as one process would.
+    Where os.fork exists, a child renders the odd positions and streams them back with marshal."""
+    odd = (str(render(p)) for p in paths[1::2])
+    take, pid = odd.__next__, 0
+    if hasattr(os, "fork"):
+        r, w = os.pipe()
+        if (pid := os.fork()) == 0:  # the child never prints and never returns: no atexit handler runs
+            try:
+                os.close(r)
+                for text in odd:
+                    os.write(w, marshal.dumps(text))  # a blocking write: whole, unless a signal ends the child
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(w)
+        pipe = open(r, "rb")
+        take = lambda: marshal.load(pipe)
+    try:
         for i, p in enumerate(paths):
-            word, t = christoffel_node(p).word, markoff_triple(p)
-            node = {"path": "".join(p), "word": word, "triple": [t.x, t.y, t.z], "q_markoff": str(q_markoff(word))}
-            print(",\n  " if i else "[\n  ", json.dumps(node, indent=2).replace("\n", "\n  "), sep="", end="")
-        print("\n]")
-        return 0
-    for p in paths:
-        if args.triples:
-            print(markoff_triple(p))
-        elif args.qpoly:
-            print(q_markoff(christoffel_node(p).word))
-        else:
-            print(christoffel_node(p))
+            sys.stdout.write((sep if i else head) + (take() if i % 2 else str(render(p))))
+        sys.stdout.write(tail)
+    except EOFError:  # the pipe ended early: the child failed, as it exits 0 only after its last node
+        raise ChildProcessError("tree worker failed; output ends after the last whole node") from None
+    finally:
+        if pid:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def _cmd_tree(args) -> int:
+    def json_node(p):  # json.dumps(nodes, indent=2), node by node
+        word, t = christoffel_node(p).word, markoff_triple(p)
+        node = {"path": "".join(p), "word": word, "triple": [t.x, t.y, t.z], "q_markoff": str(q_markoff(word))}
+        return json.dumps(node, indent=2).replace("\n", "\n  ")
+
+    render = (json_node if args.json else markoff_triple if args.triples
+              else (lambda p: q_markoff(christoffel_node(p).word)) if args.qpoly else christoffel_node)
+    _print_nodes(tree_paths(args.depth), render, *(("[\n  ", ",\n  ", "\n]\n") if args.json else ()))
     return 0
 
 
@@ -358,10 +383,19 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {args.command} takes {flag} at most {limit}, got {value}", file=sys.stderr)
             return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed or full stdout fails here at the latest
+        return code
     except (SpecSyntaxError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ComplexityViolation) else 2
+    except OSError as exc:  # a closed or full stdout, or a failed tree worker
+        print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()  # a failed worker leaves whole nodes
+        except OSError:  # the recipe of the signal docs: the flush at exit must not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
 
 
 if __name__ == "__main__":

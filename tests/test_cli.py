@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -114,6 +117,112 @@ def test_tree_json_is_one_json_dumps(capsys):
         nodes = json.loads(out)
         assert (code, len(nodes)) == (0, 2 ** (depth + 1) - 1)
         assert out == json.dumps(nodes, indent=2) + "\n"
+
+
+TREE_MODES = ["", "--triples", "--qpoly", "--json"]
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def assert_no_child_left():
+    if not hasattr(os, "fork"):
+        return
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process tree needs os.fork")
+def test_tree_two_processes_print_the_bytes_of_one(capsys, monkeypatch):
+    forked = {}
+    for mode in TREE_MODES:
+        for depth in range(9):
+            forked[mode, depth] = run(capsys, "tree", "--depth", str(depth), *filter(None, [mode]))
+            assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    for (mode, depth), result in forked.items():
+        assert run(capsys, "tree", "--depth", str(depth), *filter(None, [mode])) == result, (mode, depth)
+        assert result[0] == 0 and result[2] == ""
+
+
+def _fail_in_child(monkeypatch, letters):
+    """Make cli.q_markoff raise in a forked child on words of at least `letters` letters."""
+    parent, real = os.getpid(), cli.q_markoff
+
+    def q_markoff(word):
+        if os.getpid() != parent and len(word) >= letters:
+            raise RuntimeError("render failed in the child")
+        return real(word)
+
+    monkeypatch.setattr(cli, "q_markoff", q_markoff)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process tree needs os.fork")
+@pytest.mark.parametrize("mode", ["--qpoly", "--json"])
+@pytest.mark.parametrize("letters", [0, 7])
+def test_tree_worker_failure_exits_3_after_the_last_whole_node(capsys, monkeypatch, mode, letters):
+    _, whole, _ = run(capsys, "tree", "--depth", "4", mode)
+    _fail_in_child(monkeypatch, letters)
+    code, out, err = run(capsys, "tree", "--depth", "4", mode)
+    assert_no_child_left()
+    assert code == 3
+    assert err.startswith("error: tree worker failed") and err.count("\n") == 1 and "Traceback" not in err
+    assert whole.startswith(out) and len(out) < len(whole)
+    sep = ",\n  " if mode == "--json" else "\n"
+    assert whole[len(out):].startswith(sep)  # the output ends at a node boundary
+    if letters:
+        assert out.count(sep) >= 4
+
+
+class BrokenStdout(io.StringIO):
+    """A stdout that takes `room` characters and then raises BrokenPipeError."""
+
+    def __init__(self, room):
+        super().__init__()
+        self.room = room
+
+    def write(self, text):
+        if self.tell() + len(text) > self.room:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+@pytest.mark.parametrize("mode", TREE_MODES)
+def test_tree_failed_write_reaps_the_child(mode):
+    out, err = BrokenStdout(100), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["tree", "--depth", "6", *filter(None, [mode])])
+    assert_no_child_left()
+    assert (code, err.getvalue()) == (3, "error: [Errno 32] Broken pipe\n")
+
+
+def _cli(*argv, **kwargs):
+    """`python -m qmarkoff.cli ARGV` from src/, with the default block-buffered stdout."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "qmarkoff.cli", *argv], env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+def test_closed_stdout_exits_3_without_traceback():
+    proc = _cli("tree", "--json", "--depth", "8", stdout=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    try:
+        assert proc.wait(timeout=60) == 3  # one error line fits in the stderr pipe
+        err = proc.stderr.read().decode()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == "error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["tree", "--depth", "0"], ["tree", "--json", "--depth", "6"], ["counterexamples"]])
+def test_full_stdout_exits_3_without_traceback(argv):
+    with open("/dev/full", "w") as full:
+        proc = _cli(*argv, stdout=full)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 3
+    assert err.decode() == "error: [Errno 28] No space left on device\n"
 
 
 def test_language_text_listing(capsys):
