@@ -3,8 +3,8 @@
 Exit codes: 0 on success, 1 on verification failure (including a spec whose factor count at
 the requested n is not n+1), 2 on usage errors (unknown spec string or spec key, malformed
 word, bad numeric flags, a size flag over its limit in LIMITS, or curves gammas over
-MAX_CURVES_GAMMAS or MAX_GAMMA_TERM, refused before any work), 3 on output or internal
-errors (a closed or full stdout, a failed tree worker process), each with one error: line.
+MAX_CURVES_GAMMAS or MAX_GAMMA_TERM, refused before any work), 3 on output or internal errors
+(a closed or full stdout, a failed tree worker, any other exception), each with one error: line.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from .language import (
     Periodic,
     Skew,
     classify_change,
+    curve_ratios,
     enumerate_factors,
     flip_permutation,
     radix_chain_check,
-    curves_export,
 )
 from .morphism import (
     christoffel_node,
@@ -46,7 +46,7 @@ from .words import parse_word, render_word
 
 FIBONACCI_DIRECTIVE = (1,) * 24
 MAX_QMARKOFF_LETTERS = 1024  # mu_q takes time cubic in the word length
-MAX_TREE_DEPTH = 10  # all 2^(depth+1) - 1 paths up front; tree --json at 10: 2.9 s in two processes, 16 + 13 MiB
+MAX_TREE_DEPTH = 10  # all 2^(depth+1) - 1 paths up front; tree --json at 10: 2.8 s in two processes, 16 + 12 MiB
 MAX_SPECTRUM_DEPTH = 1024  # bracket widths fall like phi^(-2 depth): floats settle near depth 40
 # Wall time and peak RSS of the costliest spec at each limit, then one step above it
 # (2-vCPU Xeon, Python 3.11):
@@ -126,15 +126,17 @@ def _spec_name(spec: BalancedSpec) -> str:
 
 def _print_nodes(paths, render, head: str = "", sep: str = "\n", tail: str = "\n") -> None:
     """Write head, str(render(p)) for each path joined by sep, then tail, as one process would.
-    Where os.fork exists, a child renders the odd positions and streams them back with marshal."""
-    odd = (str(render(p)) for p in paths[1::2])
-    take, pid = odd.__next__, 0
+    Where os.fork exists, a child renders every other sibling pair, so that the halves take about
+    the same time, and streams them back with marshal."""
+    in_child = lambda i: i % 4 in (1, 2)  # positions 2k+1 and 2k+2 are siblings; the child has even k
+    theirs = (str(render(p)) for i, p in enumerate(paths) if in_child(i))
+    take, pid = theirs.__next__, 0
     if hasattr(os, "fork"):
         r, w = os.pipe()
         if (pid := os.fork()) == 0:  # the child never prints and never returns: no atexit handler runs
             try:
                 os.close(r)
-                for text in odd:
+                for text in theirs:
                     os.write(w, marshal.dumps(text))  # a blocking write: whole, unless a signal ends the child
                 os._exit(0)
             finally:
@@ -144,7 +146,7 @@ def _print_nodes(paths, render, head: str = "", sep: str = "\n", tail: str = "\n
         take = lambda: marshal.load(pipe)
     try:
         for i, p in enumerate(paths):
-            sys.stdout.write((sep if i else head) + (take() if i % 2 else str(render(p))))
+            sys.stdout.write((sep if i else head) + (take() if in_child(i) else str(render(p))))
         sys.stdout.write(tail)
     except EOFError:  # the pipe ended early: the child failed, as it exits 0 only after its last node
         raise ChildProcessError("tree worker failed; output ends after the last whole node") from None
@@ -155,10 +157,10 @@ def _print_nodes(paths, render, head: str = "", sep: str = "\n", tail: str = "\n
 
 
 def _cmd_tree(args) -> int:
-    def json_node(p):  # json.dumps(nodes, indent=2), node by node
-        word, t = christoffel_node(p).word, markoff_triple(p)
-        node = {"path": "".join(p), "word": word, "triple": [t.x, t.y, t.z], "q_markoff": str(q_markoff(word))}
-        return json.dumps(node, indent=2).replace("\n", "\n  ")
+    def json_node(p):  # json.dumps(nodes, indent=2), node by node: no field needs escaping
+        word, (x, y, z) = christoffel_node(p).word, markoff_triple(p)
+        return (f'{{\n    "path": "{"".join(p)}",\n    "word": "{word}",\n    "triple": [\n      {x},\n      {y},\n'
+                f'      {z}\n    ],\n    "q_markoff": "{str(q_markoff(word))}"\n  }}')
 
     render = (json_node if args.json else markoff_triple if args.triples
               else (lambda p: q_markoff(christoffel_node(p).word)) if args.qpoly else christoffel_node)
@@ -255,12 +257,12 @@ def _cmd_curves(args) -> int:
     if any(max(abs(g.numerator), g.denominator) > MAX_GAMMA_TERM for g in gammas):
         raise ValueError(f"curves takes gamma numerators and denominators at most {MAX_GAMMA_TERM}")
     spec = parse_spec(args.spec)
-    rows = curves_export(spec, args.max_len, gammas)
+    rows = curve_ratios(spec, args.max_len, gammas)
     # every row is formatted before any is written, so a value too large for a float prints nothing
     lines = ["word,gamma,value"]
     for word, group in groupby(rows, key=itemgetter(0)):
         text = render_word(word, "01")
-        lines.extend(f"{text},{tok},{float(value)!r}" for tok, (_, _, value) in zip(tokens, group))
+        lines.extend(f"{text},{tok},{y / s!r}" for tok, (_, _, y, s) in zip(tokens, group))
     print("\n".join(lines))
     return 0
 
@@ -389,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SpecSyntaxError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ComplexityViolation) else 2
-    except OSError as exc:  # a closed or full stdout, or a failed tree worker
+    except Exception as exc:  # a closed or full stdout, a failed tree worker, or an internal error
         print(f"error: {exc}", file=sys.stderr)
         try:
             sys.stdout.flush()  # a failed worker leaves whole nodes

@@ -18,9 +18,9 @@ import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import pairwise
-from typing import NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
-from .morphism import first_unordered, is_christoffel, q_markoff, q_markoff_chain, q_markoff_values
+from .morphism import first_unordered, is_christoffel, q_markoff, q_markoff_chain, q_markoff_ratios
 from .qpoly import IntPolynomial, Scalar
 from .words import christoffel_word, factors, is_balanced_periodic, parse_word, reversal
 
@@ -398,21 +398,26 @@ def radix_chain_check(spec: BalancedSpec, max_n: int) -> RadixChainReport:
     return RadixChainReport(tuple(chain))
 
 
-def curves_export(
+def curve_ratios(
     spec: BalancedSpec, max_len: int, gammas: Sequence[Scalar]
-) -> list[tuple[str, Scalar, Scalar]]:
-    """Rows (word, gamma, q_markoff(word) evaluated at gamma) for |word| <= max_len.
+) -> Iterator[tuple[str, Scalar, int, int]]:
+    """Rows (word, gamma, y, s) for |word| <= max_len, with q_markoff(word) = y / s at gamma.
 
-    Words run in radix order (empty word first).  Each value is exact and
-    comes from one row step per word at q = gamma (q_markoff_values), with
-    no polynomial built: an int gamma gives an int, a Fraction or float
-    gamma gives a Fraction.
-    For every fixed gamma > 0 the values are strictly increasing along the
-    radix order.  Raises ValueError on any gamma <= 0.
+    Words run in radix order (empty word first), each with every gamma in
+    turn; y and s are ints from one row step per word at q = gamma
+    (q_markoff_ratios), with no polynomial, and y / s is the correctly
+    rounded float of the value.  For every fixed gamma > 0 the values are
+    strictly increasing along the radix order.  Raises ValueError on any
+    gamma <= 0, before any word.
     """
     for g in gammas:
         if g <= 0:
             raise ValueError(f"positivity domain: gamma must be > 0, got {g}")
-    chain = _radix_words(spec, max_len)
-    columns = [q_markoff_values(chain, g) for g in gammas]
-    return [(w, g, v) for w, *values in zip(chain, *columns) for g, v in zip(gammas, values)]
+    return q_markoff_ratios(_radix_words(spec, max_len), gammas)
+
+
+def curves_export(spec: BalancedSpec, max_len: int, gammas: Sequence[Scalar]) -> list[tuple[str, Scalar, Scalar]]:
+    """The rows of curve_ratios as (word, gamma, exact value): an int gamma gives an int, a
+    Fraction or float gamma gives a Fraction."""
+    rows = curve_ratios(spec, max_len, gammas)
+    return [(w, g, y if isinstance(g, int) else Fraction(y, s)) for w, g, y, s in rows]

@@ -7,25 +7,26 @@ of a Christoffel word is a Markoff number, and its q-deformation is the
 q-analog of that Markoff number.
 
 Every entry of mu_q(w) has nonnegative coefficients, and each coefficient
-is at most the entry's value at q = 1, so at most max mu(w); entries of mu
-only grow when w is extended on either side.  So an entry of mu_q(w), or
-of mu_q of any factor of w, packs into one int, sum c_i 2^(iB), with slots
-of B = bitlen(max mu(w)) + 2 bits rounded up to whole bytes; the two spare
-bits let ``_precedes`` compare packed entries.  A row (x, y) of the matrix
+is at most the entry's value at q = 1, so at most max mu(w) <= ||mu(w)||_2
+<= phi^(2|w|_a) (3 + 2 sqrt 2)^(|w|_b), the spectral norms of MU_A and MU_B,
+whose log2 are below 1.3885 and 2.5432.  So an entry of mu_q(w), or of mu_q
+of any factor of w, packs into one int, sum c_i 2^(iB), with slots of
+B = (13885|w|_a + 25432|w|_b) // 10000 + 3 bits rounded up to whole bytes
+(``_slot_bits``, from the letter counts alone); the two spare bits let
+``_precedes`` compare packed entries.  A row (x, y) of the matrix
 times MU_Q_A or MU_Q_B is then a few shifts by B bits and adds (``_step``).
 ``mu_q`` runs that step left to right over the word on both rows, and
 ``q_markoff`` on the first row alone, the only one holding e12.
 ``_chain_rows`` steps along a radix chain of factors, one step per word
 from the kept row of w[:-1]: with ``_step`` for ``q_markoff_chain`` and
 ``first_unordered``, and with ``_eval_step``, the same step at q = n/d on
-integer rows scaled by a power of d, for the exact values of
-``q_markoff_values``.  No other module knows the packed format.
+integer rows scaled by a power of d, for the integer ratios of
+``q_markoff_ratios``.  No other module knows the packed format.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import pairwise
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -41,9 +42,10 @@ MU_B: IntMatrix = ((5, 2), (2, 1))
 MU_Q_A = QMatrix(poly(0, 1, 1), poly(1), poly(0, 1), poly(1))
 MU_Q_B = QMatrix(poly(0, 1, 2, 1, 1), poly(1, 1), poly(0, 1, 1), poly(1))
 
-def _slot_bits(bound: int) -> int:
-    """Slot width B for packing coefficients in [0, bound]: two spare bits, whole bytes."""
-    return -(-(bound.bit_length() + 2) // 8) * 8
+def _slot_bits(w: str) -> int:
+    """Slot width B for mu_q(w) and its factors: bitlen(max mu(w)) <= (13885|w|_a +
+    25432|w|_b) // 10000 + 1, plus two spare bits, rounded up to whole bytes."""
+    return ((13885 * w.count("a") + 25432 * w.count("b")) // 10000 + 10) // 8 * 8
 
 
 def _bias(bits: int, slots: int) -> int:
@@ -69,7 +71,7 @@ def _unpack(value: int, bits: int) -> IntPolynomial:
     """
     width = bits // 8
     data = value.to_bytes(-(-value.bit_length() // 8), "little")
-    return IntPolynomial(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
+    return IntPolynomial([int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)])
 
 
 def _step(x: int, y: int, letter: str, bits: int) -> tuple[int, int]:
@@ -111,23 +113,13 @@ def mu(w: str) -> IntMatrix:
     return tuple(_row(w, start, _eval_step, 1, 1) for start in ((1, 0), (0, 1)))
 
 
-def _max_entry(w: str) -> int:
-    """max mu(w) = mu(w)[0][0], by the first-row walk at q = 1.
-
-    Both generator images have first row >= second row and first column >=
-    second column entrywise, and right products by them keep both orders,
-    so e11 is the largest entry (1 for the identity).
-    """
-    return _row(w, (1, 0), _eval_step, 1, 1)[0]
-
-
 @lru_cache(maxsize=1024)
 def mu_q(w: str) -> QMatrix:
     """Image of w under the q-deformed morphism; mu_q("") is the identity.
 
     Evaluating every entry at q = 1 recovers mu(w).
     """
-    bits = _slot_bits(_max_entry(w))
+    bits = _slot_bits(w)
     (e11, e12), (e21, e22) = (_row(w, start, _step, bits) for start in ((1, 0), (0, 1)))
     return QMatrix(*(_unpack(e, bits) for e in (e11, e12, e21, e22)))
 
@@ -147,14 +139,16 @@ def _chain_rows(chain: Sequence[str], step, *args) -> Iterator[tuple[int, int]]:
         yield rows[w]
 
 
-def _chain_walk(chain: Sequence[str]) -> tuple[int, Iterator[int]]:
-    """Slot width B for `chain`, and q_markoff(w) packed in B-bit slots for each w of it.
+def _chain_walk(chain: Sequence[str]) -> tuple[str, int, Iterator[int]]:
+    """The longest word of `chain` with the most letters b, the slot width B it fixes, and
+    q_markoff(w) packed in B-bit slots for each w of `chain`.
 
-    The longest words fix B, since every word is a factor of one of them.
+    Every word is a factor of a longest one, and _slot_bits and det_exponent grow with
+    the letter counts, at one length with the count of b: that word bounds them all.
     """
-    longest = (w for w in chain if len(w) == len(chain[-1]))
-    bits = _slot_bits(max(map(_max_entry, longest), default=0))
-    return bits, (y for _, y in _chain_rows(chain, _step, bits))
+    top = max((w for w in chain if len(w) == len(chain[-1])), key=lambda w: w.count("b"))
+    bits = _slot_bits(top)
+    return top, bits, (y for _, y in _chain_rows(chain, _step, bits))
 
 
 def q_markoff_chain(chain: Sequence[str]) -> Iterator[IntPolynomial]:
@@ -164,23 +158,24 @@ def q_markoff_chain(chain: Sequence[str]) -> Iterator[IntPolynomial]:
     nondecreasing length, each nonempty w follows w[:-1] among the words one
     letter shorter, and every word is a factor of one of the longest.
     """
-    bits, packed = _chain_walk(chain)
+    _, bits, packed = _chain_walk(chain)
     return (_unpack(p, bits) for p in packed)
 
 
-def q_markoff_values(chain: Sequence[str], gamma: Scalar) -> Iterator[Scalar]:
-    """q_markoff(w) evaluated at q = gamma > 0 for each w of `chain`, exactly, with no polynomial.
+def q_markoff_ratios(chain: Sequence[str], gammas: Sequence[Scalar]) -> Iterator[tuple[str, Scalar, int, int]]:
+    """(w, gamma, y, s) with q_markoff(w) = y / s at q = gamma, for each w of `chain` and
+    each gamma > 0 in turn, exactly, with no polynomial.
 
     `chain` is as in q_markoff_chain.  With (n, d) = gamma.as_integer_ratio(),
-    the walk carries d^det_exponent(w) times the first row of mu_q(w) at
-    n/d, in ints, and divides once per word.  An int gamma gives ints; a
-    Fraction or float gamma gives Fractions, exact even for the float.
+    the walk of each gamma carries s = d^det_exponent(w) times the first row
+    of mu_q(w) at n/d, in ints.
     """
-    n, d = gamma.as_integer_ratio()
-    rows = _chain_rows(chain, _eval_step, n, d)
-    if isinstance(gamma, int):
-        return (y for _, y in rows)
-    return (Fraction(y, d ** det_exponent(w)) for w, (_, y) in zip(chain, rows))
+    ratios = [g.as_integer_ratio() for g in gammas]
+    walks = [_chain_rows(chain, _eval_step, n, d) for n, d in ratios]
+    for w, *rows in zip(chain, *walks):
+        e = det_exponent(w)
+        for g, (_, d), (_, y) in zip(gammas, ratios, rows):
+            yield w, g, y, d**e
 
 
 def first_unordered(chain: Sequence[str]) -> int | None:
@@ -190,8 +185,8 @@ def first_unordered(chain: Sequence[str]) -> int | None:
     decided on packed polynomials, with bias bits in every slot of degree
     below the largest det_exponent.
     """
-    bits, packed = _chain_walk(chain)
-    bias = _bias(bits, max(map(det_exponent, chain), default=0) + 1)  # deg e12 < det_exponent
+    top, bits, packed = _chain_walk(chain)
+    bias = _bias(bits, det_exponent(top) + 1)  # deg e12 < det_exponent
     pairs = enumerate(pairwise(packed))
     return next((i for i, (f, g) in pairs if not _precedes(f, g, bias)), None)
 
@@ -199,10 +194,9 @@ def first_unordered(chain: Sequence[str]) -> int | None:
 def q_markoff(w: str) -> IntPolynomial:
     """The q-Markoff polynomial of w: entry (1,2) of mu_q(w), from the first row alone.
 
-    The slots fit mu(w)[0][0], the largest entry of mu(w).  Zero for the
-    empty word.
+    The slots fit every entry of mu(w).  Zero for the empty word.
     """
-    bits = _slot_bits(_max_entry(w))
+    bits = _slot_bits(w)
     return _unpack(_row(w, (1, 0), _step, bits)[1], bits)
 
 

@@ -116,22 +116,16 @@ class IntPolynomial:
         """Canonical text in ascending powers, e.g. ``1 + 4*q + 10*q^2``."""
         if not self.coeffs:
             return "0"
-        parts: list[str] = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                term = str(mag)
-            elif i == 1:
-                term = "q" if mag == 1 else f"{mag}*q"
-            else:
-                term = f"q^{i}" if mag == 1 else f"{mag}*q^{i}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
+        terms = [  # one f-string per term: sign, magnitude unless 1 on a power of q, power
+            (f"+ {c}*q^{i}" if c > 1 else f"+ q^{i}" if c == 1
+             else f"- q^{i}" if c == -1 else f"- {-c}*q^{i}") if i > 1
+            else (f"+ {c}*q" if c > 1 else "+ q" if c == 1 else "- q" if c == -1 else f"- {-c}*q") if i
+            else f"+ {c}" if c > 0 else f"- {-c}"
+            for i, c in enumerate(self.coeffs)
+            if c
+        ]
+        text = " ".join(terms)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)!r})"

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from qmarkoff import cli, morphism, spectrum
 from qmarkoff.cli import LIMITS, MAX_SPECTRUM_DEPTH, MAX_TREE_DEPTH, main, parse_spec, SpecSyntaxError
-from qmarkoff.language import Characteristic, Mechanical, Periodic, Skew
+from qmarkoff.language import Characteristic, Mechanical, Periodic, Skew, curves_export
 from qmarkoff.morphism import mu_q
 from qmarkoff.words import christoffel_word
 
@@ -143,6 +143,19 @@ def test_tree_two_processes_print_the_bytes_of_one(capsys, monkeypatch):
         assert result[0] == 0 and result[2] == ""
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process tree needs os.fork")
+def test_tree_child_renders_every_other_sibling_pair(capsys, monkeypatch):
+    # each node is printed as the pid of the process that rendered it
+    monkeypatch.setattr(cli, "christoffel_node", lambda p: f"{os.getpid()}:{''.join(p)}")
+    code, out, err = run(capsys, "tree", "--depth", "7")
+    assert_no_child_left()
+    pids, paths = zip(*(line.split(":") for line in out.splitlines()))
+    assert (code, err, list(paths)) == (0, "", ["".join(p) for p in morphism.tree_paths(7)])
+    child = [i for i, pid in enumerate(map(int, pids)) if pid != os.getpid()]
+    assert child == [i for i in range(len(pids)) if i % 4 in (1, 2)]
+    assert len({pids[i] for i in child}) == 1
+
+
 def _fail_in_child(monkeypatch, letters):
     """Make cli.q_markoff raise in a forked child on words of at least `letters` letters."""
     parent, real = os.getpid(), cli.q_markoff
@@ -223,6 +236,15 @@ def test_full_stdout_exits_3_without_traceback(argv):
         _, err = proc.communicate(timeout=60)
     assert proc.returncode == 3
     assert err.decode() == "error: [Errno 28] No space left on device\n"
+
+
+def test_internal_error_exits_3_with_one_error_line(capsys, monkeypatch):
+    def broken(args):
+        print("partial")
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr(cli, "_cmd_counterexamples", broken)
+    assert run(capsys, "counterexamples") == (3, "partial\n", "error: internal fault\n")
 
 
 def test_language_text_listing(capsys):
@@ -595,6 +617,39 @@ def test_curves_refuses_zero_denominator(capsys):
     code, out, err = run(capsys, "curves", "--spec", "fibonacci", "--max-len", "3", "--gammas", "1/2,1/0")
     assert code == 2 and out == ""
     assert err == "error: bad gammas '1/2,1/0': Fraction(1, 0)\n"
+
+
+def _decimal(n, places):
+    return f"{n // 10**places}.{n % 10**places:0{places}d}"
+
+
+def _within_limits(token):
+    g = Fraction(token)
+    return g > 0 and max(g.numerator, g.denominator) <= cli.MAX_GAMMA_TERM
+
+
+GAMMA_TOKENS = st.one_of(
+    st.integers(1, 256).map(str),
+    st.tuples(st.integers(1, 256), st.integers(1, 256)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.builds(_decimal, st.integers(1, 2560), st.integers(1, 3)).filter(_within_limits),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["periodic:aabab", "skew:m=aba,form=blocks,xy=ba", "mechanical:alpha=3/8,rho=1/5,kind=upper",
+                     "fibonacci"]),
+    st.integers(0, 20),
+    st.lists(GAMMA_TOKENS, min_size=1, max_size=cli.MAX_CURVES_GAMMAS),
+)
+def test_curves_csv_values_are_the_floats_of_the_exact_values(spec, max_len, tokens):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["curves", "--spec", spec, "--max-len", str(max_len), "--gammas", ",".join(tokens)]) == 0
+    gammas = [int(tok) if tok.isdigit() else Fraction(tok) for tok in tokens]
+    exact = curves_export(parse_spec(spec), max_len, gammas)
+    values = [line.rsplit(",", 1)[1] for line in out.getvalue().splitlines()[1:]]
+    assert values == [repr(float(v)) for _, _, v in exact]
 
 
 @pytest.mark.parametrize(

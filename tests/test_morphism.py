@@ -1,11 +1,15 @@
 import itertools
+import math
 import random
+from fractions import Fraction
+from itertools import pairwise
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmarkoff import morphism
+from qmarkoff.language import Characteristic, Mechanical, Periodic, Skew, _radix_words
 from qmarkoff.morphism import (
     MU_Q_A,
     MU_Q_B,
@@ -25,7 +29,7 @@ from qmarkoff.morphism import (
     tree_paths,
 )
 from qmarkoff.qpoly import IntPolynomial, QMatrix, poly
-from qmarkoff.words import reversal
+from qmarkoff.words import christoffel_word, reversal
 
 from oracles import (
     christoffel_words_upto,
@@ -343,7 +347,7 @@ def pack(p, bits):
 @given(st.lists(st.integers(0, 300), max_size=9), st.lists(st.integers(0, 300), max_size=9))
 def test_packed_order_matches_coefficientwise_order(fc, gc):
     f, g = IntPolynomial(fc), IntPolynomial(gc)
-    bits = _slot_bits(max(fc + gc, default=0))
+    bits = -(-(max(fc + gc, default=0).bit_length() + 2) // 8) * 8  # two spare bits, whole bytes
     bias = _bias(bits, max(len(fc), len(gc)))
     assert _unpack(pack(f, bits), bits) == f
     assert _precedes(pack(f, bits), pack(g, bits), bias) == f.precedes(g)
@@ -360,3 +364,81 @@ def test_first_unordered_small_chains():
     assert first_unordered(chain[:-1]) is None
     assert first_unordered(chain) == len(chain) - 2
     assert list(q_markoff_chain(chain)) == [mu_q_schoolbook(w).e12 for w in chain]
+
+
+def _width_of_largest_entry(w):
+    """The slot width mu_q(w) needs: two spare bits over bitlen(max mu(w)), in whole bytes."""
+    return -(-(max(max(row) for row in mu(w)).bit_length() + 2) // 8) * 8
+
+
+WORDS_UP_TO_1024 = st.one_of(
+    st.integers(0, 1024).map(lambda n: "a" * n),
+    st.integers(0, 1024).map(lambda n: "b" * n),
+    st.integers(1, 1024).flatmap(
+        lambda n: st.integers(0, n).filter(lambda k: math.gcd(k, n) == 1).map(lambda k: christoffel_word(k, n))
+    ),
+    st.text(alphabet="ab", max_size=1024),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(WORDS_UP_TO_1024)
+def test_closed_form_slot_width_holds_every_entry(w):
+    # the letter-count bound never falls below the largest entry of mu(w), on any word
+    assert max(max(row) for row in mu(w)).bit_length() + 2 <= _slot_bits(w)
+    assert _slot_bits(w) % 8 == 0 and _slot_bits(w) >= _width_of_largest_entry(w)
+
+
+def test_closed_form_slot_width_is_at_most_a_byte_wide_on_tree_words():
+    words = [christoffel_node(p).word for p in tree_paths(8)]
+    slack = [_slot_bits(w) - _width_of_largest_entry(w) for w in words]
+    assert set(slack) == {0, 8} and slack.count(8) == 55
+
+
+# words and radix chains whose closed-form slot width is a byte wider than their largest entry needs
+GROWN_WORDS = [w for w in (christoffel_node(p).word for p in tree_paths(7)) if _slot_bits(w) > _width_of_largest_entry(w)]
+GROWN_CHAINS = [
+    (Periodic("aabab"), 12),
+    (Characteristic((1,) * 24), 16),
+    (Skew(m="aba", form="blocks", xy="ba"), 16),
+    (Mechanical(Fraction(3, 8), Fraction(1, 5), "upper"), 21),
+]
+
+
+def _first_unordered_by_schoolbook(chain):
+    values = [mu_q_schoolbook(w).e12 for w in chain]
+    return next((i for i, (f, g) in enumerate(pairwise(values)) if not f.precedes(g)), None)
+
+
+def test_grown_slot_width_matches_schoolbook_on_words():
+    six = [w for w in map("".join, itertools.product("ab", repeat=6)) if _slot_bits(w) > _width_of_largest_entry(w)]
+    assert len(six) == 6 and len(GROWN_WORDS) >= 10
+    for w in GROWN_WORDS + six:
+        m = mu_q_schoolbook(w)
+        assert mu_q(w) == m and q_markoff(w) == m.e12, w
+
+
+@pytest.mark.parametrize("spec, n", GROWN_CHAINS, ids=["periodic", "fibonacci", "skew", "mechanical"])
+def test_grown_slot_width_matches_schoolbook_on_chains(spec, n):
+    chain = _radix_words(spec, n)
+    top = max((w for w in chain if len(w) == n), key=lambda w: w.count("b"))
+    assert _slot_bits(top) > max(_width_of_largest_entry(w) for w in chain if len(w) == n)
+    assert first_unordered(chain) is _first_unordered_by_schoolbook(chain) is None
+    assert list(q_markoff_chain(chain)) == [mu_q_schoolbook(w).e12 for w in chain]
+    # two words of the top length swapped: the first unordered pair is found at the same index
+    swapped = chain[:-2] + [chain[-1], chain[-2]]
+    assert first_unordered(swapped) == _first_unordered_by_schoolbook(swapped) == len(chain) - 2
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        [""] + ["".join(t) for k in range(1, 5) for t in itertools.product("ab", repeat=k)],
+        [""] + [letter * k for k in range(1, 25) for letter in "ab"],
+    ],
+    ids=["every-word", "powers"],
+)
+def test_chain_with_unequal_longest_words_matches_schoolbook(chain):
+    # the longest words range from a^n to b^n; b^n, with the most letters b, fixes the slot width
+    assert list(q_markoff_chain(chain)) == [mu_q_schoolbook(w).e12 for w in chain]
+    assert first_unordered(chain) == _first_unordered_by_schoolbook(chain)
