@@ -204,13 +204,13 @@ def _cmd_language(args) -> int:
         }
         print(json.dumps(payload, indent=2))
         return 0
-    print(f"n: {n}")
-    print(f"factors ({len(factors)}):")
-    # one radix segment: last factor of length n-1, the length-n factors, first of length n+1
+    # one radix segment, built before any print: last of length n-1, the length-n factors, first of length n+1
     below = [enumerate_factors(spec, n - 1).factors[-1]] if n >= 2 else []
     segment = below + factors + [enumerate_factors(spec, n + 1).factors[0]]
     kinds = [""] + [classify_change(u, v) for u, v in pairwise(segment)]
     width = max(map(len, segment))
+    print(f"n: {n}")
+    print(f"factors ({len(factors)}):")
     for word, kind in zip(segment, kinds):
         line = render_word(word, args.alphabet).ljust(width + 2)
         print(f"{line}{kind}".rstrip())
@@ -219,18 +219,14 @@ def _cmd_language(args) -> int:
 
 def _cmd_verify_monotone(args) -> int:
     spec = parse_spec(args.spec)
-    print(f"spec: {_spec_name(spec)}")
-    print(f"max_n: {args.max_n}")
-    try:
-        report = radix_chain_check(spec, args.max_n)
+    try:  # checked before the header, so an error leaves stdout empty
+        chain = radix_chain_check(spec, args.max_n).chain
+        code, lines = 0, [f"factors: {len(chain)}", f"differences: {len(chain) - 1}",
+                          "all differences nonzero with nonnegative coefficients: OK"]
     except MonotonicityError as exc:
-        print(f"FAIL: {exc.src!r} -> {exc.dst!r}")
-        print(f"difference: {exc.difference}")
-        return 1
-    print(f"factors: {len(report.chain)}")
-    print(f"differences: {len(report.chain) - 1}")
-    print("all differences nonzero with nonnegative coefficients: OK")
-    return 0
+        code, lines = 1, [f"FAIL: {exc.src!r} -> {exc.dst!r}", f"difference: {exc.difference}"]
+    print("\n".join([f"spec: {_spec_name(spec)}", f"max_n: {args.max_n}", *lines]))
+    return code
 
 
 def _cmd_spectrum(args) -> int:
@@ -328,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--triples", action="store_true")
     mode.add_argument("--qpoly", action="store_true")
-    p.add_argument("--json", action="store_true")
+    mode.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_tree)
 
     p = sub.add_parser("qmarkoff", help="mu, mu_q and the q-Markoff polynomial of a word")
@@ -372,23 +368,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for attr in ("depth", "n", "max_n", "max_len", "radius"):
-        value = getattr(args, attr, None)
-        if value is None:
+    for (command, attr), limit in LIMITS.items():
+        if command != args.command:
             continue
-        flag = "--" + attr.replace("_", "-")
-        limit = LIMITS.get((args.command, attr))
+        value, flag = getattr(args, attr), "--" + attr.replace("_", "-")
         if value < 0:
             print(f"error: {flag} must be nonnegative", file=sys.stderr)
             return 2
-        if limit is not None and value > limit:
+        if value > limit:
             print(f"error: {args.command} takes {flag} at most {limit}, got {value}", file=sys.stderr)
             return 2
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed or full stdout fails here at the latest
         return code
-    except (SpecSyntaxError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ComplexityViolation) else 2
     except Exception as exc:  # a closed or full stdout, a failed tree worker, or an internal error

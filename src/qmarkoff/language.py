@@ -4,11 +4,13 @@ A balanced sequence is described by one of four spec variants (periodic,
 characteristic, skew, mechanical), each a NamedTuple that checks and
 normalises its fields when built.  Each variant pins down a concrete
 biinfinite sequence, read through ``sequence_window`` in one pass per
-variant; canonical placements put the mirror-symmetric center, when the
-variant has one, at the origin (between positions -1 and 0).  A periodic
-or mechanical spec has the language of its slope p/q, that of the
-repetition of christoffel_word(p, q), so ``enumerate_factors`` reads it
-from p/q alone.  The class of a sequence (M1 periodic, M2 mechanical, M3
+variant.  A characteristic or skew sequence is a mirror: its right half
+reflected about a two-letter center at positions -1 and 0
+(``_mirror_window``), so its length-n factors lie in the compact
+representations w̃·ab·w and w̃·ba·w of its letters w at positions 1..n-1.
+A periodic or mechanical spec of slope p/q has the language of
+Mechanical(p/q), the repetition of christoffel_word(p, q), read the same
+way when q > n.  The class of a sequence (M1 periodic, M2 mechanical, M3
 characteristic, M4 skew) is its declared variant.
 """
 
@@ -22,7 +24,7 @@ from typing import Iterator, NamedTuple, Sequence, Union
 
 from .morphism import first_unordered, is_christoffel, q_markoff, q_markoff_chain, q_markoff_ratios
 from .qpoly import IntPolynomial, Scalar
-from .words import christoffel_word, factors, is_balanced_periodic, parse_word, reversal
+from .words import factors, is_balanced_periodic, parse_word, reversal
 
 
 class _MechanicalFields(NamedTuple):
@@ -79,22 +81,17 @@ def _standard_prefix(directive: tuple[int, ...], length: int) -> str:
 
 
 def characteristic_word(directive: Sequence[int], length: int) -> str:
-    """Length-`length` prefix of the standard word driven by `directive`.
+    """Length-`length` prefix of the standard word driven by `directive`: positions 1..length
+    of its Characteristic sequence.
 
     The recursion starts from ("b", "a") and appends s_k = s_{k-1}^{d_k} s_{k-2};
-    directive (1, 1, 1, ...) yields the Fibonacci word.  Raises ValueError
-    when the finite directive cannot reach the requested length.
+    directive (1, 1, 1, ...) yields the Fibonacci word.  Raises ValueError on
+    an empty directive or a nonpositive entry, and when the finite directive
+    cannot reach the requested length (naming the first position out of reach).
     """
     if length < 0:
         raise ValueError("length must be >= 0")
-    if any(d < 1 for d in directive):
-        raise ValueError("directive entries must be positive")
-    word = _standard_prefix(tuple(directive), length)
-    if len(word) < length:
-        raise ValueError(
-            f"directive {tuple(directive)} generates only {len(word)} letters, {length} requested"
-        )
-    return word
+    return sequence_window(Characteristic(directive), 1, length + 1)
 
 
 class _PeriodicFields(NamedTuple):
@@ -154,7 +151,9 @@ class Skew(_SkewFields):
     Form "xxyxx" is a constant x-sequence with one y (at the origin);
     form "blocks" glues left blocks ymx, one central block ymy ending at
     position -1, and right blocks xmy.  The orientation string `xy` names
-    the letters (x, y), and a·m·b must be a Christoffel word.
+    the letters (x, y), and a·m·b must be a Christoffel word, so m is a
+    palindrome.  Both forms are mirrors: of x^∞ about the center x·y, and of
+    (m·y·x)^∞ about the center y·x.
     """
 
     __slots__ = ()
@@ -199,6 +198,15 @@ def _cyclic_slice(block: str, lo: int, hi: int) -> str:
     return (block * ((start + hi - lo) // len(block) + 1))[start : start + hi - lo]
 
 
+def _mirror_window(center: str, right, lo: int, hi: int) -> str:
+    """Letters lo..hi-1 of reversal(r)·center·r: the center at positions -1 and 0, r[i] at i + 1 and -i - 2.
+
+    right(i, j) returns r[i:j] (empty when j <= i), so a window costs what its slices of r cost.
+    """
+    left = right(max(-hi - 1, 0), max(-lo - 1, 0))[::-1]  # positions < -1
+    return left + center[max(lo + 1, 0) : max(min(hi + 1, 2), 0)] + right(max(lo, 1) - 1, max(hi - 1, 0))
+
+
 def _characteristic_window(spec: Characteristic, lo: int, hi: int) -> str:
     """Letters lo..hi-1 of p̃·ab·p, the b at position 0 and p the standard word (see Characteristic)."""
     if hi <= lo:
@@ -209,20 +217,16 @@ def _characteristic_window(spec: Characteristic, lo: int, hi: int) -> str:
     if last >= len(p):  # name the first position out of reach
         pos = lo if -lo - 2 >= len(p) else max(lo, len(p) + 1)
         raise ValueError(f"directive too short for position {pos}")
-    left = p[max(-hi - 1, 0) : max(-lo - 1, 0)][::-1]  # positions < -1
-    return left + "ab"[max(lo + 1, 0) : max(min(hi + 1, 2), 0)] + p[max(lo, 1) - 1 : max(hi - 1, 0)]
+    return _mirror_window("ab", lambda i, j: p[i:j], lo, hi)
 
 
 def _skew_window(spec: Skew, lo: int, hi: int) -> str:
-    """Letters lo..hi-1 of a skew spec, sliced from its blocks (see Skew)."""
+    """Letters lo..hi-1 of a skew spec: the mirror of x^∞ or of (m·y·x)^∞ (see Skew)."""
     x, y = spec.xy
     if spec.form == "xxyxx":
-        return x * -lo + y + x * (hi - 1) if lo <= 0 < hi else x * (hi - lo)
-    m, size = spec.m, len(spec.m) + 2
-    left = _cyclic_slice(y + m + x, lo, min(hi, -size))  # the y·m·x blocks before position -size
-    center = (y + m + y)[max(lo + size, 0) : max(min(hi, 0) + size, 0)]  # positions -size..-1
-    right = _cyclic_slice(x + m + y, max(lo, 0), hi)
-    return left + center + right
+        return _mirror_window(x + y, lambda i, j: x * (j - i), lo, hi)
+    block = spec.m + y + x
+    return _mirror_window(y + x, lambda i, j: _cyclic_slice(block, i, j), lo, hi)
 
 
 def compact_representations(prefix: str) -> tuple[str, str]:
@@ -255,28 +259,22 @@ def enumerate_factors(spec: BalancedSpec, n: int) -> FactorLanguage:
     """All length-n factors of the spec's sequence, lex-sorted.
 
     A periodic or mechanical spec of slope p/q (the b-density of the period,
-    or alpha) has the factors of the repetition of christoffel_word(p, q):
-    read off q + n - 1 letters of it when q <= n, and otherwise, like a
-    characteristic spec, off the two compact representations of the
-    length-(n-1) central word, whose factor sets are checked to agree.  A
-    skew spec is read off a centered window of radius 2n + |m| + 2.
+    or alpha) has the factors of Mechanical(p/q), the repetition of
+    christoffel_word(p, q): read off its q + n - 1 letters from position 0
+    when q <= n.  Every other spec, and Mechanical(p/q) when q > n, is read
+    off the two compact representations of its letters at positions 1..n-1,
+    whose factor sets are checked to agree.
     """
     if n < 0:
         raise ValueError("factor length must be >= 0")
     if n == 0:
         return FactorLanguage(0, ("",))
-    if isinstance(spec, Skew):
-        radius = 2 * n + len(spec.m) + 2
-        return FactorLanguage(n, tuple(factors(sequence_window(spec, -radius, radius), n)))
-    if isinstance(spec, Characteristic):
-        central = characteristic_word(spec.directive, n - 1)
-    else:
+    if isinstance(spec, (Periodic, Mechanical)):
         slope = spec.alpha if isinstance(spec, Mechanical) else Fraction(spec.word.count("b"), len(spec.word))
-        p, q = slope.numerator, slope.denominator
-        if q <= n:
-            return FactorLanguage(n, tuple(factors(_cyclic_slice(christoffel_word(p, q), 0, q + n - 1), n)))
-        central = "".join("ab"[(i + 2) * p // q - (i + 1) * p // q] for i in range(n - 1))
-    first, second = compact_representations(central)
+        spec = Mechanical(slope)
+        if slope.denominator <= n:
+            return FactorLanguage(n, tuple(factors(sequence_window(spec, 0, slope.denominator + n - 1), n)))
+    first, second = compact_representations(sequence_window(spec, 1, n))
     fs = factors(first, n)
     if fs != factors(second, n):
         raise AssertionError(f"compact representations disagree at n={n}")

@@ -763,6 +763,30 @@ def test_usage_errors(capsys):
     assert code == 1 and "complexity violation" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-monotone", "--spec", "characteristic:1,1", "--max-n", "5"],
+        ["language", "--spec", "characteristic:1,1", "--n", "4"],
+    ],
+    ids=["verify-monotone", "language"],
+)
+def test_short_directive_exits_2_before_any_stdout(capsys, argv):
+    # directive (1, 1) generates the 3-letter standard word "aba": position 4 is out of reach
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: directive too short for position 4\n"
+
+
+@pytest.mark.parametrize("mode", ["--triples", "--qpoly"])
+def test_tree_json_excludes_the_other_modes(capsys, mode):
+    with pytest.raises(SystemExit) as exc:
+        main(["tree", "--depth", "1", "--json", mode])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -883,3 +907,4 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(argv, edits):
             code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+    assert code != 2 or out.getvalue() == "", (argv, out.getvalue())

@@ -280,6 +280,52 @@ def test_skew_window_matches_per_letter_oracle(m, form, xy, lo, hi):
     assert sequence_window(spec, lo, hi) == "".join(skew_letter_by_blocks(spec, i) for i in range(lo, hi))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 150).flatmap(_christoffel_middle),
+    st.sampled_from(("xxyxx", "blocks")),
+    st.sampled_from(("ab", "ba")),
+    st.integers(-10**12, 10**12),
+    st.integers(0, 40),
+)
+def test_skew_window_far_from_the_origin_matches_per_letter_oracle(m, form, xy, lo, width):
+    from oracles import skew_letter_by_blocks
+
+    spec = Skew(m, form, xy)
+    expected = "".join(skew_letter_by_blocks(spec, i) for i in range(lo, lo + width))
+    assert sequence_window(spec, lo, lo + width) == expected
+
+
+def test_skew_letter_far_from_the_origin_costs_its_width():
+    from oracles import skew_letter_by_blocks
+
+    for spec in (Skew("aba", "blocks", "ba"), Skew("aba", "xxyxx", "ab")):
+        for pos in (10**12, -(10**12), 10**15 + 3):
+            tracemalloc.start()
+            try:
+                assert letter_at(spec, pos) == skew_letter_by_blocks(spec, pos)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4096, (spec, pos, peak)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 150).flatmap(_christoffel_middle),
+    st.sampled_from(("xxyxx", "blocks")),
+    st.sampled_from(("ab", "ba")),
+    st.integers(1, 256),
+)
+def test_skew_language_from_compact_representations_matches_window_oracle(m, form, xy, n):
+    from oracles import window_factors
+
+    spec = Skew(m, form, xy)
+    language = enumerate_factors(spec, n)
+    assert language.factors == window_factors(spec, n)
+    assert len(language) == n + 1
+
+
 def _or_message(read, spec, lo, hi):
     """The window `read` gives, or the message of its ValueError."""
     try:

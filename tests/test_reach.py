@@ -19,6 +19,8 @@ ALLOWED = {
     "lex_cmp", "radix_cmp",
     # the exact values of the curves export; the CLI prints floats from curve_ratios, its one walk
     "curves_export",
+    # the standard-word prefix that acceptance criterion 7 reads; enumerate_factors reads the window
+    "characteristic_word",
 }
 
 PACKAGE = Path(qmarkoff.__file__).parent
