@@ -5,10 +5,7 @@ from .words import (
     factors,
     has_markoff_property_periodic,
     is_balanced_periodic,
-    lex_cmp,
     parse_word,
-    radix_cmp,
-    radix_key,
     render_word,
     reversal,
 )

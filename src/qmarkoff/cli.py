@@ -1,5 +1,8 @@
 """Command-line front end: trees, factor tables, verification reports, CSV export.
 
+Every command returns its exit code and its text as chunks; main is the only writer of stdout and
+stderr. Every command but tree builds its whole text before it returns; tree streams node by node.
+
 Exit codes: 0 on success, 1 on verification failure (including a spec whose factor count at
 the requested n is not n+1), 2 on usage errors (unknown spec string or spec key, malformed
 word, bad numeric flags, a size flag over its limit in LIMITS, or curves gammas over
@@ -15,8 +18,8 @@ import marshal
 import os
 import sys
 from fractions import Fraction
-from itertools import groupby, pairwise
-from operator import itemgetter
+from itertools import pairwise
+from typing import Iterator
 
 from .language import (
     BalancedSpec,
@@ -45,7 +48,7 @@ from .spectrum import christoffel_supremum, closed_form_supremum
 from .words import parse_word, render_word
 
 FIBONACCI_DIRECTIVE = (1,) * 24
-MAX_QMARKOFF_LETTERS = 1024  # mu_q takes time cubic in the word length
+MAX_QMARKOFF_LETTERS = 1024  # mu_q time is cubic in the length; b^1024 on 2 vCPUs: 5.8-8.4 s, 55 MiB, 12 MB out
 MAX_TREE_DEPTH = 10  # all 2^(depth+1) - 1 paths up front; tree --json at 10: 2.8 s in two processes, 16 + 12 MiB
 MAX_SPECTRUM_DEPTH = 1024  # bracket widths fall like phi^(-2 depth): floats settle near depth 40
 # Wall time and peak RSS of the costliest spec at each limit, then one step above it
@@ -124,16 +127,21 @@ def _spec_name(spec: BalancedSpec) -> str:
     return type(spec).__name__.lower()
 
 
-def _print_nodes(paths, render, head: str = "", sep: str = "\n", tail: str = "\n") -> None:
-    """Write head, str(render(p)) for each path joined by sep, then tail, as one process would.
-    Where os.fork exists, a child renders every other sibling pair, so that the halves take about
-    the same time, and streams them back with marshal."""
+def _lines(*lines: str) -> list[str]:
+    """A command's text as chunks: the lines joined by newlines, then the last newline."""
+    return ["\n".join(lines), "\n"]
+
+
+def _node_texts(paths, render, head: str = "", sep: str = "\n", tail: str = "\n") -> Iterator[str]:
+    """Yield head + str(render(p)) for the first path, sep + str(render(p)) for each other, then
+    tail, as one process would.  Where os.fork exists, a child renders every other sibling pair,
+    so that the halves take about the same time, and streams them back with marshal."""
     in_child = lambda i: i % 4 in (1, 2)  # positions 2k+1 and 2k+2 are siblings; the child has even k
     theirs = (str(render(p)) for i, p in enumerate(paths) if in_child(i))
     take, pid = theirs.__next__, 0
     if hasattr(os, "fork"):
         r, w = os.pipe()
-        if (pid := os.fork()) == 0:  # the child never prints and never returns: no atexit handler runs
+        if (pid := os.fork()) == 0:  # the child never writes stdout and never returns: no atexit handler runs
             try:
                 os.close(r)
                 for text in theirs:
@@ -146,17 +154,17 @@ def _print_nodes(paths, render, head: str = "", sep: str = "\n", tail: str = "\n
         take = lambda: marshal.load(pipe)
     try:
         for i, p in enumerate(paths):
-            sys.stdout.write((sep if i else head) + (take() if in_child(i) else str(render(p))))
-        sys.stdout.write(tail)
+            yield (sep if i else head) + (take() if in_child(i) else str(render(p)))
+        yield tail
     except EOFError:  # the pipe ended early: the child failed, as it exits 0 only after its last node
         raise ChildProcessError("tree worker failed; output ends after the last whole node") from None
-    finally:
+    finally:  # also when the caller closes the stream early
         if pid:
             pipe.close()
             os.waitpid(pid, 0)
 
 
-def _cmd_tree(args) -> int:
+def _cmd_tree(args) -> tuple[int, Iterator[str]]:
     def json_node(p):  # json.dumps(nodes, indent=2), node by node: no field needs escaping
         word, (x, y, z) = christoffel_node(p).word, markoff_triple(p)
         return (f'{{\n    "path": "{"".join(p)}",\n    "word": "{word}",\n    "triple": [\n      {x},\n      {y},\n'
@@ -164,27 +172,21 @@ def _cmd_tree(args) -> int:
 
     render = (json_node if args.json else markoff_triple if args.triples
               else (lambda p: q_markoff(christoffel_node(p).word)) if args.qpoly else christoffel_node)
-    _print_nodes(tree_paths(args.depth), render, *(("[\n  ", ",\n  ", "\n]\n") if args.json else ()))
-    return 0
+    return 0, _node_texts(tree_paths(args.depth), render, *(("[\n  ", ",\n  ", "\n]\n") if args.json else ()))
 
 
-def _cmd_qmarkoff(args) -> int:
+def _cmd_qmarkoff(args) -> tuple[int, list[str]]:
     w = parse_word(args.word)
     if len(w) > MAX_QMARKOFF_LETTERS:
         raise ValueError(f"word has {len(w)} letters; qmarkoff takes at most {MAX_QMARKOFF_LETTERS}")
-    m = mu(w)
-    mq = mu_q(w)
-    print(f"word: {w}")
-    print(f"mu: [[{m[0][0]}, {m[0][1]}], [{m[1][0]}, {m[1][1]}]]")
-    print(f"mu_q[1,1]: {mq.e11}")
-    print(f"mu_q[1,2]: {mq.e12}")
-    print(f"mu_q[2,1]: {mq.e21}")
-    print(f"mu_q[2,2]: {mq.e22}")
-    print(f"q_markoff: {mq.e12}")
-    return 0
+    m, mq = mu(w), mu_q(w)
+    e12 = str(mq.e12)
+    return 0, _lines(f"word: {w}", f"mu: [[{m[0][0]}, {m[0][1]}], [{m[1][0]}, {m[1][1]}]]",
+                     f"mu_q[1,1]: {mq.e11}", f"mu_q[1,2]: {e12}", f"mu_q[2,1]: {mq.e21}",
+                     f"mu_q[2,2]: {mq.e22}", f"q_markoff: {e12}")
 
 
-def _cmd_language(args) -> int:
+def _cmd_language(args) -> tuple[int, list[str]]:
     spec = parse_spec(args.spec)
     n = args.n
     changes = flip_permutation(spec, n)
@@ -202,47 +204,36 @@ def _cmd_language(args) -> int:
                 for c in changes
             ],
         }
-        print(json.dumps(payload, indent=2))
-        return 0
-    # one radix segment, built before any print: last of length n-1, the length-n factors, first of length n+1
+        return 0, _lines(json.dumps(payload, indent=2))
+    # one radix segment: last of length n-1, the length-n factors, first of length n+1
     below = [enumerate_factors(spec, n - 1).factors[-1]] if n >= 2 else []
     segment = below + factors + [enumerate_factors(spec, n + 1).factors[0]]
     kinds = [""] + [classify_change(u, v) for u, v in pairwise(segment)]
     width = max(map(len, segment))
-    print(f"n: {n}")
-    print(f"factors ({len(factors)}):")
-    for word, kind in zip(segment, kinds):
-        line = render_word(word, args.alphabet).ljust(width + 2)
-        print(f"{line}{kind}".rstrip())
-    return 0
+    rows = [f"{render_word(w, args.alphabet).ljust(width + 2)}{kind}".rstrip() for w, kind in zip(segment, kinds)]
+    return 0, _lines(f"n: {n}", f"factors ({len(factors)}):", *rows)
 
 
-def _cmd_verify_monotone(args) -> int:
+def _cmd_verify_monotone(args) -> tuple[int, list[str]]:
     spec = parse_spec(args.spec)
-    try:  # checked before the header, so an error leaves stdout empty
+    head = f"spec: {_spec_name(spec)}", f"max_n: {args.max_n}"
+    try:
         chain = radix_chain_check(spec, args.max_n).chain
-        code, lines = 0, [f"factors: {len(chain)}", f"differences: {len(chain) - 1}",
-                          "all differences nonzero with nonnegative coefficients: OK"]
     except MonotonicityError as exc:
-        code, lines = 1, [f"FAIL: {exc.src!r} -> {exc.dst!r}", f"difference: {exc.difference}"]
-    print("\n".join([f"spec: {_spec_name(spec)}", f"max_n: {args.max_n}", *lines]))
-    return code
+        return 1, _lines(*head, f"FAIL: {exc.src!r} -> {exc.dst!r}", f"difference: {exc.difference}")
+    return 0, _lines(*head, f"factors: {len(chain)}", f"differences: {len(chain) - 1}",
+                     "all differences nonzero with nonnegative coefficients: OK")
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> tuple[int, list[str]]:
     w = parse_word(args.word)
     m, sup = christoffel_supremum(w, args.depth)
     closed = closed_form_supremum(m)
-    print(f"word: {w}")
-    print(f"m: {m}")
-    print(f"supremum: {sup.value!r}")
-    print(f"error_bound: {sup.error_bound!r}")
-    print(f"closed_form: {closed!r}")
-    print(f"residual: {abs(sup.value - closed)!r}")
-    return 0
+    return 0, _lines(f"word: {w}", f"m: {m}", f"supremum: {sup.value!r}", f"error_bound: {sup.error_bound!r}",
+                     f"closed_form: {closed!r}", f"residual: {abs(sup.value - closed)!r}")
 
 
-def _cmd_curves(args) -> int:
+def _cmd_curves(args) -> tuple[int, list[str]]:
     tokens = [tok for tok in args.gammas.split(",") if tok]
     if len(tokens) > MAX_CURVES_GAMMAS:
         raise ValueError(f"curves takes at most {MAX_CURVES_GAMMAS} gammas, got {len(tokens)}")
@@ -253,63 +244,54 @@ def _cmd_curves(args) -> int:
     if any(max(abs(g.numerator), g.denominator) > MAX_GAMMA_TERM for g in gammas):
         raise ValueError(f"curves takes gamma numerators and denominators at most {MAX_GAMMA_TERM}")
     spec = parse_spec(args.spec)
-    rows = curve_ratios(spec, args.max_len, gammas)
-    # every row is formatted before any is written, so a value too large for a float prints nothing
     lines = ["word,gamma,value"]
-    for word, group in groupby(rows, key=itemgetter(0)):
+    for word, values in curve_ratios(spec, args.max_len, gammas):
         text = render_word(word, "01")
-        lines.extend(f"{text},{tok},{y / s!r}" for tok, (_, _, y, s) in zip(tokens, group))
-    print("\n".join(lines))
-    return 0
+        lines.extend(f"{text},{tok},{y / s!r}" for tok, (y, s) in zip(tokens, values))
+    return 0, _lines(*lines)
 
 
-def _cmd_pair_check(args) -> int:
+def _cmd_pair_check(args) -> tuple[int, list[str]]:
     spec = parse_spec(args.spec)
-    pair = build_pair(spec, 0)
-    report = pair_report(pair, args.radius)
-    print(f"spec: {_spec_name(spec)}")
-    print(f"radius: {report.radius}")
-    print(f"patterns checked: {report.patterns_checked}")
-    print(f"indistinguishable: {'yes' if report.indistinguishable else 'no'}")
-    return 0 if report.indistinguishable else 1
+    report = pair_report(build_pair(spec, 0), args.radius)
+    return 0 if report.indistinguishable else 1, _lines(
+        f"spec: {_spec_name(spec)}", f"radius: {report.radius}", f"patterns checked: {report.patterns_checked}",
+        f"indistinguishable: {'yes' if report.indistinguishable else 'no'}")
 
 
-def _cmd_counterexamples(args) -> int:
-    ok = True
+def _verdict(label: str, value: bool) -> str:
+    return f"  {label}: {'yes' if value else 'NO'}"
 
-    def verdict(label: str, value: bool) -> None:
-        nonlocal ok
-        ok = ok and value
-        print(f"  {label}: {'yes' if value else 'NO'}")
 
+def _cmd_counterexamples(args) -> tuple[int, list[str]]:
+    lines = []
     for title, u, v in (
         ("1) abb <radix baa, but the difference is not coefficientwise nonnegative", "abb", "baa"),
         ("2) abbbab <radix bababb, same failure at length 6", "abbbab", "bababb"),
         ("3) abbb <radix aaaab, failure on Christoffel words", "abbb", "aaaab"),
     ):
-        print(title)
         d = q_markoff(v) - q_markoff(u)
-        print(f"   mu_q({v})[1,2] - mu_q({u})[1,2] = {d}")
-        verdict("has negative coefficients", any(c < 0 for c in d.coeffs))
+        lines += [title, f"   mu_q({v})[1,2] - mu_q({u})[1,2] = {d}",
+                  _verdict("has negative coefficients", any(c < 0 for c in d.coeffs))]
 
-    print("4) ab^7 <radix a^12 b, another Christoffel failure")
     d = q_markoff("a" * 12 + "b") - q_markoff("a" + "b" * 7)
-    verdict("difference has negative coefficients", any(c < 0 for c in d.coeffs))
+    lines += ["4) ab^7 <radix a^12 b, another Christoffel failure",
+              _verdict("difference has negative coefficients", any(c < 0 for c in d.coeffs))]
 
-    print("5) q-Markoff polynomials collide on different words of the same length")
     p1, p2 = q_markoff("aaabbb"), q_markoff("abbaab")
-    print(f"   mu_q(aaabbb)[1,2] = {p1}")
-    verdict("equals mu_q(abbaab)[1,2]", p1 == p2)
+    lines += ["5) q-Markoff polynomials collide on different words of the same length",
+              f"   mu_q(aaabbb)[1,2] = {p1}", _verdict("equals mu_q(abbaab)[1,2]", p1 == p2)]
 
-    print("6) classical collision at 75 persists for the q-polynomials")
     m1, m2 = mu("aabb")[0][1], mu("abab")[0][1]
-    verdict("mu(aabb)[1,2] == mu(abab)[1,2] == 75", m1 == m2 == 75)
     q1, q2 = q_markoff("aabb"), q_markoff("abab")
-    print(f"   mu_q(aabb)[1,2] = {q1}")
-    verdict("equals mu_q(abab)[1,2] (q-analog does not separate the pair)", q1 == q2)
-    verdict("full matrices mu_q(aabb) and mu_q(abab) still differ", mu_q("aabb") != mu_q("abab"))
+    lines += ["6) classical collision at 75 persists for the q-polynomials",
+              _verdict("mu(aabb)[1,2] == mu(abab)[1,2] == 75", m1 == m2 == 75),
+              f"   mu_q(aabb)[1,2] = {q1}",
+              _verdict("equals mu_q(abab)[1,2] (q-analog does not separate the pair)", q1 == q2),
+              _verdict("full matrices mu_q(aabb) and mu_q(abab) still differ", mu_q("aabb") != mu_q("abab"))]
 
-    return 0 if ok else 1
+    # exit 1 iff a verdict reads NO: no other line ends that way
+    return int(any(line.endswith(": NO") for line in lines)), _lines(*lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,8 +360,10 @@ def main(argv: list[str] | None = None) -> int:
         if value > limit:
             print(f"error: {args.command} takes {flag} at most {limit}, got {value}", file=sys.stderr)
             return 2
+    chunks = ()
     try:
-        code = args.func(args)
+        code, chunks = args.func(args)
+        sys.stdout.writelines(chunks)
         sys.stdout.flush()  # a closed or full stdout fails here at the latest
         return code
     except (ValueError, OverflowError) as exc:
@@ -392,7 +376,9 @@ def main(argv: list[str] | None = None) -> int:
         except OSError:  # the recipe of the signal docs: the flush at exit must not fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 3
-
+    finally:
+        if hasattr(chunks, "close"):  # a tree stream left early reaps its worker
+            chunks.close()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -398,15 +398,14 @@ def radix_chain_check(spec: BalancedSpec, max_n: int) -> RadixChainReport:
 
 def curve_ratios(
     spec: BalancedSpec, max_len: int, gammas: Sequence[Scalar]
-) -> Iterator[tuple[str, Scalar, int, int]]:
-    """Rows (word, gamma, y, s) for |word| <= max_len, with q_markoff(word) = y / s at gamma.
+) -> Iterator[tuple[str, list[tuple[int, int]]]]:
+    """Rows (word, [(y, s) per gamma]) for |word| <= max_len, with q_markoff(word) = y / s at gamma.
 
-    Words run in radix order (empty word first), each with every gamma in
-    turn; y and s are ints from one row step per word at q = gamma
-    (q_markoff_ratios), with no polynomial, and y / s is the correctly
-    rounded float of the value.  For every fixed gamma > 0 the values are
-    strictly increasing along the radix order.  Raises ValueError on any
-    gamma <= 0, before any word.
+    Words run in radix order (empty word first), one row each; y and s are
+    ints from one row step per word at q = gamma (q_markoff_ratios), with no
+    polynomial, and y / s is the correctly rounded float of the value.  For
+    every fixed gamma > 0 the values are strictly increasing along the radix
+    order.  Raises ValueError on any gamma <= 0, before any word.
     """
     for g in gammas:
         if g <= 0:
@@ -415,7 +414,8 @@ def curve_ratios(
 
 
 def curves_export(spec: BalancedSpec, max_len: int, gammas: Sequence[Scalar]) -> list[tuple[str, Scalar, Scalar]]:
-    """The rows of curve_ratios as (word, gamma, exact value): an int gamma gives an int, a
-    Fraction or float gamma gives a Fraction."""
+    """The values of curve_ratios as (word, gamma, exact value), each word with every gamma in
+    turn: an int gamma gives an int, a Fraction or float gamma gives a Fraction."""
     rows = curve_ratios(spec, max_len, gammas)
-    return [(w, g, y if isinstance(g, int) else Fraction(y, s)) for w, g, y, s in rows]
+    return [(w, g, y if isinstance(g, int) else Fraction(y, s))
+            for w, values in rows for g, (y, s) in zip(gammas, values)]

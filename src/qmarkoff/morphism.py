@@ -162,9 +162,9 @@ def q_markoff_chain(chain: Sequence[str]) -> Iterator[IntPolynomial]:
     return (_unpack(p, bits) for p in packed)
 
 
-def q_markoff_ratios(chain: Sequence[str], gammas: Sequence[Scalar]) -> Iterator[tuple[str, Scalar, int, int]]:
-    """(w, gamma, y, s) with q_markoff(w) = y / s at q = gamma, for each w of `chain` and
-    each gamma > 0 in turn, exactly, with no polynomial.
+def q_markoff_ratios(chain: Sequence[str], gammas: Sequence[Scalar]) -> Iterator[tuple[str, list[tuple[int, int]]]]:
+    """(w, [(y, s) for each gamma]) with q_markoff(w) = y / s at q = gamma, for each w of
+    `chain` and each gamma > 0, exactly, with no polynomial.
 
     `chain` is as in q_markoff_chain.  With (n, d) = gamma.as_integer_ratio(),
     the walk of each gamma carries s = d^det_exponent(w) times the first row
@@ -174,8 +174,7 @@ def q_markoff_ratios(chain: Sequence[str], gammas: Sequence[Scalar]) -> Iterator
     walks = [_chain_rows(chain, _eval_step, n, d) for n, d in ratios]
     for w, *rows in zip(chain, *walks):
         e = det_exponent(w)
-        for g, (_, d), (_, y) in zip(gammas, ratios, rows):
-            yield w, g, y, d**e
+        yield w, [(y, d**e) for (_, d), (_, y) in zip(ratios, rows)]
 
 
 def first_unordered(chain: Sequence[str]) -> int | None:

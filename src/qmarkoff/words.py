@@ -1,4 +1,4 @@
-"""Finite binary words over {a, b}: orders, factors, balance, Markoff property.
+"""Finite binary words over {a, b}: factors, balance, Markoff property.
 
 Words are plain Python strings containing only the letters "a" and "b"
 (with a < b).  The alternative rendering over {0, 1} maps a -> 0, b -> 1;
@@ -37,28 +37,6 @@ def render_word(w: str, alphabet: str = "ab") -> str:
 def reversal(w: str) -> str:
     """The reversal (mirror image) of w; an involution."""
     return w[::-1]
-
-
-def lex_cmp(u: str, v: str) -> int:
-    """Lexicographic comparison with a < b; a proper prefix is smaller.
-
-    Returns -1, 0 or 1.
-    """
-    return (u > v) - (u < v)
-
-
-def radix_key(w: str) -> tuple[int, str]:
-    """Sort key realizing the radix order: by length, then lexicographically."""
-    return (len(w), w)
-
-
-def radix_cmp(u: str, v: str) -> int:
-    """Radix comparison: shorter word first, same length falls back to lex.
-
-    A total order; returns -1, 0 or 1.
-    """
-    ku, kv = radix_key(u), radix_key(v)
-    return (ku > kv) - (ku < kv)
 
 
 def factors(w: str, n: int) -> list[str]:

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -245,6 +246,32 @@ def test_internal_error_exits_3_with_one_error_line(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "_cmd_counterexamples", broken)
     assert run(capsys, "counterexamples") == (3, "partial\n", "error: internal fault\n")
+
+
+def test_error_after_some_text_leaves_stdout_empty(capsys, monkeypatch):
+    real = cli.q_markoff
+
+    def q_markoff(word):  # fails on the second counterexample, after the first is formatted
+        if word == "abbbab":
+            raise ValueError("no polynomial")
+        return real(word)
+
+    monkeypatch.setattr(cli, "q_markoff", q_markoff)
+    assert run(capsys, "counterexamples") == (2, "", "error: no polynomial\n")
+
+
+def test_only_main_writes_stdout():
+    tree = ast.parse((SRC / "qmarkoff" / "cli.py").read_text(encoding="utf-8"))
+
+    def writers(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == "print"
+                or isinstance(n, ast.Attribute) and n.attr == "stdout"
+                and isinstance(n.value, ast.Name) and n.value.id == "sys"]
+
+    main_def = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    others = [n for n in tree.body if n is not main_def]
+    assert writers(main_def)
+    assert [ast.unparse(n) for other in others for n in writers(other)] == []
 
 
 def test_language_text_listing(capsys):

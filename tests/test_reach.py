@@ -15,8 +15,6 @@ import qmarkoff
 ALLOWED = {
     # the Markoff-property predicate, until a CLI command runs balance <=> Markoff property
     "has_markoff_property_periodic",
-    # the word orders that radix_key and plain string comparison realise
-    "lex_cmp", "radix_cmp",
     # the exact values of the curves export; the CLI prints floats from curve_ratios, its one walk
     "curves_export",
     # the standard-word prefix that acceptance criterion 7 reads; enumerate_factors reads the window

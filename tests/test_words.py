@@ -9,10 +9,7 @@ from qmarkoff.words import (
     factors,
     has_markoff_property_periodic,
     is_balanced_periodic,
-    lex_cmp,
     parse_word,
-    radix_cmp,
-    radix_key,
     render_word,
     reversal,
 )
@@ -53,30 +50,6 @@ def test_reversal_examples():
 def test_reversal_involution_and_counts(w):
     assert reversal(reversal(w)) == w
     assert reversal(w).count("a") == w.count("a")
-
-
-def test_lex_cmp_examples():
-    assert lex_cmp("aab", "aba") == -1
-    assert lex_cmp("a", "ab") == -1
-    assert lex_cmp("b", "ab") == 1
-    assert lex_cmp("ab", "ab") == 0
-
-
-def test_radix_cmp_examples():
-    assert radix_cmp("b", "aa") == -1
-    assert radix_cmp("abb", "baa") == -1
-    assert radix_cmp("ab", "ab") == 0
-
-
-def test_radix_total_order_exhaustive_len6():
-    # consistency with the rank in the radix-sorted list makes radix_cmp a
-    # total order (antisymmetric and transitive) on all words of length <= 6
-    words = [""] + list(all_words(1, 6))
-    ranked = {w: i for i, w in enumerate(sorted(words, key=radix_key))}
-    for u in words:
-        for v in words:
-            expected = (ranked[u] > ranked[v]) - (ranked[u] < ranked[v])
-            assert radix_cmp(u, v) == expected
 
 
 def test_factors_examples():
