@@ -18,7 +18,6 @@ import marshal
 import os
 import sys
 from fractions import Fraction
-from itertools import pairwise
 from typing import Iterator
 
 from .language import (
@@ -53,14 +52,15 @@ MAX_TREE_DEPTH = 10  # all 2^(depth+1) - 1 paths up front; tree --json at 10: 2.
 MAX_SPECTRUM_DEPTH = 1024  # bracket widths fall like phi^(-2 depth): floats settle near depth 40
 # Wall time and peak RSS of the costliest spec at each limit, then one step above it
 # (2-vCPU Xeon, Python 3.11):
-MAX_MONOTONE_N = 256  # fibonacci 6.3 s, 70 MiB; --max-n 320: 13 s, 120 MiB
+# certified chains: fibonacci 0.4 s, 23 MiB; chains walked whole for their non-local pairs:
+MAX_MONOTONE_N = 256  # mechanical:alpha=253/255 11 s, 114 MiB; --max-n 320: 28 s, 173 MiB
 MAX_CURVES_LEN = 160  # fibonacci, 5 gammas: 1.3 s, 64 MiB; --max-len 240: 3.5 s, 99 MiB
 # curves --max-len 160, skew blocks, gammas like 255/256: 8 gammas 6.2 s, 155 MiB; 16 gammas
 # 12.5 s, 292 MiB; 8 gammas with terms near 512: 6.8 s, 163 MiB.  Checked before the spec.
 MAX_CURVES_GAMMAS = 8
 MAX_GAMMA_TERM = 256  # largest numerator and denominator of a gamma
 MAX_PAIR_RADIUS = 1024  # 1.7 s, 21 MiB; --radius 1600: 5.3 s
-MAX_LANGUAGE_N = 2048  # skew: 1.1 s, 25 MiB; --n 4096: 4.1 s, 49 MiB
+MAX_LANGUAGE_N = 2048  # skew --json: 0.3 s, 45 MiB; --n 4096: 0.8 s, 132 MiB
 # (subcommand, flag) -> largest accepted value, checked in main before any work
 LIMITS = {
     ("tree", "depth"): MAX_TREE_DEPTH,
@@ -192,23 +192,16 @@ def _cmd_language(args) -> tuple[int, list[str]]:
     changes = flip_permutation(spec, n)
     factors = [changes[0].src] + [c.dst for c in changes]
     if args.json:
-        payload = {
-            "n": n,
-            "factors": [render_word(f, args.alphabet) for f in factors],
-            "changes": [
-                {
-                    "from": render_word(c.src, args.alphabet),
-                    "to": render_word(c.dst, args.alphabet),
-                    "kind": c.kind,
-                }
-                for c in changes
-            ],
-        }
+        tagged = [{"from": render_word(c.src, args.alphabet), "to": render_word(c.dst, args.alphabet),
+                   "kind": c.kind} for c in changes]
+        payload = {"n": n, "factors": [render_word(f, args.alphabet) for f in factors], "changes": tagged}
         return 0, _lines(json.dumps(payload, indent=2))
-    # one radix segment: last of length n-1, the length-n factors, first of length n+1
+    # one radix segment: last of length n-1, the length-n factors, first of length n+1 (kinds from changes)
     below = [enumerate_factors(spec, n - 1).factors[-1]] if n >= 2 else []
-    segment = below + factors + [enumerate_factors(spec, n + 1).factors[0]]
-    kinds = [""] + [classify_change(u, v) for u, v in pairwise(segment)]
+    above = enumerate_factors(spec, n + 1).factors[0]
+    segment = below + factors + [above]
+    kinds = ([""] + [classify_change(w, factors[0]) for w in below] + [c.kind for c in changes]
+             + [classify_change(factors[-1], above)])
     width = max(map(len, segment))
     rows = [f"{render_word(w, args.alphabet).ljust(width + 2)}{kind}".rstrip() for w, kind in zip(segment, kinds)]
     return 0, _lines(f"n: {n}", f"factors ({len(factors)}):", *rows)

@@ -21,7 +21,8 @@ times MU_Q_A or MU_Q_B is then a few shifts by B bits and adds (``_step``).
 from the kept row of w[:-1]: with ``_step`` for ``q_markoff_chain`` and
 ``first_unordered``, and with ``_eval_step``, the same step at q = n/d on
 integer rows scaled by a power of d, for the integer ratios of
-``q_markoff_ratios``.  No other module knows the packed format.
+``q_markoff_ratios``.  No other module knows the packed format.  ``first_unordered``
+decides only the chains with a pair that language._certified does not cover.
 """
 
 from __future__ import annotations

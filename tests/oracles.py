@@ -10,7 +10,9 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from qmarkoff.language import MonotonicityError, Periodic, Skew, _standard_prefix, sequence_window
+from qmarkoff.language import (
+    FLIP_AB_BA, LAST_LETTER, WRAP_AWA, WRAP_AWB, MonotonicityError, Periodic, Skew, _standard_prefix, sequence_window,
+)
 from qmarkoff.morphism import MU_Q_A, MU_Q_B, det_exponent, mu_q, q_markoff
 from qmarkoff.pairs import AsymptoticPair, PairReport, Pattern, pair_report
 from qmarkoff.qpoly import IntPolynomial, QMatrix, poly
@@ -383,3 +385,22 @@ def flip_prefix_delta(u: str, v: str) -> IntPolynomial:
         raise ValueError("prefix precondition violated")
     ru = reversal(u)
     return q_markoff(ru + "ba" + v) - q_markoff(ru + "ab" + v)
+
+
+def classify_change_by_letters(u: str, v: str) -> str:
+    """classify_change from the list of differing positions, letter by letter."""
+    if len(u) == len(v):
+        diff = [i for i in range(len(u)) if u[i] != v[i]]
+        if diff == [len(u) - 1] and u[-1] == "a" and v[-1] == "b":
+            return LAST_LETTER
+        if (
+            len(diff) == 2
+            and diff[1] == diff[0] + 1
+            and u[diff[0] : diff[0] + 2] == "ab"
+            and v[diff[0] : diff[0] + 2] == "ba"
+        ):
+            return FLIP_AB_BA
+    elif len(v) == len(u) + 1 and u:
+        if u[0] == "b" and v[0] == "a" and v[1:-1] == u[1:]:
+            return WRAP_AWA if v[-1] == "a" else WRAP_AWB
+    raise ValueError(f"{u!r} -> {v!r} is not a balanced-language local change")
