@@ -52,8 +52,9 @@ MAX_TREE_DEPTH = 10  # all 2^(depth+1) - 1 paths up front; tree --json at 10: 2.
 MAX_SPECTRUM_DEPTH = 1024  # bracket widths fall like phi^(-2 depth): floats settle near depth 40
 # Wall time and peak RSS of the costliest spec at each limit, then one step above it
 # (2-vCPU Xeon, Python 3.11):
-# certified chains: fibonacci 0.4 s, 23 MiB; chains walked whole for their non-local pairs:
-MAX_MONOTONE_N = 256  # mechanical:alpha=253/255 11 s, 114 MiB; --max-n 320: 28 s, 173 MiB
+# fibonacci 0.3 s, 23 MiB; a periodic or mechanical spec of slope p/q, q <= max_n, also builds
+# the chain of its enclosing skew language, so one with q near max_n costs the most:
+MAX_MONOTONE_N = 256  # mechanical:alpha=126/253 0.5 s, 32 MiB; --max-n 320: 0.8 s, 47 MiB
 MAX_CURVES_LEN = 160  # fibonacci, 5 gammas: 1.3 s, 64 MiB; --max-len 240: 3.5 s, 99 MiB
 # curves --max-len 160, skew blocks, gammas like 255/256: 8 gammas 6.2 s, 155 MiB; 16 gammas
 # 12.5 s, 292 MiB; 8 gammas with terms near 512: 6.8 s, 163 MiB.  Checked before the spec.

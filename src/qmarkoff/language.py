@@ -22,9 +22,9 @@ from functools import cached_property, lru_cache
 from itertools import pairwise
 from typing import Iterator, NamedTuple, Sequence, Union
 
-from .morphism import first_unordered, is_christoffel, q_markoff, q_markoff_chain, q_markoff_ratios
+from .morphism import is_christoffel, q_markoff, q_markoff_chain, q_markoff_ratios
 from .qpoly import IntPolynomial, Scalar
-from .words import factors, is_balanced_periodic, parse_word, reversal
+from .words import christoffel_word, factors, is_balanced_periodic, parse_word, reversal
 
 
 class _MechanicalFields(NamedTuple):
@@ -174,6 +174,22 @@ class Skew(_SkewFields):
 BalancedSpec = Union[Periodic, Characteristic, Skew, Mechanical]
 
 
+def _slope(spec: Periodic | Mechanical) -> Fraction:
+    """The slope p/q of a periodic or mechanical spec: alpha, or the b-density of the period."""
+    return spec.alpha if isinstance(spec, Mechanical) else Fraction(spec.word.count("b"), len(spec.word))
+
+
+def _enclosing_skew(slope: Fraction) -> Skew:
+    """The skew spec of slope p/q whose language holds that of Mechanical(p/q) at every length:
+    Skew(c[1:-1], "blocks") with c = christoffel_word(p, q) when q >= 2, and a^∞ or b^∞ with one
+    letter changed when q = 1.
+    """
+    p, q = slope.as_integer_ratio()
+    if q == 1:
+        return Skew("", "xxyxx", "ba" if p else "ab")
+    return Skew(christoffel_word(p, q)[1:-1], "blocks")
+
+
 def letter_at(spec: BalancedSpec, pos: int) -> str:
     """Letter of the spec's canonical biinfinite sequence at position `pos`."""
     return sequence_window(spec, pos, pos + 1)
@@ -270,7 +286,7 @@ def enumerate_factors(spec: BalancedSpec, n: int) -> FactorLanguage:
     if n == 0:
         return FactorLanguage(0, ("",))
     if isinstance(spec, (Periodic, Mechanical)):
-        slope = spec.alpha if isinstance(spec, Mechanical) else Fraction(spec.word.count("b"), len(spec.word))
+        slope = _slope(spec)
         spec = Mechanical(slope)
         if slope.denominator <= n:
             return FactorLanguage(n, tuple(factors(sequence_window(spec, 0, slope.denominator + n - 1), n)))
@@ -393,6 +409,20 @@ class RadixChainReport(_RadixChainReportFields):
         return tuple(g - f for f, g in pairwise(q_markoff_chain(self.chain)))
 
 
+def _cover(spec: BalancedSpec, max_n: int) -> dict[str, int]:
+    """Each word of the radix chain of the enclosing skew language of a periodic or mechanical spec,
+    to its index there, when every pair of that chain is _certified; empty otherwise.
+
+    Such a chain is ordered, so u precedes v whenever both are in it and u comes first.
+    """
+    if not isinstance(spec, (Periodic, Mechanical)):
+        return {}
+    chain = _radix_words(_enclosing_skew(_slope(spec)), max_n)
+    if not all(map(_certified, chain, chain[1:])):
+        return {}
+    return {w: i for i, w in enumerate(chain)}
+
+
 def radix_chain_check(spec: BalancedSpec, max_n: int) -> RadixChainReport:
     """Certify monotonicity of w -> q_markoff(w) on the spec's language up to max_n.
 
@@ -400,19 +430,27 @@ def radix_chain_check(spec: BalancedSpec, max_n: int) -> RadixChainReport:
     (the empty word is the radix minimum) and checks that every
     consecutive difference is a nonzero polynomial with nonnegative
     coefficients; by transitivity this covers every radix-ordered pair.
-    Each pair is decided on the words by _certified; a chain with a pair it
-    does not cover (the non-local pairs of a periodic or mechanical spec of
-    slope p/q, q <= max_n) goes whole to morphism.first_unordered.
+    Each pair (u, v) is decided in turn: ordered when _certified accepts it;
+    else ordered when u comes before v in the _cover of a periodic or
+    mechanical spec (its non-local pairs, slope p/q with q <= max_n), by
+    transitivity; else by its own q-Markoff difference.
     Raises MonotonicityError on the first offending pair, with its exact
     difference.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     chain = _radix_words(spec, max_n)
-    i = None if all(map(_certified, chain, chain[1:])) else first_unordered(chain)
-    if i is not None:
-        u, v = chain[i], chain[i + 1]
-        raise MonotonicityError(u, v, q_markoff(v) - q_markoff(u))
+    cover = None  # built on the first pair that is not _certified
+    for u, v in pairwise(chain):
+        if _certified(u, v):
+            continue
+        if cover is None:
+            cover = _cover(spec, max_n)
+        if u in cover and v in cover and cover[u] < cover[v]:
+            continue
+        difference = q_markoff(v) - q_markoff(u)
+        if not difference.is_nonneg_nonzero():
+            raise MonotonicityError(u, v, difference)
     return RadixChainReport(tuple(chain))
 
 

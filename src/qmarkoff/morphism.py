@@ -12,24 +12,25 @@ is at most the entry's value at q = 1, so at most max mu(w) <= ||mu(w)||_2
 whose log2 are below 1.3885 and 2.5432.  So an entry of mu_q(w), or of mu_q
 of any factor of w, packs into one int, sum c_i 2^(iB), with slots of
 B = (13885|w|_a + 25432|w|_b) // 10000 + 3 bits rounded up to whole bytes
-(``_slot_bits``, from the letter counts alone); the two spare bits let
-``_precedes`` compare packed entries.  A row (x, y) of the matrix
-times MU_Q_A or MU_Q_B is then a few shifts by B bits and adds (``_step``).
-``mu_q`` runs that step left to right over the word on both rows, and
-``q_markoff`` on the first row alone, the only one holding e12.
-``_chain_rows`` steps along a radix chain of factors, one step per word
-from the kept row of w[:-1]: with ``_step`` for ``q_markoff_chain`` and
-``first_unordered``, and with ``_eval_step``, the same step at q = n/d on
-integer rows scaled by a power of d, for the integer ratios of
-``q_markoff_ratios``.  No other module knows the packed format.  ``first_unordered``
-decides only the chains with a pair that language._certified does not cover.
+(``_slot_bits``, from the letter counts alone).  Nothing needs its two
+spare bits; a narrower slot changes the cost of every walk, so it is a
+change to measure on its own.  A row (x, y) of the matrix times MU_Q_A or
+MU_Q_B is then a few shifts by B bits and adds (``_step``).  ``mu_q`` runs
+that step left to right over the word on both rows, and ``q_markoff`` on
+the first row alone, the only one holding e12.  ``_chain_rows`` steps
+along a radix chain of factors, one step per word from the kept row of
+w[:-1]: with ``_step`` for ``q_markoff_chain``, and with ``_eval_step``,
+the same step at q = n/d on integer rows scaled by a power of d, for the
+integer ratios of ``q_markoff_ratios``.  No other module knows the packed
+format.  Order along a radix chain is decided in
+language.radix_chain_check, on the words where it can be and by a
+difference of q_markoff values where it cannot.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import pairwise
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .qpoly import IntPolynomial, QMatrix, Scalar, poly
@@ -47,22 +48,6 @@ def _slot_bits(w: str) -> int:
     """Slot width B for mu_q(w) and its factors: bitlen(max mu(w)) <= (13885|w|_a +
     25432|w|_b) // 10000 + 1, plus two spare bits, rounded up to whole bytes."""
     return ((13885 * w.count("a") + 25432 * w.count("b")) // 10000 + 10) // 8 * 8
-
-
-def _bias(bits: int, slots: int) -> int:
-    """The packed int holding 2^(bits-1) in each of `slots` slots; bits is a multiple of 8."""
-    return int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * slots, "little")
-
-
-def _precedes(f: int, g: int, bias: int) -> bool:
-    """IntPolynomial.precedes on packed polynomials: g - f is nonzero and nonnegative.
-
-    f and g share slots of B bits with coefficients below 2^(B-2), and `bias`
-    has 2^(B-1) in every slot either uses.  Slot i of g + bias - f is then
-    g_i - f_i + 2^(B-1), which borrows from no other slot and has its top bit
-    set iff g_i >= f_i.
-    """
-    return f != g and (g + bias - f) & bias == bias
 
 
 def _unpack(value: int, bits: int) -> IntPolynomial:
@@ -140,27 +125,15 @@ def _chain_rows(chain: Sequence[str], step, *args) -> Iterator[tuple[int, int]]:
         yield rows[w]
 
 
-def _chain_walk(chain: Sequence[str]) -> tuple[str, int, Iterator[int]]:
-    """The longest word of `chain` with the most letters b, the slot width B it fixes, and
-    q_markoff(w) packed in B-bit slots for each w of `chain`.
-
-    Every word is a factor of a longest one, and _slot_bits and det_exponent grow with
-    the letter counts, at one length with the count of b: that word bounds them all.
-    """
-    top = max((w for w in chain if len(w) == len(chain[-1])), key=lambda w: w.count("b"))
-    bits = _slot_bits(top)
-    return top, bits, (y for _, y in _chain_rows(chain, _step, bits))
-
-
 def q_markoff_chain(chain: Sequence[str]) -> Iterator[IntPolynomial]:
     """q_markoff(w) for each w of `chain`, one matrix-row step per word and no mu_q.
 
     As in the radix chain of a factor language, the words run by
-    nondecreasing length, each nonempty w follows w[:-1] among the words one
-    letter shorter, and every word is a factor of one of the longest.
+    nondecreasing length, and each nonempty w follows w[:-1] among the words
+    one letter shorter.  The slots are the widest that any word needs.
     """
-    _, bits, packed = _chain_walk(chain)
-    return (_unpack(p, bits) for p in packed)
+    bits = max(map(_slot_bits, chain))
+    return (_unpack(y, bits) for _, y in _chain_rows(chain, _step, bits))
 
 
 def q_markoff_ratios(chain: Sequence[str], gammas: Sequence[Scalar]) -> Iterator[tuple[str, list[tuple[int, int]]]]:
@@ -176,19 +149,6 @@ def q_markoff_ratios(chain: Sequence[str], gammas: Sequence[Scalar]) -> Iterator
     for w, *rows in zip(chain, *walks):
         e = det_exponent(w)
         yield w, [(y, d**e) for (_, d), (_, y) in zip(ratios, rows)]
-
-
-def first_unordered(chain: Sequence[str]) -> int | None:
-    """Least i with q_markoff(chain[i+1]) - q_markoff(chain[i]) not nonzero and nonnegative.
-
-    None when there is none; `chain` is as in q_markoff_chain.  Each pair is
-    decided on packed polynomials, with bias bits in every slot of degree
-    below the largest det_exponent.
-    """
-    top, bits, packed = _chain_walk(chain)
-    bias = _bias(bits, det_exponent(top) + 1)  # deg e12 < det_exponent
-    pairs = enumerate(pairwise(packed))
-    return next((i for i, (f, g) in pairs if not _precedes(f, g, bias)), None)
 
 
 def q_markoff(w: str) -> IntPolynomial:

@@ -8,12 +8,13 @@ the identities behind monotonicity in IntPolynomial and QMatrix arithmetic.
 
 import math
 from fractions import Fraction
+from itertools import pairwise
 from typing import NamedTuple
 
 from qmarkoff.language import (
     FLIP_AB_BA, LAST_LETTER, WRAP_AWA, WRAP_AWB, MonotonicityError, Periodic, Skew, _standard_prefix, sequence_window,
 )
-from qmarkoff.morphism import MU_Q_A, MU_Q_B, det_exponent, mu_q, q_markoff
+from qmarkoff.morphism import MU_Q_A, MU_Q_B, det_exponent, mu_q, q_markoff, q_markoff_chain
 from qmarkoff.pairs import AsymptoticPair, PairReport, Pattern, pair_report
 from qmarkoff.qpoly import IntPolynomial, QMatrix, poly
 from qmarkoff.spectrum import PeriodicCF, SpectrumValue, _convergents, christoffel_supremum, closed_form_supremum
@@ -209,6 +210,15 @@ def radix_chain_differences(chain):
             raise MonotonicityError(u, v, d)
         diffs.append(d)
     return tuple(diffs)
+
+
+def first_unordered(chain):
+    """Least i with q_markoff(chain[i+1]) - q_markoff(chain[i]) not nonzero and nonnegative, or None.
+
+    Every pair is compared as polynomials; `chain` is as in q_markoff_chain.
+    """
+    pairs = enumerate(pairwise(q_markoff_chain(chain)))
+    return next((i for i, (f, g) in pairs if not f.precedes(g)), None)
 
 
 def evaluate_by_fraction_horner(p, x):

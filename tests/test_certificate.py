@@ -1,10 +1,12 @@
 """The word certificate of radix_chain_check: the identities it rests on, the pairs it accepts,
-and agreement with the packed comparison it falls back to."""
+the cover of periodic and mechanical chains by their enclosing skew chain, and agreement with
+the polynomial reference oracles.first_unordered."""
 
 import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import pairwise
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +17,11 @@ from qmarkoff.cli import parse_spec
 from qmarkoff.language import (
     FLIP_AB_BA, Characteristic, Mechanical, MonotonicityError, Periodic, Skew, radix_chain_check,
 )
-from qmarkoff.morphism import MU_Q_A, MU_Q_B, first_unordered, mu_q, q_markoff
+from qmarkoff.morphism import MU_Q_A, MU_Q_B, mu_q, q_markoff
 from qmarkoff.qpoly import IntPolynomial, QMatrix, poly
 from qmarkoff.words import christoffel_word, factors, reversal
 
-from oracles import classify_change_by_letters, positivity_report
+from oracles import classify_change_by_letters, first_unordered, positivity_report
 
 FIB = Characteristic((1,) * 24)
 Q = poly(0, 1)
@@ -159,10 +161,10 @@ def test_certificate_refuses_non_local_pairs():
         assert not language._certified(u, v), (u, v)
 
 
-# ---- radix_chain_check against the packed comparison
+# ---- radix_chain_check against the polynomial reference
 
 
-def _assert_matches_packed(chain, check):
+def _assert_matches_reference(chain, check):
     """check() returns the chain's report when first_unordered finds no pair, else raises the
     MonotonicityError of its first pair with the exact difference."""
     i = first_unordered(chain)
@@ -176,8 +178,20 @@ def _assert_matches_packed(chain, check):
         assert i is None and report.chain == tuple(chain)
 
 
-def _assert_spec_matches_packed(spec, max_n):
-    _assert_matches_packed(language._radix_words(spec, max_n), lambda: radix_chain_check(spec, max_n))
+def _assert_spec_matches_reference(spec, max_n):
+    _assert_matches_reference(language._radix_words(spec, max_n), lambda: radix_chain_check(spec, max_n))
+
+
+def _counted(monkeypatch, *targets):
+    """Counter of the calls to each (module, name) of `targets` from now on."""
+    calls = Counter()
+    for module, name in targets:
+        def counted(*args, real=getattr(module, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 # the specs of the CLI argv fuzz test that parse and reach length 16
@@ -188,7 +202,7 @@ FUZZ_SPECS = ["fibonacci", "periodic:aab", "skew", "skew:m=aba,form=blocks,xy=ba
 
 @pytest.mark.parametrize("text", FUZZ_SPECS)
 def test_fuzz_specs_match_packed(text):
-    _assert_spec_matches_packed(parse_spec(text), 16)
+    _assert_spec_matches_reference(parse_spec(text), 16)
 
 
 @settings(max_examples=40, deadline=None)
@@ -199,7 +213,7 @@ def test_fuzz_specs_match_packed(text):
     st.integers(1, 24),
 )
 def test_mechanical_specs_match_packed(slope, rho, kind, max_n):
-    _assert_spec_matches_packed(Mechanical(Fraction(*slope), rho, kind), max_n)
+    _assert_spec_matches_reference(Mechanical(Fraction(*slope), rho, kind), max_n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -211,43 +225,80 @@ def test_mechanical_specs_match_packed(slope, rho, kind, max_n):
     st.integers(1, 24),
 )
 def test_skew_specs_match_packed(slope, form, xy, max_n):
-    _assert_spec_matches_packed(Skew(christoffel_word(*slope)[1:-1], form, xy), max_n)
+    _assert_spec_matches_reference(Skew(christoffel_word(*slope)[1:-1], form, xy), max_n)
+
+
+def test_mechanical_languages_lie_in_their_certified_enclosing_skew_language():
+    # every slope p/q with q <= 30 at every n <= 40: 11,160 inclusions, and 279 certified chains
+    slopes = {Fraction(p, q) for q in range(1, 31) for p in range(q + 1)}
+    assert len(slopes) * 40 == 11160
+    for slope in slopes:
+        skew = language._enclosing_skew(slope)
+        for n in range(1, 41):
+            inner = set(language.enumerate_factors(Mechanical(slope), n).factors)
+            assert inner <= set(language.enumerate_factors(skew, n).factors), (slope, n)
+        chain = language._radix_words(skew, 40)
+        assert all(map(language._certified, chain, chain[1:])), slope
 
 
 @pytest.mark.parametrize("period", ["ab", "aab", "abb", "aabab", "abababb"])
-def test_small_periods_take_the_fallback(period):
+def test_small_periods_take_the_fallback(period, monkeypatch):
+    # their non-local pairs fall back from _certified to the cover, and none to a difference
     spec = Periodic(period)
     chain = language._radix_words(spec, 12)
     assert not all(map(language._certified, chain, chain[1:]))
-    _assert_spec_matches_packed(spec, 12)
+    calls = _counted(monkeypatch, (language, "q_markoff"))
+    _assert_spec_matches_reference(spec, 12)
+    assert calls == Counter()
+
+
+def test_cover_keeps_the_order_of_the_enclosing_chain(monkeypatch):
+    # two top-length words of a periodic chain swapped: both are in the cover, in the other order
+    radix_words = language._radix_words
+
+    def swapped(spec, max_n):
+        chain = radix_words(spec, max_n)
+        return chain[:-2] + [chain[-1], chain[-2]] if isinstance(spec, Periodic) else chain
+
+    monkeypatch.setattr(language, "_radix_words", swapped)
+    chain = swapped(Periodic("aabab"), 12)
+    assert first_unordered(chain) == len(chain) - 2
+    _assert_matches_reference(chain, lambda: radix_chain_check(Periodic("aabab"), 12))
+
+
+def test_uncertified_enclosing_chain_covers_nothing(monkeypatch):
+    # one refused pair of the enclosing chain: each pair _certified refuses takes its own difference
+    spec = Periodic("aabab")
+    skew = language._radix_words(language._enclosing_skew(language._slope(spec)), 12)
+    certified = language._certified
+    monkeypatch.setattr(language, "_certified", lambda u, v: (u, v) != tuple(skew[-2:]) and certified(u, v))
+    chain = language._radix_words(spec, 12)
+    refused = sum(not language._certified(u, v) for u, v in pairwise(chain))
+    calls = _counted(monkeypatch, (language, "q_markoff"))
+    _assert_spec_matches_reference(spec, 12)
+    assert refused > 0 and calls == Counter(q_markoff=2 * refused)
 
 
 def test_non_balanced_chain_matches_packed(monkeypatch):
     # all words of length <= 3, as in test_radix_chain_failure_matches_schoolbook
     chain = [""] + ["".join(t) for n in range(1, 4) for t in itertools.product("ab", repeat=n)]
     monkeypatch.setattr(language, "_radix_words", lambda spec, n: chain)
-    _assert_matches_packed(chain, lambda: radix_chain_check(FIB, 3))
+    _assert_matches_reference(chain, lambda: radix_chain_check(FIB, 3))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.text("ab", min_size=12, max_size=40), st.integers(1, 12))
 def test_factor_chains_of_any_word_match_packed(word, max_n):
-    # prefix-closed chains from any word: balanced or not, certified, fallback or failing
+    # prefix-closed chains from any word: balanced or not, certified, covered or failing
     chain = [""] + [f for n in range(1, max_n + 1) for f in factors(word, n)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(language, "_radix_words", lambda spec, n: chain)
-        _assert_matches_packed(chain, lambda: radix_chain_check(FIB, max_n))
+        _assert_matches_reference(chain, lambda: radix_chain_check(FIB, max_n))
 
 
 def test_certified_chain_makes_no_packed_step(monkeypatch):
-    calls = Counter()
-    for name in ("_step", "_precedes"):
-        def counted(*args, real=getattr(morphism, name), name=name):
-            calls[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(morphism, name, counted)
+    calls = _counted(monkeypatch, (morphism, "_step"), (language, "q_markoff"))
     assert len(radix_chain_check(FIB, 64).chain) == 2145
     assert calls == Counter()
-    radix_chain_check(Periodic("aabab"), 8)  # the fallback walks and compares
-    assert calls["_step"] > 0 and calls["_precedes"] > 0
+    language.q_markoff("ab")  # what one difference would count
+    assert calls == Counter(q_markoff=1, _step=2)

@@ -554,11 +554,11 @@ def test_radix_chain_failure_matches_schoolbook(monkeypatch):
 
     chain = [""] + ["".join(t) for n in range(1, 4) for t in itertools.product("ab", repeat=n)]
     monkeypatch.setattr(language, "_radix_words", lambda spec, n: chain)
-    with pytest.raises(MonotonicityError) as packed:
+    with pytest.raises(MonotonicityError) as checked:
         radix_chain_check(FIB, 3)
     with pytest.raises(MonotonicityError) as schoolbook:
         radix_chain_differences(chain)
-    err = packed.value
+    err = checked.value
     assert (err.src, err.dst) == (schoolbook.value.src, schoolbook.value.dst) == ("bb", "aaa")
     assert err.difference == schoolbook.value.difference == q_markoff("aaa") - q_markoff("bb")
 

@@ -13,13 +13,9 @@ from qmarkoff.language import Characteristic, Mechanical, Periodic, Skew, _radix
 from qmarkoff.morphism import (
     MU_Q_A,
     MU_Q_B,
-    _bias,
-    _precedes,
     _slot_bits,
-    _unpack,
     christoffel_node,
     det_exponent,
-    first_unordered,
     is_christoffel,
     markoff_triple,
     mu,
@@ -36,6 +32,7 @@ from oracles import (
     delta_last_letter,
     delta_wrap,
     det_mu_q,
+    first_unordered,
     flip_delta,
     flip_matrix,
     flip_prefix_delta,
@@ -340,26 +337,13 @@ def test_q_markoff_builds_no_mu_q(monkeypatch):
         assert q_markoff(w) == mu_q_schoolbook(w).e12
 
 
-def pack(p, bits):
-    return sum(c << (i * bits) for i, c in enumerate(p.coeffs))
-
-
-@given(st.lists(st.integers(0, 300), max_size=9), st.lists(st.integers(0, 300), max_size=9))
-def test_packed_order_matches_coefficientwise_order(fc, gc):
-    f, g = IntPolynomial(fc), IntPolynomial(gc)
-    bits = -(-(max(fc + gc, default=0).bit_length() + 2) // 8) * 8  # two spare bits, whole bytes
-    bias = _bias(bits, max(len(fc), len(gc)))
-    assert _unpack(pack(f, bits), bits) == f
-    assert _precedes(pack(f, bits), pack(g, bits), bias) == f.precedes(g)
-
-
 def test_first_unordered_small_chains():
     assert first_unordered(["", "a", "b"]) is None
     assert first_unordered(["", "b", "a"]) == 1
     assert first_unordered(["b", "a"]) == 0
     assert first_unordered(["a", "a"]) == 0
     # ordered up to its last pair, whose difference q^3 + q^4 + 2q^5 + q^6 - q^9 - q^10 - 2q^11 - q^12
-    # is negative only in slots above half the largest det_exponent (18)
+    # is negative only in its top coefficients
     chain = ["", "a", "aa", "ab", "aab", "aba", "abaa", "aabb", "abaab", "aabba", "aabbab", "abaabb"]
     assert first_unordered(chain[:-1]) is None
     assert first_unordered(chain) == len(chain) - 2
