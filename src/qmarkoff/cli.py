@@ -3,37 +3,26 @@
 Every command returns its exit code and its text as chunks; main is the only writer of stdout and
 stderr. Every command but tree builds its whole text before it returns; tree streams node by node.
 
+Each command is a fresh interpreter, so the imports follow the commands: the modules every command
+runs (morphism, with qpoly, and words) load at the top, while language, pairs, spectrum and json
+load inside the commands that use them.
+
 Exit codes: 0 on success, 1 on verification failure (including a spec whose factor count at
 the requested n is not n+1), 2 on usage errors (unknown spec string or spec key, malformed
-word, bad numeric flags, a size flag over its limit in LIMITS, or curves gammas over
-MAX_CURVES_GAMMAS or MAX_GAMMA_TERM, refused before any work), 3 on output or internal errors
+word, bad numeric flags, a size flag over its limit in LIMITS, or curves gammas that are none or
+over MAX_CURVES_GAMMAS or MAX_GAMMA_TERM, refused before any work), 3 on output or internal errors
 (a closed or full stdout, a failed tree worker, any other exception), each with one error: line.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import marshal
 import os
 import sys
 from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .language import (
-    BalancedSpec,
-    Characteristic,
-    ComplexityViolation,
-    Mechanical,
-    MonotonicityError,
-    Periodic,
-    Skew,
-    classify_change,
-    curve_ratios,
-    enumerate_factors,
-    flip_permutation,
-    radix_chain_check,
-)
 from .morphism import (
     christoffel_node,
     markoff_triple,
@@ -42,9 +31,10 @@ from .morphism import (
     q_markoff,
     tree_paths,
 )
-from .pairs import build_pair, pair_report
-from .spectrum import christoffel_supremum, closed_form_supremum
 from .words import parse_word, render_word
+
+if TYPE_CHECKING:
+    from .language import BalancedSpec
 
 FIBONACCI_DIRECTIVE = (1,) * 24
 MAX_QMARKOFF_LETTERS = 1024  # mu_q time is cubic in the length; b^1024 on 2 vCPUs: 5.8-8.4 s, 55 MiB, 12 MB out
@@ -83,6 +73,8 @@ def parse_spec(text: str) -> BalancedSpec:
     periodic:WORD | fibonacci | characteristic:a1,a2,... |
     skew:m=WORD,form=xxyxx|blocks,xy=ab|ba | mechanical:alpha=P/Q,rho=P/Q,kind=lower|upper
     """
+    from .language import Characteristic, Mechanical, Periodic, Skew
+
     head, _, rest = text.partition(":")
     try:
         if head == "fibonacci" and not rest:
@@ -188,11 +180,15 @@ def _cmd_qmarkoff(args) -> tuple[int, list[str]]:
 
 
 def _cmd_language(args) -> tuple[int, list[str]]:
+    from .language import classify_change, enumerate_factors, flip_permutation
+
     spec = parse_spec(args.spec)
     n = args.n
     changes = flip_permutation(spec, n)
     factors = [changes[0].src] + [c.dst for c in changes]
     if args.json:
+        import json
+
         tagged = [{"from": render_word(c.src, args.alphabet), "to": render_word(c.dst, args.alphabet),
                    "kind": c.kind} for c in changes]
         payload = {"n": n, "factors": [render_word(f, args.alphabet) for f in factors], "changes": tagged}
@@ -209,6 +205,8 @@ def _cmd_language(args) -> tuple[int, list[str]]:
 
 
 def _cmd_verify_monotone(args) -> tuple[int, list[str]]:
+    from .language import MonotonicityError, radix_chain_check
+
     spec = parse_spec(args.spec)
     head = f"spec: {_spec_name(spec)}", f"max_n: {args.max_n}"
     try:
@@ -220,6 +218,8 @@ def _cmd_verify_monotone(args) -> tuple[int, list[str]]:
 
 
 def _cmd_spectrum(args) -> tuple[int, list[str]]:
+    from .spectrum import christoffel_supremum, closed_form_supremum
+
     w = parse_word(args.word)
     m, sup = christoffel_supremum(w, args.depth)
     closed = closed_form_supremum(m)
@@ -229,6 +229,8 @@ def _cmd_spectrum(args) -> tuple[int, list[str]]:
 
 def _cmd_curves(args) -> tuple[int, list[str]]:
     tokens = [tok for tok in args.gammas.split(",") if tok]
+    if not tokens:
+        raise ValueError(f"curves takes at least one gamma, got {args.gammas!r}")
     if len(tokens) > MAX_CURVES_GAMMAS:
         raise ValueError(f"curves takes at most {MAX_CURVES_GAMMAS} gammas, got {len(tokens)}")
     try:
@@ -237,6 +239,8 @@ def _cmd_curves(args) -> tuple[int, list[str]]:
         raise ValueError(f"bad gammas {args.gammas!r}: {exc}") from None
     if any(max(abs(g.numerator), g.denominator) > MAX_GAMMA_TERM for g in gammas):
         raise ValueError(f"curves takes gamma numerators and denominators at most {MAX_GAMMA_TERM}")
+    from .language import curve_ratios
+
     spec = parse_spec(args.spec)
     lines = ["word,gamma,value"]
     for word, values in curve_ratios(spec, args.max_len, gammas):
@@ -246,6 +250,8 @@ def _cmd_curves(args) -> tuple[int, list[str]]:
 
 
 def _cmd_pair_check(args) -> tuple[int, list[str]]:
+    from .pairs import build_pair, pair_report
+
     spec = parse_spec(args.spec)
     report = pair_report(build_pair(spec, 0), args.radius)
     return 0 if report.indistinguishable else 1, _lines(
@@ -361,6 +367,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a closed or full stdout fails here at the latest
         return code
     except (ValueError, OverflowError) as exc:
+        from .language import ComplexityViolation  # raised only by commands that loaded language
+
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ComplexityViolation) else 2
     except Exception as exc:  # a closed or full stdout, a failed tree worker, or an internal error

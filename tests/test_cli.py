@@ -701,8 +701,11 @@ def test_curves_overflow_writes_no_partial_csv(capsys, gammas, max_len, reason):
         ("0.001", "curves takes gamma numerators and denominators at most 256"),
         ("1e10000000", "exponent form '1e10000000' is not accepted"),
         ("1/2,1E-9999999", "exponent form '1E-9999999' is not accepted"),
+        ("", "curves takes at least one gamma, got ''"),
+        (",", "curves takes at least one gamma, got ','"),
     ],
-    ids=["9-gammas", "100000-gammas", "denominator-257", "decimal-1/1000", "exponent", "exponent-upper"],
+    ids=["9-gammas", "100000-gammas", "denominator-257", "decimal-1/1000", "exponent", "exponent-upper",
+         "no-gamma", "comma-only"],
 )
 def test_curves_gammas_refused_over_limit_before_any_work(capsys, monkeypatch, gammas, message):
     def reached(text):
@@ -837,6 +840,86 @@ def test_readme_library_example_runs(capsys):
     example = README.split("## Library example", 1)[1].split("```python", 1)[1].split("```", 1)[0]
     exec(compile(example, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines()[1] == "194"
+
+
+def _fresh(code: str) -> str:
+    """Stdout of `python -c CODE` in a fresh interpreter that imports the package from src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+
+
+def test_readme_library_example_runs_in_a_fresh_interpreter():
+    # a name missing from the lazy table fails only where no other import has loaded its module
+    example = README.split("## Library example", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    assert _fresh(example).splitlines()[1] == "194"
+
+
+def test_lazy_public_api_in_a_fresh_interpreter():
+    out = _fresh(
+        "import sys, qmarkoff\n"
+        "print(sorted(m for m in sys.modules if m.startswith('qmarkoff')))\n"
+        "print(sorted(set(qmarkoff.__all__) - set(dir(qmarkoff))))\n"
+        "try:\n"
+        "    qmarkoff.frobnicate\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+        "star = {}\n"
+        "exec('from qmarkoff import *', star)\n"
+        "library = [sys.modules['qmarkoff.' + m] for m in ('words', 'qpoly', 'morphism', 'language', 'pairs', "
+        "'spectrum')]\n"
+        "print(len(qmarkoff.__all__), [name for name in qmarkoff.__all__ if name not in star\n"
+        "       or getattr(qmarkoff, name) is not star[name]\n"
+        "       or {id(vars(m)[name]) for m in library if name in vars(m)} != {id(star[name])}])\n"
+    )
+    assert out.splitlines() == [
+        "['qmarkoff']",  # import qmarkoff loads no module of the library
+        "[]",
+        "module 'qmarkoff' has no attribute 'frobnicate'",
+        "45 []",  # each name is the one object every library module binds to it
+    ]
+
+
+CLI_MODULES = ["qmarkoff", "qmarkoff.cli", "qmarkoff.morphism", "qmarkoff.qpoly", "qmarkoff.words"]
+
+
+@pytest.mark.parametrize(
+    "argv, also",
+    [
+        (None, []),
+        (["tree", "--depth", "3", "--json"], []),
+        (["qmarkoff", "aabab"], []),
+        (["counterexamples"], []),
+        (["spectrum", "aabab", "--depth", "16"], ["qmarkoff.spectrum"]),
+        (["language", "--spec", "fibonacci", "--n", "5"], ["qmarkoff.language"]),
+        (["language", "--spec", "fibonacci", "--n", "5", "--json"], ["json", "qmarkoff.language"]),
+        (["verify-monotone", "--spec", "periodic:aab", "--max-n", "6"], ["qmarkoff.language"]),
+        (["curves", "--spec", "fibonacci", "--max-len", "4", "--gammas", "1/2"], ["qmarkoff.language"]),
+        (["pair-check", "--spec", "skew", "--radius", "4"], ["qmarkoff.language", "qmarkoff.pairs"]),
+    ],
+    ids=["import", "tree-json", "qmarkoff", "counterexamples", "spectrum", "language", "language-json",
+         "verify-monotone", "curves", "pair-check"],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, also):
+    out = _fresh(
+        "import sys, qmarkoff.cli\n"
+        f"code = 0 if {argv!r} is None else qmarkoff.cli.main({argv!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('qmarkoff') or m in ('json', 'dataclasses')))\n"
+    )
+    assert out.splitlines()[-1] == f"0 {sorted(CLI_MODULES + also)}"
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["spectrum", "aabb"], 2, "error: precondition: Christoffel word required\n"),
+        (["language", "--spec", "periodic:ab", "--n", "5"], 1,
+         "error: complexity violation: 2 factors of length 5, expected 6\n"),
+    ],
+)
+def test_error_exit_codes_before_language_is_loaded(argv, code, err):
+    proc = _cli(*argv, stdout=subprocess.PIPE)
+    out, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, out, stderr.decode()) == (code, b"", err)
 
 
 @pytest.mark.parametrize(
