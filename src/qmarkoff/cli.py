@@ -37,8 +37,8 @@ if TYPE_CHECKING:
     from .language import BalancedSpec
 
 FIBONACCI_DIRECTIVE = (1,) * 24
-MAX_QMARKOFF_LETTERS = 1024  # mu_q time is cubic in the length; b^1024 on 2 vCPUs: 5.8-8.4 s, 55 MiB, 12 MB out
-MAX_TREE_DEPTH = 10  # all 2^(depth+1) - 1 paths up front; tree --json at 10: 2.8 s in two processes, 16 + 12 MiB
+MAX_QMARKOFF_LETTERS = 1024  # mu_q time is cubic in the length; b^1024 on 2 vCPUs: 6.4-7.9 s, 47 MiB, 12 MB out
+MAX_TREE_DEPTH = 10  # all 2^(depth+1) - 1 paths up front; tree --json at 10: 2.0-2.4 s in two processes, 16 + 12 MiB
 MAX_SPECTRUM_DEPTH = 1024  # bracket widths fall like phi^(-2 depth): floats settle near depth 40
 # Wall time and peak RSS of the costliest spec at each limit, then one step above it
 # (2-vCPU Xeon, Python 3.11):

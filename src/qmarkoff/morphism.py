@@ -6,6 +6,11 @@ that specialize back at q = 1.  The entry above the diagonal of the image
 of a Christoffel word is a Markoff number, and its q-deformation is the
 q-analog of that Markoff number.
 
+The generator images factor as MU_Q_A = R L and MU_Q_B = R R L L, with
+R = [[q, 1], [0, 1]] and L = [[q, 0], [q, 1]] (the R_q and L_q of
+Morier-Genoud and Ovsienko): a row (x, y) times R is (qx, x + y), and times
+L is (q(x + y), y).  Every walk of a row along a word is these two steps.
+
 Every entry of mu_q(w) has nonnegative coefficients, and each coefficient
 is at most the entry's value at q = 1, so at most max mu(w) <= ||mu(w)||_2
 <= phi^(2|w|_a) (3 + 2 sqrt 2)^(|w|_b), the spectral norms of MU_A and MU_B,
@@ -14,17 +19,18 @@ of any factor of w, packs into one int, sum c_i 2^(iB), with slots of
 B = (13885|w|_a + 25432|w|_b) // 10000 + 3 bits rounded up to whole bytes
 (``_slot_bits``, from the letter counts alone).  Nothing needs its two
 spare bits; a narrower slot changes the cost of every walk, so it is a
-change to measure on its own.  A row (x, y) of the matrix times MU_Q_A or
-MU_Q_B is then a few shifts by B bits and adds (``_step``).  ``mu_q`` runs
-that step left to right over the word on both rows, and ``q_markoff`` on
-the first row alone, the only one holding e12.  ``_chain_rows`` steps
-along a radix chain of factors, one step per word from the kept row of
-w[:-1]: with ``_step`` for ``q_markoff_chain``, and with ``_eval_step``,
-the same step at q = n/d on integer rows scaled by a power of d, for the
-integer ratios of ``q_markoff_ratios``.  No other module knows the packed
-format.  Order along a radix chain is decided in
-language.radix_chain_check, on the words where it can be and by a
-difference of q_markoff values where it cannot.
+change to measure on its own.  Multiplying a packed row by q is a shift by
+B bits, so R and L are a shift and an add each (``_walk``).  ``mu_q``
+walks both rows left to right over the word, and ``q_markoff`` the first
+row alone, the only one holding e12.  ``_eval_walk`` takes the same steps
+at q = n/d on integer rows, each step scaling them by d; ``mu`` is that
+walk at q = 1.  ``_chain_rows`` walks a radix chain of factors, one letter
+per word from the kept row of w[:-1]: with ``_walk`` for
+``q_markoff_chain``, and with ``_eval_walk`` for the integer ratios of
+``q_markoff_ratios``.  No other module knows the packed format.  Order
+along a radix chain is decided in language.radix_chain_check, on the
+words where it can be and by a difference of q_markoff values where it
+cannot.
 """
 
 from __future__ import annotations
@@ -60,43 +66,31 @@ def _unpack(value: int, bits: int) -> IntPolynomial:
     return IntPolynomial([int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)])
 
 
-def _step(x: int, y: int, letter: str, bits: int) -> tuple[int, int]:
-    """Packed row (x, y) of mu_q(w) to the same row of mu_q(w + letter).
-
-    (x, y) * MU_Q_A = (q(x + y) + q^2 x, x + y) and (x, y) * MU_Q_B =
-    (q(x + y) + q^2(2x + y) + q^3 x + q^4 x, (1 + q)x + y), in Horner form.
-    """
-    s = x + y
-    if letter == "a":
-        return ((x << bits) + s) << bits, s
-    return ((((((x << bits) + x) << bits) + x + s) << bits) + s) << bits, (x << bits) + s
-
-
-def _eval_step(x: int, y: int, letter: str, n: int, d: int) -> tuple[int, int]:
-    """_step at q = n/d on rows scaled by d^det_exponent(w), which keeps them integral.
-
-    The letter a multiplies the scale by d^2 and b by d^4, as it does q^det.
-    """
-    s = x + y
-    if letter == "a":
-        return (x * n + s * d) * n, s * d * d
-    dd = d * d
-    return (((x * (n + d) * n + (x + s) * dd) * n + s * dd * d) * n, (x * n + s * d) * dd * d)
-
-
-def _row(w: str, row: tuple[int, int], step, *args) -> tuple[int, int]:
-    """`row` carried through w left to right, one `step(x, y, letter, *args)` per letter."""
+def _walk(w: str, x: int, y: int, bits: int) -> tuple[int, int]:
+    """Packed row (x, y) of a matrix M to the same row of M mu_q(w): R L per a, R R L L per b."""
     for letter in w:
-        row = step(*row, letter, *args)
-    return row
+        x, y = x << bits, x + y  # R
+        if letter == "b":
+            x, y = x << bits, x + y  # R
+            x = (x + y) << bits  # L
+        x = (x + y) << bits  # L
+    return x, y
+
+
+def _eval_walk(w: str, x: int, y: int, n: int, d: int) -> tuple[int, int]:
+    """_walk at q = n/d on rows scaled by d per R or L, so by d^det_exponent(w), which keeps them integral."""
+    for letter in w:
+        x, y = n * x, d * (x + y)  # R
+        if letter == "b":
+            x, y = n * x, d * (x + y)  # R
+            x, y = n * (x + y), d * y  # L
+        x, y = n * (x + y), d * y  # L
+    return x, y
 
 
 def mu(w: str) -> IntMatrix:
-    """Image of w under the integer morphism, one row walk per row; mu("") is the identity.
-
-    _eval_step at q = 1 is the integer step: (x, y) * MU_A and (x, y) * MU_B.
-    """
-    return tuple(_row(w, start, _eval_step, 1, 1) for start in ((1, 0), (0, 1)))
+    """Image of w under the integer morphism, one row walk per row at q = 1; mu("") is the identity."""
+    return _eval_walk(w, 1, 0, 1, 1), _eval_walk(w, 0, 1, 1, 1)
 
 
 @lru_cache(maxsize=1024)
@@ -106,34 +100,34 @@ def mu_q(w: str) -> QMatrix:
     Evaluating every entry at q = 1 recovers mu(w).
     """
     bits = _slot_bits(w)
-    (e11, e12), (e21, e22) = (_row(w, start, _step, bits) for start in ((1, 0), (0, 1)))
+    (e11, e12), (e21, e22) = _walk(w, 1, 0, bits), _walk(w, 0, 1, bits)
     return QMatrix(*(_unpack(e, bits) for e in (e11, e12, e21, e22)))
 
 
-def _chain_rows(chain: Sequence[str], step, *args) -> Iterator[tuple[int, int]]:
-    """First row of mu_q(w) for each w of `chain`, one `step(x, y, letter, *args)` per word.
+def _chain_rows(chain: Sequence[str], walk, *args) -> Iterator[tuple[int, int]]:
+    """First row of mu_q(w) for each w of `chain`, one `walk(letter, x, y, *args)` per word.
 
-    The row of w is one step from the row of w[:-1], kept from the previous
-    length, so two lengths of rows are held at a time.
+    The row of w is one letter on from the row of w[:-1], kept from the
+    previous length, so two lengths of rows are held at a time.
     """
     length, prev, rows = 0, {}, {"": (1, 0)}
     for w in chain:
         if len(w) != length:
             length, prev, rows = len(w), rows, {}
         if w:
-            rows[w] = step(*prev[w[:-1]], w[-1], *args)
+            rows[w] = walk(w[-1], *prev[w[:-1]], *args)
         yield rows[w]
 
 
 def q_markoff_chain(chain: Sequence[str]) -> Iterator[IntPolynomial]:
-    """q_markoff(w) for each w of `chain`, one matrix-row step per word and no mu_q.
+    """q_markoff(w) for each w of `chain`, one letter of row walk per word and no mu_q.
 
     As in the radix chain of a factor language, the words run by
     nondecreasing length, and each nonempty w follows w[:-1] among the words
     one letter shorter.  The slots are the widest that any word needs.
     """
     bits = max(map(_slot_bits, chain))
-    return (_unpack(y, bits) for _, y in _chain_rows(chain, _step, bits))
+    return (_unpack(y, bits) for _, y in _chain_rows(chain, _walk, bits))
 
 
 def q_markoff_ratios(chain: Sequence[str], gammas: Sequence[Scalar]) -> Iterator[tuple[str, list[tuple[int, int]]]]:
@@ -145,7 +139,7 @@ def q_markoff_ratios(chain: Sequence[str], gammas: Sequence[Scalar]) -> Iterator
     of mu_q(w) at n/d, in ints.
     """
     ratios = [g.as_integer_ratio() for g in gammas]
-    walks = [_chain_rows(chain, _eval_step, n, d) for n, d in ratios]
+    walks = [_chain_rows(chain, _eval_walk, n, d) for n, d in ratios]
     for w, *rows in zip(chain, *walks):
         e = det_exponent(w)
         yield w, [(y, d**e) for (_, d), (_, y) in zip(ratios, rows)]
@@ -157,7 +151,7 @@ def q_markoff(w: str) -> IntPolynomial:
     The slots fit every entry of mu(w).  Zero for the empty word.
     """
     bits = _slot_bits(w)
-    return _unpack(_row(w, (1, 0), _step, bits)[1], bits)
+    return _unpack(_walk(w, 1, 0, bits)[1], bits)
 
 
 def det_exponent(w: str) -> int:

@@ -297,8 +297,8 @@ def test_factor_chains_of_any_word_match_packed(word, max_n):
 
 
 def test_certified_chain_makes_no_packed_step(monkeypatch):
-    calls = _counted(monkeypatch, (morphism, "_step"), (language, "q_markoff"))
+    calls = _counted(monkeypatch, (morphism, "_walk"), (language, "q_markoff"))
     assert len(radix_chain_check(FIB, 64).chain) == 2145
     assert calls == Counter()
     language.q_markoff("ab")  # what one difference would count
-    assert calls == Counter(q_markoff=1, _step=2)
+    assert calls == Counter(q_markoff=1, _walk=1)

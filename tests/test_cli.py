@@ -922,6 +922,37 @@ def test_error_exit_codes_before_language_is_loaded(argv, code, err):
     assert (proc.returncode, out, stderr.decode()) == (code, b"", err)
 
 
+TRACED_CLI = SRC.parent / "bench" / "traced_cli.py"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-monotone", "--spec", "fibonacci", "--max-n", "8"],
+        ["verify-monotone", "--spec", "mechanical:alpha=3/8,rho=1/8,kind=upper", "--max-n", "8"],
+        ["tree", "--json", "--depth", "3"],
+        ["curves", "--spec", "fibonacci", "--max-len", "6", "--gammas", "1/2,7/5"],
+        ["spectrum", "aabab"],
+        ["language", "--spec", "fibonacci", "--n", "5"],
+        ["pair-check", "--spec", "fibonacci", "--radius", "4"],
+    ],
+    ids=["verify-monotone", "verify-monotone-mechanical", "tree-json", "curves", "spectrum", "language",
+         "pair-check"],
+)
+def test_traced_benchmark_command_matches_untraced(tmp_path, argv):
+    # the benchmark's layer tracer wraps names the package loads on `import qmarkoff.cli`
+    # (IntPolynomial among them) and reads mu_q.cache_info when the command ends
+    proc = _cli(*argv, stdout=subprocess.PIPE)
+    out, _ = proc.communicate(timeout=60)
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    traced = subprocess.run([sys.executable, str(TRACED_CLI), str(trace), *argv], capture_output=True, env=env,
+                            timeout=60)
+    assert (traced.returncode, traced.stdout) == (proc.returncode, out), traced.stderr.decode()
+    counters = json.loads(trace.read_text())["counters"]
+    assert [key for key, value in counters.items() if value is None] == []
+
+
 @pytest.mark.parametrize(
     "argv, flag, limit",
     [

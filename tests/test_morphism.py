@@ -74,6 +74,14 @@ def test_mu_q_generators():
     assert mu_q("b").entries() == (poly(0, 1, 2, 1, 1), poly(1, 1), poly(0, 1, 1), poly(1))
 
 
+def test_generators_factor_into_r_and_l():
+    # the factorization the packed and rational walks take one step at a time
+    R = QMatrix(poly(0, 1), poly(1), IntPolynomial.zero(), poly(1))
+    L = QMatrix(poly(0, 1), IntPolynomial.zero(), poly(0, 1), poly(1))
+    assert MU_Q_A == R * L
+    assert MU_Q_B == R * R * L * L
+
+
 def test_q_markoff_tree_polynomials():
     for word, expected in TREE_POLYNOMIALS.items():
         assert q_markoff(word) == expected, word
