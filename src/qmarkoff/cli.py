@@ -8,16 +8,15 @@ runs (morphism, with qpoly, and words) load at the top, while language, pairs, s
 load inside the commands that use them.
 
 Exit codes: 0 on success, 1 on verification failure (including a spec whose factor count at
-the requested n is not n+1), 2 on usage errors (unknown spec string or spec key, malformed
-word, bad numeric flags, a size flag over its limit in LIMITS, or curves gammas that are none or
-over MAX_CURVES_GAMMAS or MAX_GAMMA_TERM, refused before any work), 3 on output or internal errors
-(a closed or full stdout, a failed tree worker, any other exception), each with one error: line.
+the requested n is not n+1), 2 on usage errors (unknown spec string or spec key, malformed or
+overlong word, bad numeric flags, a size flag over its limit in LIMITS, or curves gammas that are
+none or over MAX_CURVES_GAMMAS or MAX_GAMMA_TERM, refused before any work), 3 on output or
+internal errors (a closed or full stdout, any other exception), each with one error: line.
 """
 
 from __future__ import annotations
 
 import argparse
-import marshal
 import os
 import sys
 from fractions import Fraction
@@ -38,8 +37,10 @@ if TYPE_CHECKING:
 
 FIBONACCI_DIRECTIVE = (1,) * 24
 MAX_QMARKOFF_LETTERS = 1024  # mu_q time is cubic in the length; b^1024 on 2 vCPUs: 6.4-7.9 s, 47 MiB, 12 MB out
-MAX_TREE_DEPTH = 10  # all 2^(depth+1) - 1 paths up front; tree --json at 10: 2.0-2.4 s in two processes, 16 + 12 MiB
+MAX_TREE_DEPTH = 10  # all 2^(depth+1) - 1 paths up front; tree --json at 10, to /dev/null or piped: 1.6-2.9 s, 16 MiB
 MAX_SPECTRUM_DEPTH = 1024  # bracket widths fall like phi^(-2 depth): floats settle near depth 40
+# m has at most 2.5432 bits a letter, 3,140 digits, inside str(int)'s 4300; a.b^4095 --depth 1024: 0.8 s, 15 MiB
+MAX_SPECTRUM_LETTERS = 4096
 # Wall time and peak RSS of the costliest spec at each limit, then one step above it
 # (2-vCPU Xeon, Python 3.11):
 # fibonacci 0.3 s, 23 MiB; a periodic or mechanical spec of slope p/q, q <= max_n, also builds
@@ -125,38 +126,6 @@ def _lines(*lines: str) -> list[str]:
     return ["\n".join(lines), "\n"]
 
 
-def _node_texts(paths, render, head: str = "", sep: str = "\n", tail: str = "\n") -> Iterator[str]:
-    """Yield head + str(render(p)) for the first path, sep + str(render(p)) for each other, then
-    tail, as one process would.  Where os.fork exists, a child renders every other sibling pair,
-    so that the halves take about the same time, and streams them back with marshal."""
-    in_child = lambda i: i % 4 in (1, 2)  # positions 2k+1 and 2k+2 are siblings; the child has even k
-    theirs = (str(render(p)) for i, p in enumerate(paths) if in_child(i))
-    take, pid = theirs.__next__, 0
-    if hasattr(os, "fork"):
-        r, w = os.pipe()
-        if (pid := os.fork()) == 0:  # the child never writes stdout and never returns: no atexit handler runs
-            try:
-                os.close(r)
-                for text in theirs:
-                    os.write(w, marshal.dumps(text))  # a blocking write: whole, unless a signal ends the child
-                os._exit(0)
-            finally:
-                os._exit(1)
-        os.close(w)
-        pipe = open(r, "rb")
-        take = lambda: marshal.load(pipe)
-    try:
-        for i, p in enumerate(paths):
-            yield (sep if i else head) + (take() if in_child(i) else str(render(p)))
-        yield tail
-    except EOFError:  # the pipe ended early: the child failed, as it exits 0 only after its last node
-        raise ChildProcessError("tree worker failed; output ends after the last whole node") from None
-    finally:  # also when the caller closes the stream early
-        if pid:
-            pipe.close()
-            os.waitpid(pid, 0)
-
-
 def _cmd_tree(args) -> tuple[int, Iterator[str]]:
     def json_node(p):  # json.dumps(nodes, indent=2), node by node: no field needs escaping
         word, (x, y, z) = christoffel_node(p).word, markoff_triple(p)
@@ -165,7 +134,13 @@ def _cmd_tree(args) -> tuple[int, Iterator[str]]:
 
     render = (json_node if args.json else markoff_triple if args.triples
               else (lambda p: q_markoff(christoffel_node(p).word)) if args.qpoly else christoffel_node)
-    return 0, _node_texts(tree_paths(args.depth), render, *(("[\n  ", ",\n  ", "\n]\n") if args.json else ()))
+    head, sep, tail = ("[\n  ", ",\n  ", "\n]\n") if args.json else ("", "\n", "\n")
+
+    def texts():
+        for i, p in enumerate(tree_paths(args.depth)):
+            yield (sep if i else head) + str(render(p))
+        yield tail
+    return 0, texts()
 
 
 def _cmd_qmarkoff(args) -> tuple[int, list[str]]:
@@ -218,9 +193,11 @@ def _cmd_verify_monotone(args) -> tuple[int, list[str]]:
 
 
 def _cmd_spectrum(args) -> tuple[int, list[str]]:
+    w = parse_word(args.word)
+    if len(w) > MAX_SPECTRUM_LETTERS:
+        raise ValueError(f"word has {len(w)} letters; spectrum takes at most {MAX_SPECTRUM_LETTERS}")
     from .spectrum import christoffel_supremum, closed_form_supremum
 
-    w = parse_word(args.word)
     m, sup = christoffel_supremum(w, args.depth)
     closed = closed_form_supremum(m)
     return 0, _lines(f"word: {w}", f"m: {m}", f"supremum: {sup.value!r}", f"error_bound: {sup.error_bound!r}",
@@ -360,7 +337,6 @@ def main(argv: list[str] | None = None) -> int:
         if value > limit:
             print(f"error: {args.command} takes {flag} at most {limit}, got {value}", file=sys.stderr)
             return 2
-    chunks = ()
     try:
         code, chunks = args.func(args)
         sys.stdout.writelines(chunks)
@@ -371,16 +347,13 @@ def main(argv: list[str] | None = None) -> int:
 
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ComplexityViolation) else 2
-    except Exception as exc:  # a closed or full stdout, a failed tree worker, or an internal error
+    except Exception as exc:  # a closed or full stdout, or an internal error
         print(f"error: {exc}", file=sys.stderr)
         try:
-            sys.stdout.flush()  # a failed worker leaves whole nodes
+            sys.stdout.flush()  # a tree node that fails to render leaves the whole nodes before it
         except OSError:  # the recipe of the signal docs: the flush at exit must not fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 3
-    finally:
-        if hasattr(chunks, "close"):  # a tree stream left early reaps its worker
-            chunks.close()
 
 if __name__ == "__main__":
     sys.exit(main())

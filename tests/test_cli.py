@@ -124,66 +124,48 @@ TREE_MODES = ["", "--triples", "--qpoly", "--json"]
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def assert_no_child_left():
-    if not hasattr(os, "fork"):
-        return
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def reference_tree(mode, depth):
+    """The stdout of `tree --depth DEPTH MODE`, built from the library in one list."""
+    paths = morphism.tree_paths(depth)
+    if mode == "--json":
+        nodes = [{"path": "".join(p), "word": morphism.christoffel_node(p).word,
+                  "triple": list(morphism.markoff_triple(p)),
+                  "q_markoff": str(morphism.q_markoff(morphism.christoffel_node(p).word))} for p in paths]
+        return json.dumps(nodes, indent=2) + "\n"
+    render = {"": morphism.christoffel_node, "--triples": morphism.markoff_triple,
+              "--qpoly": lambda p: morphism.q_markoff(morphism.christoffel_node(p).word)}[mode]
+    return "".join(f"{render(p)}\n" for p in paths)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process tree needs os.fork")
-def test_tree_two_processes_print_the_bytes_of_one(capsys, monkeypatch):
-    forked = {}
+def test_tree_two_processes_print_the_bytes_of_one(capsys):
+    # the name predates the one-process renderer; stdout must still be the reference text
     for mode in TREE_MODES:
         for depth in range(9):
-            forked[mode, depth] = run(capsys, "tree", "--depth", str(depth), *filter(None, [mode]))
-            assert_no_child_left()
-    monkeypatch.delattr(os, "fork")
-    for (mode, depth), result in forked.items():
-        assert run(capsys, "tree", "--depth", str(depth), *filter(None, [mode])) == result, (mode, depth)
-        assert result[0] == 0 and result[2] == ""
+            argv = ["tree", "--depth", str(depth), *filter(None, [mode])]
+            assert run(capsys, *argv) == (0, reference_tree(mode, depth), ""), (mode, depth)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process tree needs os.fork")
-def test_tree_child_renders_every_other_sibling_pair(capsys, monkeypatch):
-    # each node is printed as the pid of the process that rendered it
-    monkeypatch.setattr(cli, "christoffel_node", lambda p: f"{os.getpid()}:{''.join(p)}")
-    code, out, err = run(capsys, "tree", "--depth", "7")
-    assert_no_child_left()
-    pids, paths = zip(*(line.split(":") for line in out.splitlines()))
-    assert (code, err, list(paths)) == (0, "", ["".join(p) for p in morphism.tree_paths(7)])
-    child = [i for i, pid in enumerate(map(int, pids)) if pid != os.getpid()]
-    assert child == [i for i in range(len(pids)) if i % 4 in (1, 2)]
-    assert len({pids[i] for i in child}) == 1
-
-
-def _fail_in_child(monkeypatch, letters):
-    """Make cli.q_markoff raise in a forked child on words of at least `letters` letters."""
-    parent, real = os.getpid(), cli.q_markoff
-
-    def q_markoff(word):
-        if os.getpid() != parent and len(word) >= letters:
-            raise RuntimeError("render failed in the child")
-        return real(word)
-
-    monkeypatch.setattr(cli, "q_markoff", q_markoff)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process tree needs os.fork")
 @pytest.mark.parametrize("mode", ["--qpoly", "--json"])
 @pytest.mark.parametrize("letters", [0, 7])
 def test_tree_worker_failure_exits_3_after_the_last_whole_node(capsys, monkeypatch, mode, letters):
     _, whole, _ = run(capsys, "tree", "--depth", "4", mode)
-    _fail_in_child(monkeypatch, letters)
+    real = cli.q_markoff
+
+    def q_markoff(word):
+        if len(word) >= letters:
+            raise RuntimeError("render failed")
+        return real(word)
+
+    monkeypatch.setattr(cli, "q_markoff", q_markoff)
     code, out, err = run(capsys, "tree", "--depth", "4", mode)
-    assert_no_child_left()
-    assert code == 3
-    assert err.startswith("error: tree worker failed") and err.count("\n") == 1 and "Traceback" not in err
+    assert (code, err) == (3, "error: render failed\n")
     assert whole.startswith(out) and len(out) < len(whole)
     sep = ",\n  " if mode == "--json" else "\n"
-    assert whole[len(out):].startswith(sep)  # the output ends at a node boundary
     if letters:
+        assert whole[len(out):].startswith(sep)  # the output ends at a node boundary
         assert out.count(sep) >= 4
+    else:
+        assert out == ""
 
 
 class BrokenStdout(io.StringIO):
@@ -200,11 +182,10 @@ class BrokenStdout(io.StringIO):
 
 
 @pytest.mark.parametrize("mode", TREE_MODES)
-def test_tree_failed_write_reaps_the_child(mode):
+def test_tree_failed_write_exits_3(mode):
     out, err = BrokenStdout(100), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["tree", "--depth", "6", *filter(None, [mode])])
-    assert_no_child_left()
     assert (code, err.getvalue()) == (3, "error: [Errno 32] Broken pipe\n")
 
 
@@ -525,6 +506,15 @@ def test_spectrum_refuses_depth_over_limit(capsys, monkeypatch):
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (2, "")
     assert err == f"error: spectrum takes --depth at most {MAX_SPECTRUM_DEPTH}, got 200000\n"
+
+
+def test_spectrum_refuses_words_over_the_letter_limit(capsys):
+    code, out, err = run(capsys, "spectrum", "a" + "b" * 4095)
+    assert (code, err) == (0, "") and f"\nm: {morphism.mu('a' + 'b' * 4095)[0][1]}\n" in out
+    for letters in (4097, 5618):  # a.b^5617: m has 14,285 bits
+        code, out, err = run(capsys, "spectrum", "a" + "b" * (letters - 1))
+        assert (code, out) == (2, "")
+        assert err == f"error: word has {letters} letters; spectrum takes at most 4096\n"
 
 
 def test_spectrum_rejects_non_christoffel(capsys):
