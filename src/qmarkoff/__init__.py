@@ -10,7 +10,7 @@ from importlib import import_module
 _NAMES = {
     "words": ("christoffel_word", "factors", "has_markoff_property_periodic", "is_balanced_periodic",
               "parse_word", "render_word", "reversal"),
-    "qpoly": ("IntPolynomial", "QMatrix", "poly"),
+    "qpoly": ("IntPolynomial", "QMatrix"),
     "morphism": ("ChristoffelNode", "MarkoffTriple", "christoffel_node", "is_christoffel", "markoff_triple",
                  "mu", "mu_q", "q_markoff", "tree_paths"),
     "language": ("BalancedSpec", "Change", "Characteristic", "ComplexityViolation", "FactorLanguage",

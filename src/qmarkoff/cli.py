@@ -9,15 +9,17 @@ load inside the commands that use them.
 
 Exit codes: 0 on success, 1 on verification failure (including a spec whose factor count at
 the requested n is not n+1), 2 on usage errors (unknown spec string or spec key, malformed or
-overlong word, bad numeric flags, a size flag over its limit in LIMITS, or curves gammas that are
-none or over MAX_CURVES_GAMMAS or MAX_GAMMA_TERM, refused before any work), 3 on output or
-internal errors (a closed or full stdout, any other exception), each with one error: line.
+overlong word, bad numeric flags, a number with more digits than int() converts, a size flag over
+its limit in LIMITS, or curves gammas that are none or over MAX_CURVES_GAMMAS or MAX_GAMMA_TERM,
+refused before any work), 3 on output or internal errors (a closed or full stdout, any other
+exception), each with one error: line, which quotes at most 80 characters of an input.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
@@ -30,7 +32,7 @@ from .morphism import (
     q_markoff,
     tree_paths,
 )
-from .words import parse_word, render_word
+from .words import excerpt, parse_word, render_word
 
 if TYPE_CHECKING:
     from .language import BalancedSpec
@@ -83,19 +85,21 @@ def parse_spec(text: str) -> BalancedSpec:
         if head == "periodic":
             return Periodic(parse_word(rest))
         if head == "characteristic":
-            return Characteristic(tuple(int(tok) for tok in rest.split(",") if tok))
+            return Characteristic(tuple(int(_digits(tok, "characteristic directive entry"))
+                                        for tok in rest.split(",") if tok))
         if head == "skew":
             return Skew(**_parse_options(rest, Skew._fields))
         if head == "mechanical":
             opts = _parse_options(rest, Mechanical._fields)
             if "alpha" not in opts:
                 raise SpecSyntaxError("mechanical spec needs alpha=P/Q")
-            return Mechanical(_fraction(opts.pop("alpha")), _fraction(opts.pop("rho", "0")), **opts)
+            alpha = _fraction(opts.pop("alpha"), "mechanical alpha")
+            return Mechanical(alpha, _fraction(opts.pop("rho", "0"), "mechanical rho"), **opts)
     except SpecSyntaxError:
         raise
     except (ValueError, ZeroDivisionError) as exc:
-        raise SpecSyntaxError(f"bad spec {text!r}: {exc}") from exc
-    raise SpecSyntaxError(f"unknown spec {text!r}")
+        raise SpecSyntaxError(f"bad spec {excerpt(text)}: {exc}") from exc
+    raise SpecSyntaxError(f"unknown spec {excerpt(text)}")
 
 
 def _parse_options(rest: str, keys: tuple[str, ...]) -> dict[str, str]:
@@ -103,18 +107,28 @@ def _parse_options(rest: str, keys: tuple[str, ...]) -> dict[str, str]:
     for item in filter(None, rest.split(",")):
         key, sep, value = item.partition("=")
         if not sep:
-            raise SpecSyntaxError(f"expected key=value, got {item!r}")
+            raise SpecSyntaxError(f"expected key=value, got {excerpt(item)}")
         if key not in keys or key in opts:
-            raise SpecSyntaxError(f"unknown or repeated key {key!r}; expected one of {', '.join(keys)}")
+            raise SpecSyntaxError(f"unknown or repeated key {excerpt(key)}; expected one of {', '.join(keys)}")
         opts[key] = value
     return opts
 
 
-def _fraction(token: str) -> Fraction:
+def _digits(token: str, kind: str) -> str:
+    """`token`, refused before any int conversion when one of its runs of digits is longer than
+    CPython converts to an int (sys.get_int_max_str_digits, 4300 by default; 0 means no limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python 3.10.7 and later
+    digits = max(map(len, re.findall(r"\d+", token.replace("_", ""))), default=0)
+    if limit and digits > limit:
+        raise ValueError(f"{kind} has {digits} digits, over the limit of {limit}")
+    return token
+
+
+def _fraction(token: str, kind: str) -> Fraction:
     """Fraction(token) for P/Q and decimal tokens; exponent forms such as 1e10000000 cost seconds."""
     if "e" in token.lower():
-        raise ValueError(f"exponent form {token!r} is not accepted")
-    return Fraction(token)
+        raise ValueError(f"exponent form {excerpt(token)} is not accepted")
+    return Fraction(_digits(token, kind))
 
 
 def _spec_name(spec: BalancedSpec) -> str:
@@ -207,13 +221,13 @@ def _cmd_spectrum(args) -> tuple[int, list[str]]:
 def _cmd_curves(args) -> tuple[int, list[str]]:
     tokens = [tok for tok in args.gammas.split(",") if tok]
     if not tokens:
-        raise ValueError(f"curves takes at least one gamma, got {args.gammas!r}")
+        raise ValueError(f"curves takes at least one gamma, got {excerpt(args.gammas)}")
     if len(tokens) > MAX_CURVES_GAMMAS:
         raise ValueError(f"curves takes at most {MAX_CURVES_GAMMAS} gammas, got {len(tokens)}")
     try:
-        gammas = [_fraction(tok) for tok in tokens]
+        gammas = [_fraction(tok, "gamma") for tok in tokens]
     except ZeroDivisionError as exc:
-        raise ValueError(f"bad gammas {args.gammas!r}: {exc}") from None
+        raise ValueError(f"bad gammas {excerpt(args.gammas)}: {exc}") from None
     if any(max(abs(g.numerator), g.denominator) > MAX_GAMMA_TERM for g in gammas):
         raise ValueError(f"curves takes gamma numerators and denominators at most {MAX_GAMMA_TERM}")
     from .language import curve_ratios

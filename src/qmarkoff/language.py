@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple, Sequence, Union
 
 from .morphism import is_christoffel, q_markoff, q_markoff_chain, q_markoff_ratios
 from .qpoly import IntPolynomial, Scalar
-from .words import christoffel_word, factors, is_balanced_periodic, parse_word, reversal
+from .words import christoffel_word, excerpt, factors, is_balanced_periodic, parse_word, reversal
 
 
 class _MechanicalFields(NamedTuple):
@@ -108,7 +108,7 @@ class Periodic(_PeriodicFields):
         if not word:
             raise ValueError("period must be nonempty")
         if not is_balanced_periodic(word):
-            raise ValueError(f"period {word!r} does not generate a balanced sequence")
+            raise ValueError(f"period {excerpt(word)} does not generate a balanced sequence")
         return super().__new__(cls, word)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through __new__

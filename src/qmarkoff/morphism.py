@@ -6,10 +6,11 @@ that specialize back at q = 1.  The entry above the diagonal of the image
 of a Christoffel word is a Markoff number, and its q-deformation is the
 q-analog of that Markoff number.
 
-The generator images factor as MU_Q_A = R L and MU_Q_B = R R L L, with
+The q-deformed image of a is R L and that of b is R R L L, with
 R = [[q, 1], [0, 1]] and L = [[q, 0], [q, 1]] (the R_q and L_q of
 Morier-Genoud and Ovsienko): a row (x, y) times R is (qx, x + y), and times
-L is (q(x + y), y).  Every walk of a row along a word is these two steps.
+L is (q(x + y), y).  Every walk of a row along a word is these two steps,
+and ``_walk`` hard-codes them; no matrix product is formed.
 
 Every entry of mu_q(w) has nonnegative coefficients, and each coefficient
 is at most the entry's value at q = 1, so at most max mu(w) <= ||mu(w)||_2
@@ -39,7 +40,7 @@ import math
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .qpoly import IntPolynomial, QMatrix, Scalar, poly
+from .qpoly import IntPolynomial, QMatrix, Scalar
 from .words import christoffel_word
 
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
@@ -47,8 +48,6 @@ IntMatrix = tuple[tuple[int, int], tuple[int, int]]
 MU_A: IntMatrix = ((2, 1), (1, 1))
 MU_B: IntMatrix = ((5, 2), (2, 1))
 
-MU_Q_A = QMatrix(poly(0, 1, 1), poly(1), poly(0, 1), poly(1))
-MU_Q_B = QMatrix(poly(0, 1, 2, 1, 1), poly(1, 1), poly(0, 1, 1), poly(1))
 
 def _slot_bits(w: str) -> int:
     """Slot width B for mu_q(w) and its factors: bitlen(max mu(w)) <= (13885|w|_a +

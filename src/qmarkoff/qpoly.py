@@ -1,8 +1,10 @@
-"""Exact integer-coefficient polynomials in one indeterminate q, and 2x2 matrices of them.
+"""Exact integer-coefficient polynomials in one indeterminate q, and the 2x2 record mu_q returns.
 
 Coefficients are arbitrary-precision Python ints in a dense ascending
 representation: index i holds the coefficient of q^i.  The zero polynomial
-has an empty coefficient tuple and degree -inf.
+has an empty coefficient tuple.  The commands need only sums, differences,
+the nonnegativity test, evaluation and the text form; products of
+polynomials and of matrices are never formed (morphism walks packed rows).
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 Scalar = Union[int, float, Fraction]
-
-_MINUS_INF = float("-inf")
 
 
 def _normalize(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -32,22 +32,6 @@ class IntPolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPolynomial is immutable")
-
-    @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return _ZERO
-
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "IntPolynomial":
-        """coefficient * q^exponent"""
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        return cls([0] * exponent + [coefficient])
-
-    @property
-    def degree(self) -> float | int:
-        """Degree; -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else _MINUS_INF
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -73,17 +57,6 @@ class IntPolynomial:
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         return self + (-other)
 
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPolynomial(out)
-
     def evaluate(self, x: Scalar) -> Scalar:
         """Horner evaluation; exact when x is an int or Fraction.
 
@@ -108,10 +81,6 @@ class IntPolynomial:
         """True iff the polynomial is nonzero with all coefficients >= 0."""
         return bool(self.coeffs) and all(c >= 0 for c in self.coeffs)
 
-    def precedes(self, other: "IntPolynomial") -> bool:
-        """Strict partial order: f < g iff g - f is nonzero with nonnegative coefficients."""
-        return (other - self).is_nonneg_nonzero()
-
     def __str__(self) -> str:
         """Canonical text in ascending powers, e.g. ``1 + 4*q + 10*q^2``."""
         if not self.coeffs:
@@ -131,15 +100,6 @@ class IntPolynomial:
         return f"IntPolynomial({list(self.coeffs)!r})"
 
 
-_ZERO = IntPolynomial()
-_ONE = IntPolynomial([1])
-
-
-def poly(*coeffs: int) -> IntPolynomial:
-    """Shorthand constructor from ascending coefficients: poly(1, 4, 10) = 1 + 4q + 10q^2."""
-    return IntPolynomial(coeffs)
-
-
 class QMatrix:
     """Immutable 2x2 matrix with IntPolynomial entries."""
 
@@ -154,10 +114,6 @@ class QMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
 
-    @classmethod
-    def identity(cls) -> "QMatrix":
-        return _IDENTITY
-
     def entries(self) -> tuple[IntPolynomial, IntPolynomial, IntPolynomial, IntPolynomial]:
         return (self.e11, self.e12, self.e21, self.e22)
 
@@ -167,37 +123,8 @@ class QMatrix:
     def __hash__(self) -> int:
         return hash(self.entries())
 
-    def __mul__(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix(
-            self.e11 * other.e11 + self.e12 * other.e21,
-            self.e11 * other.e12 + self.e12 * other.e22,
-            self.e21 * other.e11 + self.e22 * other.e21,
-            self.e21 * other.e12 + self.e22 * other.e22,
-        )
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix(self.e11 - other.e11, self.e12 - other.e12,
-                       self.e21 - other.e21, self.e22 - other.e22)
-
-    def scale(self, f: IntPolynomial) -> "QMatrix":
-        """Scalar multiple f * M."""
-        return QMatrix(f * self.e11, f * self.e12, f * self.e21, f * self.e22)
-
-    def det(self) -> IntPolynomial:
-        return self.e11 * self.e22 - self.e12 * self.e21
-
-    def evaluate(self, x: Scalar):
-        """Entrywise evaluation; returns a ((.,.),(.,.)) tuple of scalars."""
-        return (
-            (self.e11.evaluate(x), self.e12.evaluate(x)),
-            (self.e21.evaluate(x), self.e22.evaluate(x)),
-        )
-
     def __str__(self) -> str:
         return f"[[{self.e11}, {self.e12}], [{self.e21}, {self.e22}]]"
 
     def __repr__(self) -> str:
         return f"QMatrix({self.e11!r}, {self.e12!r}, {self.e21!r}, {self.e22!r})"
-
-
-_IDENTITY = QMatrix(_ONE, _ZERO, _ZERO, _ONE)

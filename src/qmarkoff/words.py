@@ -19,10 +19,19 @@ def parse_word(text: str) -> str:
     Raises ValueError on any other character.
     """
     w = text.translate(_TO_AB)
-    bad = set(w) - set(LETTERS)
+    bad = sorted(set(w) - set(LETTERS))
     if bad:
-        raise ValueError(f"malformed word {text!r}: letters {sorted(bad)} not in {{a,b,0,1}}")
+        more = f" (+{len(bad) - 8} more)" if len(bad) > 8 else ""
+        raise ValueError(f"malformed word {excerpt(text)}: letters {bad[:8]}{more} not in {{a,b,0,1}}")
     return w
+
+
+def excerpt(text: str, limit: int = 80) -> str:
+    """repr(text) for an error line, or when text is longer than `limit`, that of its first
+    `limit` characters with its length, so a line never echoes a whole long input."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
 
 
 def render_word(w: str, alphabet: str = "ab") -> str:

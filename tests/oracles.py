@@ -3,7 +3,10 @@
 The single-position definitions (cf_tail, lambda_i, occ_diff) live here as
 stated; the library computes the same values in folded or windowed passes.
 The lemma helpers (flip_delta, positivity_report, delta_wrap, ...) state
-the identities behind monotonicity in IntPolynomial and QMatrix arithmetic.
+the identities behind monotonicity in the reference q-arithmetic below: the
+generator images as literal coefficient lists, and schoolbook products of
+polynomials and of 2x2 matrices.  The library forms no such product, so
+mu_q_schoolbook checks its packed walk against arithmetic it does not share.
 """
 
 import math
@@ -14,11 +17,72 @@ from typing import NamedTuple
 from qmarkoff.language import (
     FLIP_AB_BA, LAST_LETTER, WRAP_AWA, WRAP_AWB, MonotonicityError, Periodic, Skew, _standard_prefix, sequence_window,
 )
-from qmarkoff.morphism import MU_Q_A, MU_Q_B, det_exponent, mu_q, q_markoff, q_markoff_chain
+from qmarkoff.morphism import det_exponent, mu_q, q_markoff, q_markoff_chain
 from qmarkoff.pairs import AsymptoticPair, PairReport, Pattern, pair_report
-from qmarkoff.qpoly import IntPolynomial, QMatrix, poly
+from qmarkoff.qpoly import IntPolynomial, QMatrix
 from qmarkoff.spectrum import PeriodicCF, SpectrumValue, _convergents, christoffel_supremum, closed_form_supremum
 from qmarkoff.words import factors, reversal
+
+
+# the reference q-arithmetic
+
+
+def poly(*coeffs: int) -> IntPolynomial:
+    """Polynomial from ascending coefficients: poly(1, 4, 10) = 1 + 4q + 10q^2."""
+    return IntPolynomial(coeffs)
+
+
+def monomial(exponent: int) -> IntPolynomial:
+    """q^exponent."""
+    return IntPolynomial([0] * exponent + [1])
+
+
+def degree(f: IntPolynomial) -> float:
+    """Degree; -inf for the zero polynomial."""
+    return len(f.coeffs) - 1 if f.coeffs else float("-inf")
+
+
+def precedes(f: IntPolynomial, g: IntPolynomial) -> bool:
+    """The coefficientwise strict order: g - f is nonzero with nonnegative coefficients."""
+    return (g - f).is_nonneg_nonzero()
+
+
+def pmul(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
+    """Schoolbook product of two polynomials."""
+    out = [0] * (len(f.coeffs) + len(g.coeffs))
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] += a * b
+    return IntPolynomial(out)
+
+
+ZERO, ONE, Q = poly(), poly(1), poly(0, 1)
+IDENTITY = QMatrix(ONE, ZERO, ZERO, ONE)
+# the generator images of the q-deformed morphism, written out
+MU_Q_A = QMatrix(poly(0, 1, 1), poly(1), poly(0, 1), poly(1))
+MU_Q_B = QMatrix(poly(0, 1, 2, 1, 1), poly(1, 1), poly(0, 1, 1), poly(1))
+
+
+def matmul(*ms: QMatrix) -> QMatrix:
+    """Left-to-right product of 2x2 matrices; the identity for none."""
+    acc = IDENTITY
+    for m in ms:
+        acc = QMatrix(pmul(acc.e11, m.e11) + pmul(acc.e12, m.e21), pmul(acc.e11, m.e12) + pmul(acc.e12, m.e22),
+                      pmul(acc.e21, m.e11) + pmul(acc.e22, m.e21), pmul(acc.e21, m.e12) + pmul(acc.e22, m.e22))
+    return acc
+
+
+def matsub(m: QMatrix, n: QMatrix) -> QMatrix:
+    return QMatrix(*(x - y for x, y in zip(m.entries(), n.entries())))
+
+
+def matscale(f: IntPolynomial, m: QMatrix) -> QMatrix:
+    """The scalar multiple f·m."""
+    return QMatrix(*(pmul(f, x) for x in m.entries()))
+
+
+def det(m: QMatrix) -> IntPolynomial:
+    return pmul(m.e11, m.e22) - pmul(m.e12, m.e21)
 
 
 def christoffel_words_upto(max_len):
@@ -189,11 +253,8 @@ def markoff_supremum_by_positions(seq, depth):
 
 
 def mu_q_schoolbook(w):
-    """mu_q as the left-to-right product of generator images, in IntPolynomial arithmetic."""
-    m = QMatrix.identity()
-    for letter in w:
-        m = m * (MU_Q_A if letter == "a" else MU_Q_B)
-    return m
+    """mu_q as the left-to-right product of the written-out generator images, by schoolbook products."""
+    return matmul(*(MU_Q_A if letter == "a" else MU_Q_B for letter in w))
 
 
 def radix_chain_differences(chain):
@@ -218,7 +279,7 @@ def first_unordered(chain):
     Every pair is compared as polynomials; `chain` is as in q_markoff_chain.
     """
     pairs = enumerate(pairwise(q_markoff_chain(chain)))
-    return next((i for i, (f, g) in pairs if not f.precedes(g)), None)
+    return next((i for i, (f, g) in pairs if not precedes(f, g)), None)
 
 
 def evaluate_by_fraction_horner(p, x):
@@ -311,7 +372,7 @@ _FLIP_MATRIX = QMatrix(poly(), poly(0, 1, 0, 0, 1), poly(0, 0, -1, 0, 0, -1), po
 
 def det_mu_q(w: str) -> IntPolynomial:
     """det(mu_q(w)) in closed form: the monomial q^(2|w|_a + 4|w|_b)."""
-    return IntPolynomial.monomial(det_exponent(w))
+    return monomial(det_exponent(w))
 
 
 def flip_matrix() -> QMatrix:
@@ -327,8 +388,8 @@ def flip_delta(u: str) -> QMatrix:
     raises ArithmeticError.
     """
     ru = reversal(u)
-    delta = mu_q(ru + "ba" + u) - mu_q(ru + "ab" + u)
-    expected = _FLIP_MATRIX.scale(det_mu_q(u))
+    delta = matsub(mu_q(ru + "ba" + u), mu_q(ru + "ab" + u))
+    expected = matscale(det_mu_q(u), _FLIP_MATRIX)
     if delta != expected:
         raise ArithmeticError(f"flip identity violated for u={u!r}")
     return delta
@@ -355,9 +416,8 @@ class PositivityReport(NamedTuple):
 def positivity_report(w: str) -> PositivityReport:
     """Compute the positivity certificate fields for mu_q(w)."""
     m = mu_q(w)
-    q1 = poly(0, 1)
-    combo1 = q1 * m.e11 - poly(0, 0, 1) * m.e12 + m.e21
-    combo2 = poly(0, 1, 1) * m.e11 - poly(0, 0, 1, 1, 1) * m.e12 + m.e21 - q1 * m.e22
+    combo1 = pmul(Q, m.e11) - pmul(poly(0, 0, 1), m.e12) + m.e21
+    combo2 = pmul(poly(0, 1, 1), m.e11) - pmul(poly(0, 0, 1, 1, 1), m.e12) + m.e21 - pmul(Q, m.e22)
     return PositivityReport(m.e11, m.e12, m.e21, m.e22, combo1, combo2)
 
 

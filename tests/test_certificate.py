@@ -17,18 +17,17 @@ from qmarkoff.cli import parse_spec
 from qmarkoff.language import (
     FLIP_AB_BA, Characteristic, Mechanical, MonotonicityError, Periodic, Skew, radix_chain_check,
 )
-from qmarkoff.morphism import MU_Q_A, MU_Q_B, mu_q, q_markoff
-from qmarkoff.qpoly import IntPolynomial, QMatrix, poly
+from qmarkoff.morphism import mu_q, q_markoff
+from qmarkoff.qpoly import IntPolynomial, QMatrix
 from qmarkoff.words import christoffel_word, factors, reversal
 
-from oracles import classify_change_by_letters, first_unordered, positivity_report
+from oracles import (
+    IDENTITY, MU_Q_A, MU_Q_B, ONE, Q, ZERO, classify_change_by_letters, det, first_unordered, matmul, matscale, matsub,
+    pmul, poly, positivity_report,
+)
 
 FIB = Characteristic((1,) * 24)
-Q = poly(0, 1)
-ONE = poly(1)
-ZERO = IntPolynomial()
-IDENTITY = QMatrix.identity()
-D = MU_Q_B * MU_Q_A - MU_Q_A * MU_Q_B  # mu_q(ba) - mu_q(ab)
+D = matsub(matmul(MU_Q_B, MU_Q_A), matmul(MU_Q_A, MU_Q_B))  # mu_q(ba) - mu_q(ab)
 # combo1 and combo2 of positivity_report as linear functionals f(X) = sum F_ij X_ij of X = mu_q(w)
 COMBO1 = QMatrix(Q, -poly(0, 0, 1), ONE, ZERO)
 COMBO2 = QMatrix(poly(0, 1, 1), -poly(0, 0, 1, 1, 1), ONE, -Q)
@@ -40,12 +39,13 @@ def _transpose(m: QMatrix) -> QMatrix:
 
 def _apply(f: QMatrix, x: QMatrix) -> IntPolynomial:
     """f(X) = sum F_ij X_ij."""
-    return sum((a * b for a, b in zip(f.entries(), x.entries())), ZERO)
+    return sum((pmul(a, b) for a, b in zip(f.entries(), x.entries())), ZERO)
 
 
 def _e12_functional(left: QMatrix, right: QMatrix) -> QMatrix:
     """Coefficients G of X -> (left·X·right)[1,2]: G_ik = left_1i * right_k2."""
-    return QMatrix(left.e11 * right.e12, left.e11 * right.e22, left.e12 * right.e12, left.e12 * right.e22)
+    return QMatrix(pmul(left.e11, right.e12), pmul(left.e11, right.e22), pmul(left.e12, right.e12),
+                   pmul(left.e12, right.e22))
 
 
 def _nonneg(p: IntPolynomial) -> bool:
@@ -56,29 +56,29 @@ def _nonneg(p: IntPolynomial) -> bool:
 
 
 def test_flip_matrix_closed_form():
-    assert D == mu_q("ba") - mu_q("ab") == QMatrix(ZERO, poly(0, 1, 0, 0, 1), -poly(0, 0, 1, 0, 0, 1), ZERO)
-    assert (MU_Q_A.det(), MU_Q_B.det()) == (poly(0, 0, 1), poly(0, 0, 0, 0, 1))
+    assert D == matsub(mu_q("ba"), mu_q("ab")) == QMatrix(ZERO, poly(0, 1, 0, 0, 1), -poly(0, 0, 1, 0, 0, 1), ZERO)
+    assert (det(MU_Q_A), det(MU_Q_B)) == (poly(0, 0, 1), poly(0, 0, 0, 0, 1))
 
 
 @pytest.mark.parametrize("m", [MU_Q_A, MU_Q_B], ids=["a", "b"])
 def test_flip_conjugation(m):
     # M_x·D·M_x = det(M_x)·D, so mu_q(ũ)·D·mu_q(u) = q^det_exponent(u)·D by induction on u
-    assert m * D * m == D.scale(m.det())
+    assert matmul(m, D, m) == matscale(det(m), D)
 
 
 def test_last_letter_column():
     # (M_b - M_a) has second column (q, 0): q_markoff(wb) - q_markoff(wa) = q·mu_q(w)[1,1]
-    diff = MU_Q_B - MU_Q_A
+    diff = matsub(MU_Q_B, MU_Q_A)
     assert (diff.e12, diff.e22) == (Q, ZERO)
 
 
 def test_wrap_functionals():
     # combo2 is the wrap gap X -> (M_a·X·M_a)[1,2] - (M_b·X)[1,2] of X = mu_q(w)
-    assert _e12_functional(MU_Q_A, MU_Q_A) - _e12_functional(MU_Q_B, IDENTITY) == COMBO2
+    assert matsub(_e12_functional(MU_Q_A, MU_Q_A), _e12_functional(MU_Q_B, IDENTITY)) == COMBO2
     # f(X·M) has coefficient matrix F·M^T
-    after = {(name, x): f * _transpose(m) for name, f in (("combo1", COMBO1), ("combo2", COMBO2))
+    after = {(name, x): matmul(f, _transpose(m)) for name, f in (("combo1", COMBO1), ("combo2", COMBO2))
              for x, m in (("a", MU_Q_A), ("b", MU_Q_B))}
-    assert after["combo2", "a"] == COMBO1.scale(poly(0, 0, 1))
+    assert after["combo2", "a"] == matscale(poly(0, 0, 1), COMBO1)
     assert after["combo1", "a"] == QMatrix(poly(0, 0, 0, 1), ZERO, poly(0, 1, 1), Q)
     for key in (("combo1", "a"), ("combo1", "b"), ("combo2", "b")):
         assert all(map(_nonneg, after[key].entries())) and after[key].e11, key

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmarkoff import cli, morphism, spectrum
+from qmarkoff import cli, morphism, spectrum, words
 from qmarkoff.cli import LIMITS, MAX_SPECTRUM_DEPTH, MAX_TREE_DEPTH, main, parse_spec, SpecSyntaxError
 from qmarkoff.language import Characteristic, Mechanical, Periodic, Skew, curves_export
 from qmarkoff.morphism import mu_q
@@ -418,7 +418,7 @@ def test_qmarkoff_long_word(capsys):
     mu_q.cache_clear()
     code, out, err = run(capsys, "qmarkoff", w)
     assert code == 0 and err == ""
-    (m11, m12), (m21, m22) = mu_q(w).evaluate(1)
+    m11, m12, m21, m22 = (e.evaluate(1) for e in mu_q(w).entries())
     assert f"mu: [[{m11}, {m12}], [{m21}, {m22}]]" in out.splitlines()
 
 
@@ -730,6 +730,55 @@ def test_bad_spec_fields_refused_before_any_work(capsys, argv, named):
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
 
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["language", "--spec", "characteristic:2,{}", "--n", "3"], "characteristic directive entry"),
+        (["verify-monotone", "--spec", "mechanical:alpha={}/3", "--max-n", "4"], "mechanical alpha"),
+        (["verify-monotone", "--spec", "mechanical:alpha=1/3,rho=0.{}", "--max-n", "4"], "mechanical rho"),
+        (["curves", "--spec", "fibonacci", "--max-len", "4", "--gammas", "1/2,{}"], "gamma"),
+    ],
+    ids=["directive", "alpha", "rho", "gamma"],
+)
+def test_numbers_over_the_int_digit_limit_are_refused_by_kind(capsys, argv, kind):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *(arg.format("1" * (limit + 1)) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
+    assert err.endswith(f"{kind} has {limit + 1} digits, over the limit of {limit}\n")
+    # at the limit the token converts: it passes, or fails on its value, never on its digits
+    code, out, err = run(capsys, *(arg.format("1" * limit) for arg in argv))
+    assert "digits" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, quoted",
+    [
+        (["qmarkoff", "ab" * 25000 + "c"], "malformed word "),
+        (["qmarkoff", "".join(map(chr, range(0x4E00, 0x5100)))], "malformed word "),
+        (["language", "--spec", "periodic:" + "aabb" * 15000 + "ab", "--n", "3"], "period "),
+        (["language", "--spec", "martian" * 9000, "--n", "3"], "unknown spec "),
+        (["pair-check", "--spec", "skew:m=aba," + "x" * 9000, "--radius", "4"], "got "),
+        (["pair-check", "--spec", "skew:" + "x" * 9000 + "=1", "--radius", "4"], "key "),
+        (["curves", "--spec", "fibonacci", "--max-len", "4", "--gammas", "," * 9000], "gamma, got "),
+        (["curves", "--spec", "fibonacci", "--max-len", "4", "--gammas", "1/" + "0" * 100], "bad gammas "),
+    ],
+    ids=["word", "letters", "period", "spec", "item", "key", "no-gamma", "gamma-zero-division"],
+)
+def test_error_lines_quote_at_most_80_characters_of_the_input(capsys, argv, quoted):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 400, err[:400]
+    start = err.index(quoted) + len(quoted)
+    text = ast.literal_eval(err[start : err.index("...", start)])
+    assert len(text) == 80 and err[err.index("...", start) :].startswith("... (")
+
+
+def test_excerpt_quotes_short_text_whole():
+    assert words.excerpt("ab") == "'ab'" and words.excerpt("a" * 80) == repr("a" * 80)
+    assert words.excerpt("a" * 81) == repr("a" * 80) + "... (81 characters)"
+
+
 def test_pair_check(capsys):
     code, out, _ = run(capsys, "pair-check", "--spec", "fibonacci", "--radius", "6")
     assert code == 0
@@ -865,7 +914,7 @@ def test_lazy_public_api_in_a_fresh_interpreter():
         "['qmarkoff']",  # import qmarkoff loads no module of the library
         "[]",
         "module 'qmarkoff' has no attribute 'frobnicate'",
-        "45 []",  # each name is the one object every library module binds to it
+        "44 []",  # each name is the one object every library module binds to it
     ]
 
 

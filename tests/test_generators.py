@@ -10,7 +10,9 @@ in the denominator) exists only for these checks.
 from dataclasses import dataclass
 
 from qmarkoff.morphism import MU_A, MU_B, mu_q
-from qmarkoff.qpoly import IntPolynomial, poly
+from qmarkoff.qpoly import IntPolynomial
+
+from oracles import monomial, pmul, poly
 
 
 @dataclass(frozen=True)
@@ -32,11 +34,11 @@ class Laurent:
 
     def __add__(self, other):
         shift = max(self.shift, other.shift)
-        lift = lambda x: x.num * IntPolynomial.monomial(shift - x.shift)
+        lift = lambda x: pmul(x.num, monomial(shift - x.shift))
         return Laurent(lift(self) + lift(other), shift)
 
     def __mul__(self, other):
-        return Laurent(self.num * other.num, self.shift + other.shift)
+        return Laurent(pmul(self.num, other.num), self.shift + other.shift)
 
 
 def lmat(rows):

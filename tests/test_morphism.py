@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from qmarkoff import morphism
 from qmarkoff.language import Characteristic, Mechanical, Periodic, Skew, _radix_words
 from qmarkoff.morphism import (
-    MU_Q_A,
-    MU_Q_B,
     _slot_bits,
     christoffel_node,
     det_exponent,
@@ -24,20 +22,34 @@ from qmarkoff.morphism import (
     q_markoff_chain,
     tree_paths,
 )
-from qmarkoff.qpoly import IntPolynomial, QMatrix, poly
+from qmarkoff.qpoly import QMatrix
 from qmarkoff.words import christoffel_word, reversal
 
 from oracles import (
+    IDENTITY,
+    MU_Q_A,
+    MU_Q_B,
+    ONE,
+    Q,
+    ZERO,
     christoffel_words_upto,
     delta_last_letter,
     delta_wrap,
     det_mu_q,
+    det,
     first_unordered,
     flip_delta,
     flip_matrix,
     flip_prefix_delta,
+    matmul,
+    matscale,
+    matsub,
+    monomial,
     mu_q_schoolbook,
+    pmul,
+    poly,
     positivity_report,
+    precedes,
 )
 
 words_st = st.text(alphabet="ab", max_size=8)
@@ -52,6 +64,11 @@ TREE_POLYNOMIALS = {
     "ababb": poly(1, 4, 12, 25, 42, 58, 68, 69, 61, 45, 28, 14, 5, 1),
     "abbb": poly(1, 3, 9, 16, 24, 29, 29, 25, 18, 10, 4, 1),
 }
+
+
+def _at_one(m):
+    """m with every entry evaluated at q = 1, as mu returns it."""
+    return (m.e11.evaluate(1), m.e12.evaluate(1)), (m.e21.evaluate(1), m.e22.evaluate(1))
 
 
 def all_words(min_len, max_len):
@@ -69,23 +86,23 @@ def test_mu_examples():
 def test_mu_q_generators():
     assert mu_q("a") == MU_Q_A
     assert mu_q("b") == MU_Q_B
-    assert mu_q("") == QMatrix.identity()
+    assert mu_q("") == IDENTITY
     assert mu_q("a").entries() == (poly(0, 1, 1), poly(1), poly(0, 1), poly(1))
     assert mu_q("b").entries() == (poly(0, 1, 2, 1, 1), poly(1, 1), poly(0, 1, 1), poly(1))
 
 
 def test_generators_factor_into_r_and_l():
     # the factorization the packed and rational walks take one step at a time
-    R = QMatrix(poly(0, 1), poly(1), IntPolynomial.zero(), poly(1))
-    L = QMatrix(poly(0, 1), IntPolynomial.zero(), poly(0, 1), poly(1))
-    assert MU_Q_A == R * L
-    assert MU_Q_B == R * R * L * L
+    R = QMatrix(Q, ONE, ZERO, ONE)
+    L = QMatrix(Q, ZERO, Q, ONE)
+    assert MU_Q_A == matmul(R, L)
+    assert MU_Q_B == matmul(R, R, L, L)
 
 
 def test_q_markoff_tree_polynomials():
     for word, expected in TREE_POLYNOMIALS.items():
         assert q_markoff(word) == expected, word
-    assert q_markoff("") == IntPolynomial.zero()
+    assert q_markoff("") == ZERO
 
 
 def test_q_markoff_canonical_text():
@@ -99,19 +116,19 @@ def test_morphism_law_exhaustive_len6():
     words = [""] + list(all_words(1, 6))
     for u in words:
         for v in words:
-            assert mu_q(u) * mu_q(v) == mu_q(u + v)
+            assert matmul(mu_q(u), mu_q(v)) == mu_q(u + v)
 
 
 def test_specialization_at_one_len10():
     for w in all_words(0, 10):
-        assert mu_q(w).evaluate(1) == mu(w)
+        assert _at_one(mu_q(w)) == mu(w)
 
 
 def test_determinant_form_len10():
     for w in all_words(0, 10):
-        assert mu_q(w).det() == det_mu_q(w), w
+        assert det(mu_q(w)) == det_mu_q(w), w
     assert det_mu_q("a") == poly(0, 0, 1)
-    assert det_mu_q("b") == IntPolynomial.monomial(4)
+    assert det_mu_q("b") == monomial(4)
     assert det_mu_q("") == poly(1)
 
 
@@ -119,20 +136,20 @@ def test_flip_matrix_constant():
     d = flip_matrix()
     assert d.e12 == poly(0, 1, 0, 0, 1)
     assert d.e21 == poly(0, 0, -1, 0, 0, -1)
-    assert d.e11 == IntPolynomial.zero() and d.e22 == IntPolynomial.zero()
-    assert d == mu_q("ba") - mu_q("ab")
+    assert d.e11 == ZERO and d.e22 == ZERO
+    assert d == matsub(mu_q("ba"), mu_q("ab"))
 
 
 def test_conjugation_identities():
     d = flip_matrix()
-    assert mu_q("a") * d * mu_q("a") == d.scale(poly(0, 0, 1))
-    assert mu_q("b") * d * mu_q("b") == d.scale(IntPolynomial.monomial(4))
+    assert matmul(mu_q("a"), d, mu_q("a")) == matscale(poly(0, 0, 1), d)
+    assert matmul(mu_q("b"), d, mu_q("b")) == matscale(monomial(4), d)
 
 
 def test_flip_delta_examples():
     assert flip_delta("") == flip_matrix()
-    assert flip_delta("a") == flip_matrix().scale(poly(0, 0, 1))
-    assert flip_delta("ab") == flip_matrix().scale(IntPolynomial.monomial(6))
+    assert flip_delta("a") == matscale(poly(0, 0, 1), flip_matrix())
+    assert flip_delta("ab") == matscale(monomial(6), flip_matrix())
     assert det_exponent("ab") == 6
 
 
@@ -142,17 +159,17 @@ def test_flip_delta_random_and_exhaustive():
     rng = random.Random(2021)
     for _ in range(200):
         u = "".join(rng.choice("ab") for _ in range(rng.randint(0, 12)))
-        assert flip_delta(u) == flip_matrix().scale(IntPolynomial.monomial(det_exponent(u)))
+        assert flip_delta(u) == matscale(monomial(det_exponent(u)), flip_matrix())
 
 
 def test_positivity_report_base_cases():
     r = positivity_report("")
     assert r.combo1 == poly(0, 1)
     assert r.combo2 == poly(0, 0, 1)
-    assert r.e12 == IntPolynomial.zero() and r.e21 == IntPolynomial.zero()
+    assert r.e12 == ZERO and r.e21 == ZERO
     # appending a letter rescales the wrap combination: combo2(wa) = q^2 * combo1(w)
     ra = positivity_report("a")
-    assert ra.combo2 == poly(0, 0, 1) * positivity_report("").combo1
+    assert ra.combo2 == pmul(poly(0, 0, 1), positivity_report("").combo1)
     rb = positivity_report("b")
     for f in (rb.e11, rb.e12, rb.e21, rb.e22, rb.combo1, rb.combo2):
         assert f.is_nonneg_nonzero()
@@ -169,7 +186,7 @@ def test_delta_last_letter():
     assert delta_last_letter("") == poly(0, 1)
     assert delta_last_letter("a") == poly(0, 0, 1, 1)
     for w in ("ab", "ba", "aabab"):
-        assert delta_last_letter(w) == poly(0, 1) * mu_q(w).e11
+        assert delta_last_letter(w) == pmul(Q, mu_q(w).e11)
 
 
 def test_delta_wrap():
@@ -184,7 +201,7 @@ def test_delta_wrap():
 
 @given(words_st)
 def test_gap_identities_random_words(w):
-    assert delta_last_letter(w) == poly(0, 1) * mu_q(w).e11
+    assert delta_last_letter(w) == pmul(Q, mu_q(w).e11)
     wrap = delta_wrap(w)
     assert wrap.awa_minus_bw == positivity_report(w).combo2
     assert wrap.awb_minus_awa == delta_last_letter("a" + w)
@@ -324,7 +341,7 @@ def test_mu_q_long_word_from_cold_cache():
     # 600 letters: past the depth at which a prefix-recursive mu_q overflows the stack
     w = "ab" * 300
     mu_q.cache_clear()
-    assert mu_q(w).evaluate(1) == mu(w)
+    assert _at_one(mu_q(w)) == mu(w)
 
 
 def test_q_markoff_long_word_from_cold_cache():
@@ -338,7 +355,7 @@ def test_q_markoff_builds_no_mu_q(monkeypatch):
         raise AssertionError(f"mu_q({w!r}) called")
 
     monkeypatch.setattr(morphism, "mu_q", refuse)
-    assert q_markoff("") == IntPolynomial.zero()
+    assert q_markoff("") == ZERO
     for w, p in TREE_POLYNOMIALS.items():
         assert q_markoff(w) == p
     for w in all_words(1, 7):
@@ -399,7 +416,7 @@ GROWN_CHAINS = [
 
 def _first_unordered_by_schoolbook(chain):
     values = [mu_q_schoolbook(w).e12 for w in chain]
-    return next((i for i, (f, g) in enumerate(pairwise(values)) if not f.precedes(g)), None)
+    return next((i for i, (f, g) in enumerate(pairwise(values)) if not precedes(f, g)), None)
 
 
 def test_grown_slot_width_matches_schoolbook_on_words():

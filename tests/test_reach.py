@@ -1,9 +1,12 @@
 """Which library definitions no other library code names, and which imports no code uses.
 
-A top-level function or class of src/qmarkoff that no other top-level
-statement of the package names (ignoring the re-exports of __init__.py) is
-reached only from tests.  Such a definition either moves to
+A top-level function, class or constant of src/qmarkoff that no other
+top-level statement of the package names (ignoring the re-exports of
+__init__.py) is reached only from tests.  Such a definition either moves to
 tests/oracles.py as a reference, or goes, unless it is allowlisted here.
+The same holds for a method or property of a library class that no code
+outside its own definition reads as an attribute; operator and other dunder
+methods are pinned per class instead, since Python calls them by syntax.
 A name a module imports and never uses is what such a move leaves behind.
 """
 
@@ -19,29 +22,106 @@ ALLOWED = {
     "curves_export",
     # the standard-word prefix that acceptance criterion 7 reads; enumerate_factors reads the window
     "characteristic_word",
+    # the classical generator images, stated beside the walk that computes mu; test_generators derives them
+    "MU_A",
+    "MU_B",
+}
+
+ALLOWED_MEMBERS = {
+    # the README's library example evaluates a q-Markoff polynomial at q = 1 and q = 1/2
+    "IntPolynomial.evaluate",
+    # the README's library example reads the differences of a radix chain
+    "RadixChainReport.differences",
+    # properties of public records, read by tests: whether a triple has three distinct entries,
+    # and the positions a pattern fixes
+    "MarkoffTriple.is_proper",
+    "Pattern.support",
+}
+
+# Every dunder method each library class defines: an operator joins a class only with a caller in src/ and an entry here.
+DUNDERS = {
+    "IntPolynomial": {"__init__", "__setattr__", "__bool__", "__eq__", "__hash__", "__neg__", "__add__", "__sub__",
+                      "__str__", "__repr__"},
+    "QMatrix": {"__init__", "__setattr__", "__eq__", "__hash__", "__str__", "__repr__"},
+    "MarkoffTriple": {"__new__", "__str__"},
+    "ChristoffelNode": {"__str__"},
+    "Mechanical": {"__new__"},
+    "Periodic": {"__new__"},
+    "Characteristic": {"__new__"},
+    "Skew": {"__new__"},
+    "FactorLanguage": {"__len__"},
+    "MonotonicityError": {"__init__"},
+    "RadixChainReport": {"__setattr__"},
+    "Pattern": {"__new__"},
+    "PeriodicCF": {"__new__", "__getitem__"},
 }
 
 PACKAGE = Path(qmarkoff.__file__).parent
 
 
-def _unnamed_definitions(package: Path) -> set[str]:
-    statements = [
+def _statements(package: Path) -> list[ast.stmt]:
+    return [
         stmt
         for path in sorted(package.glob("*.py"))
         if path.name != "__init__.py"
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body
     ]
+
+
+def _defined(stmt: ast.stmt) -> set[str]:
+    """The names a top-level statement defines: a function, a class, or the targets of a constant."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return {node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)}
+
+
+def _unnamed_definitions(package: Path) -> set[str]:
+    statements = _statements(package)
     names = [{node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)} for stmt in statements]
     return {
-        stmt.name
+        name
         for i, stmt in enumerate(statements)
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and not any(stmt.name in used for j, used in enumerate(names) if j != i)
+        for name in _defined(stmt)
+        if not any(name in used for j, used in enumerate(names) if j != i)
     }
 
 
 def test_definitions_no_library_code_names_are_exactly_the_allowlist():
     assert _unnamed_definitions(PACKAGE) == ALLOWED
+
+
+def _classes(package: Path) -> list[ast.ClassDef]:
+    return [stmt for stmt in _statements(package) if isinstance(stmt, ast.ClassDef)]
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _unread_members(package: Path) -> set[str]:
+    """Class.member for each method or property that no library code outside its own body reads."""
+    reads = [node for stmt in _statements(package) for node in ast.walk(stmt) if isinstance(node, ast.Attribute)]
+    unread = set()
+    for cls in _classes(package):
+        for member in cls.body:
+            if isinstance(member, ast.FunctionDef) and not _is_dunder(member.name):
+                own = {id(node) for node in ast.walk(member)}
+                if not any(node.attr == member.name and id(node) not in own for node in reads):
+                    unread.add(f"{cls.name}.{member.name}")
+    return unread
+
+
+def test_members_no_library_code_reads_are_exactly_the_allowlist():
+    assert _unread_members(PACKAGE) == ALLOWED_MEMBERS
+
+
+def test_dunders_of_each_class_are_pinned():
+    defined = {
+        cls.name: {m.name for m in cls.body if isinstance(m, ast.FunctionDef) and _is_dunder(m.name)}
+        for cls in _classes(PACKAGE)
+    }
+    assert {name: dunders for name, dunders in defined.items() if dunders} == DUNDERS
 
 
 def _unused_imports(path: Path) -> set[str]:
