@@ -12,7 +12,8 @@ the requested n is not n+1), 2 on usage errors (unknown spec string or spec key,
 overlong word, bad numeric flags, a number with more digits than int() converts, a size flag over
 its limit in LIMITS, or curves gammas that are none or over MAX_CURVES_GAMMAS or MAX_GAMMA_TERM,
 refused before any work), 3 on output or internal errors (a closed or full stdout, any other
-exception), each with one error: line, which quotes at most 80 characters of an input.
+exception), each with one error: line, which quotes at most 80 characters of an input (argparse's
+own lines for an unknown command, choice or argument quote it whole).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .morphism import (
     christoffel_node,
@@ -85,7 +86,7 @@ def parse_spec(text: str) -> BalancedSpec:
         if head == "periodic":
             return Periodic(parse_word(rest))
         if head == "characteristic":
-            return Characteristic(tuple(int(_digits(tok, "characteristic directive entry"))
+            return Characteristic(tuple(_number(tok, "characteristic directive entry", int)
                                         for tok in rest.split(",") if tok))
         if head == "skew":
             return Skew(**_parse_options(rest, Skew._fields))
@@ -114,21 +115,33 @@ def _parse_options(rest: str, keys: tuple[str, ...]) -> dict[str, str]:
     return opts
 
 
-def _digits(token: str, kind: str) -> str:
-    """`token`, refused before any int conversion when one of its runs of digits is longer than
-    CPython converts to an int (sys.get_int_max_str_digits, 4300 by default; 0 means no limit)."""
+def _number(token: str, kind: str, convert: Callable[[str], int | Fraction]) -> int | Fraction:
+    """convert(token), int or Fraction. A token with a run of digits longer than CPython converts
+    to an int (sys.get_int_max_str_digits, 4300 by default; 0 means no limit) is refused before
+    conversion, and one convert cannot read is quoted by excerpt, not by convert's own message."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python 3.10.7 and later
     digits = max(map(len, re.findall(r"\d+", token.replace("_", ""))), default=0)
     if limit and digits > limit:
         raise ValueError(f"{kind} has {digits} digits, over the limit of {limit}")
-    return token
+    try:
+        return convert(token)
+    except ValueError:
+        raise ValueError(f"bad {kind} {excerpt(token)}") from None
 
 
 def _fraction(token: str, kind: str) -> Fraction:
     """Fraction(token) for P/Q and decimal tokens; exponent forms such as 1e10000000 cost seconds."""
     if "e" in token.lower():
         raise ValueError(f"exponent form {excerpt(token)} is not accepted")
-    return Fraction(_digits(token, kind))
+    return _number(token, kind, Fraction)
+
+
+def _size_flag(token: str) -> int:
+    """int(token) for a size flag; argparse's own message would quote a bad token whole."""
+    try:
+        return int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {excerpt(token)}") from None
 
 
 def _spec_name(spec: BalancedSpec) -> str:
@@ -293,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tree", help="Christoffel / Markoff / q-Markoff tree")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_size_flag, required=True)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--triples", action="store_true")
     mode.add_argument("--qpoly", action="store_true")
@@ -306,30 +319,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("language", help="factor table with flip tags")
     p.add_argument("--spec", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size_flag, required=True)
     p.add_argument("--json", action="store_true")
     p.add_argument("--alphabet", choices=("ab", "01"), default="ab")
     p.set_defaults(func=_cmd_language)
 
     p = sub.add_parser("verify-monotone", help="radix-chain monotonicity check")
     p.add_argument("--spec", required=True)
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=_size_flag, required=True)
     p.set_defaults(func=_cmd_verify_monotone)
 
     p = sub.add_parser("spectrum", help="Markoff supremum vs closed form")
     p.add_argument("word")
-    p.add_argument("--depth", type=int, default=64)
+    p.add_argument("--depth", type=_size_flag, default=64)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("curves", help="CSV of q-Markoff values at sampled gamma")
     p.add_argument("--spec", required=True)
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_size_flag, required=True)
     p.add_argument("--gammas", required=True)
     p.set_defaults(func=_cmd_curves)
 
     p = sub.add_parser("pair-check", help="indistinguishable asymptotic pair verification")
     p.add_argument("--spec", required=True)
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=_size_flag, required=True)
     p.set_defaults(func=_cmd_pair_check)
 
     p = sub.add_parser("counterexamples", help="order failures across balanced languages")
@@ -349,7 +362,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {flag} must be nonnegative", file=sys.stderr)
             return 2
         if value > limit:
-            print(f"error: {args.command} takes {flag} at most {limit}, got {value}", file=sys.stderr)
+            got = value if value < 10**80 else excerpt(str(value))  # a value under 81 digits, whole
+            print(f"error: {args.command} takes {flag} at most {limit}, got {got}", file=sys.stderr)
             return 2
     try:
         code, chunks = args.func(args)

@@ -165,7 +165,7 @@ class Skew(_SkewFields):
         if xy not in ("ab", "ba"):
             raise ValueError("xy must be 'ab' or 'ba'")
         if not is_christoffel("a" + m + "b"):
-            raise ValueError(f"'a{m}b' is not a Christoffel word")
+            raise ValueError(f"{excerpt('a' + m + 'b')} is not a Christoffel word")
         return super().__new__(cls, m, form, xy)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through __new__

@@ -14,7 +14,7 @@ and ``_walk`` hard-codes them; no matrix product is formed.
 
 Every entry of mu_q(w) has nonnegative coefficients, and each coefficient
 is at most the entry's value at q = 1, so at most max mu(w) <= ||mu(w)||_2
-<= phi^(2|w|_a) (3 + 2 sqrt 2)^(|w|_b), the spectral norms of MU_A and MU_B,
+<= phi^(2|w|_a) (3 + 2 sqrt 2)^(|w|_b), the spectral norms of the classical images of a and b,
 whose log2 are below 1.3885 and 2.5432.  So an entry of mu_q(w), or of mu_q
 of any factor of w, packs into one int, sum c_i 2^(iB), with slots of
 B = (13885|w|_a + 25432|w|_b) // 10000 + 3 bits rounded up to whole bytes
@@ -44,9 +44,6 @@ from .qpoly import IntPolynomial, QMatrix, Scalar
 from .words import christoffel_word
 
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
-
-MU_A: IntMatrix = ((2, 1), (1, 1))
-MU_B: IntMatrix = ((5, 2), (2, 1))
 
 
 def _slot_bits(w: str) -> int:
@@ -177,10 +174,6 @@ class MarkoffTriple(_MarkoffTripleFields):
         return super().__new__(cls, x, y, z)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through __new__
-
-    @property
-    def is_proper(self) -> bool:
-        return len({self.x, self.y, self.z}) == 3
 
     def __str__(self) -> str:
         return f"({self.x},{self.y},{self.z})"

@@ -34,10 +34,6 @@ class Pattern(_PatternFields):
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through __new__
 
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(self.assignment)
-
     @classmethod
     def from_word(cls, word: str, start: int = 0) -> "Pattern":
         """Contiguous pattern placing `word` at positions start..start+len-1."""

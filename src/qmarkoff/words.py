@@ -26,12 +26,12 @@ def parse_word(text: str) -> str:
     return w
 
 
-def excerpt(text: str, limit: int = 80) -> str:
-    """repr(text) for an error line, or when text is longer than `limit`, that of its first
-    `limit` characters with its length, so a line never echoes a whole long input."""
-    if len(text) <= limit:
+def excerpt(text: str) -> str:
+    """repr(text) for an error line, or when text is longer than 80 characters, that of its
+    first 80 with its length, so a line never echoes a whole long input."""
+    if len(text) <= 80:
         return repr(text)
-    return f"{text[:limit]!r}... ({len(text)} characters)"
+    return f"{text[:80]!r}... ({len(text)} characters)"
 
 
 def render_word(w: str, alphabet: str = "ab") -> str:

@@ -61,6 +61,9 @@ IDENTITY = QMatrix(ONE, ZERO, ZERO, ONE)
 # the generator images of the q-deformed morphism, written out
 MU_Q_A = QMatrix(poly(0, 1, 1), poly(1), poly(0, 1), poly(1))
 MU_Q_B = QMatrix(poly(0, 1, 2, 1, 1), poly(1, 1), poly(0, 1, 1), poly(1))
+# and those of the classical morphism, their values at q = 1
+MU_A = ((2, 1), (1, 1))
+MU_B = ((5, 2), (2, 1))
 
 
 def matmul(*ms: QMatrix) -> QMatrix:

@@ -762,8 +762,13 @@ def test_numbers_over_the_int_digit_limit_are_refused_by_kind(capsys, argv, kind
         (["pair-check", "--spec", "skew:" + "x" * 9000 + "=1", "--radius", "4"], "key "),
         (["curves", "--spec", "fibonacci", "--max-len", "4", "--gammas", "," * 9000], "gamma, got "),
         (["curves", "--spec", "fibonacci", "--max-len", "4", "--gammas", "1/" + "0" * 100], "bad gammas "),
+        (["curves", "--spec", "fibonacci", "--max-len", "4", "--gammas", "x" * 50000], "bad gamma "),
+        (["pair-check", "--spec", "skew:m=b" + "a" * 60000, "--radius", "4"], "characters): "),
+        (["pair-check", "--spec", "mechanical:alpha=" + "x" * 50000, "--radius", "4"], "mechanical alpha "),
+        (["language", "--spec", "characteristic:2," + "x" * 50000, "--n", "3"], "directive entry "),
     ],
-    ids=["word", "letters", "period", "spec", "item", "key", "no-gamma", "gamma-zero-division"],
+    ids=["word", "letters", "period", "spec", "item", "key", "no-gamma", "gamma-zero-division", "gamma",
+         "skew-not-christoffel", "alpha", "directive-entry"],
 )
 def test_error_lines_quote_at_most_80_characters_of_the_input(capsys, argv, quoted):
     code, out, err = run(capsys, *argv)
@@ -772,6 +777,21 @@ def test_error_lines_quote_at_most_80_characters_of_the_input(capsys, argv, quot
     start = err.index(quoted) + len(quoted)
     text = ast.literal_eval(err[start : err.index("...", start)])
     assert len(text) == 80 and err[err.index("...", start) :].startswith("... (")
+
+
+@pytest.mark.parametrize("token, quoted", [("x" * 9000, "invalid int value: "), ("9" * 4000, "got ")],
+                         ids=["not-an-int", "over-the-limit"])
+def test_size_flags_quote_at_most_80_characters_of_the_input(capsys, token, quoted):
+    try:
+        code = main(["verify-monotone", "--spec", "fibonacci", "--max-n", token])
+    except SystemExit as exc:  # argparse refuses a token that is not an int, after a usage line
+        code = exc.code
+    out, err = capsys.readouterr()
+    line = err.splitlines()[-1]
+    assert (code, out) == (2, "") and len(line) < 300
+    start = line.index(quoted) + len(quoted)
+    assert ast.literal_eval(line[start : line.index("...", start)]) == token[:80]
+    assert line.endswith(f"... ({len(token)} characters)")
 
 
 def test_excerpt_quotes_short_text_whole():

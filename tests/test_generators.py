@@ -9,10 +9,10 @@ in the denominator) exists only for these checks.
 
 from dataclasses import dataclass
 
-from qmarkoff.morphism import MU_A, MU_B, mu_q
+from qmarkoff.morphism import mu, mu_q
 from qmarkoff.qpoly import IntPolynomial
 
-from oracles import monomial, pmul, poly
+from oracles import MU_A, MU_B, monomial, pmul, poly
 
 
 @dataclass(frozen=True)
@@ -100,3 +100,4 @@ def test_integer_generator_identities():
     r3 = imul(imul(r, r), r)
     r3sr2sr = imul(imul(imul(imul(r3, s), imul(r, r)), s), r)
     assert r3sr2sr == MU_B
+    assert (mu("a"), mu("b")) == (MU_A, MU_B)

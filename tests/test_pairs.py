@@ -165,7 +165,7 @@ def test_pair_report_counts():
 
 def test_pattern_support():
     p = Pattern({3: "a", -1: "b"})
-    assert p.support == frozenset({3, -1})
+    assert set(p.assignment) == {3, -1}
     assert Pattern.from_word("ab", -1).assignment == {-1: "a", 0: "b"}
 
 

@@ -22,9 +22,6 @@ ALLOWED = {
     "curves_export",
     # the standard-word prefix that acceptance criterion 7 reads; enumerate_factors reads the window
     "characteristic_word",
-    # the classical generator images, stated beside the walk that computes mu; test_generators derives them
-    "MU_A",
-    "MU_B",
 }
 
 ALLOWED_MEMBERS = {
@@ -32,10 +29,6 @@ ALLOWED_MEMBERS = {
     "IntPolynomial.evaluate",
     # the README's library example reads the differences of a radix chain
     "RadixChainReport.differences",
-    # properties of public records, read by tests: whether a triple has three distinct entries,
-    # and the positions a pattern fixes
-    "MarkoffTriple.is_proper",
-    "Pattern.support",
 }
 
 # Every dunder method each library class defines: an operator joins a class only with a caller in src/ and an entry here.
