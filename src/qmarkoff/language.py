@@ -11,14 +11,15 @@ representations w̃·ab·w and w̃·ba·w of its letters w at positions 1..n-1.
 A periodic or mechanical spec of slope p/q has the language of
 Mechanical(p/q), the repetition of christoffel_word(p, q), read the same
 way when q > n.  The class of a sequence (M1 periodic, M2 mechanical, M3
-characteristic, M4 skew) is its declared variant.
+characteristic, M4 skew) is its declared variant.  Nothing here is
+memoized: a characteristic window builds just the prefix of the standard
+word it reads, and RadixChainReport.differences is recomputed on each read.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
 from itertools import pairwise
 from typing import Iterator, NamedTuple, Sequence, Union
 
@@ -69,7 +70,6 @@ def _mechanical_window(spec: Mechanical, lo: int, hi: int) -> str:
     return "".join(["ab"[v - u] for u, v in pairwise(ends)])
 
 
-@lru_cache(maxsize=64)
 def _standard_prefix(directive: tuple[int, ...], length: int) -> str:
     """Up to `length` letters of the standard word; s_{k-1}^{d_k} is cut to the power covering them."""
     prev, cur = "b", "a"
@@ -228,8 +228,7 @@ def _characteristic_window(spec: Characteristic, lo: int, hi: int) -> str:
     if hi <= lo:
         return ""
     last = max(-lo - 2, hi - 2)  # the largest index of p read
-    # cached by the next power of two: O(last) letters, one lookup per window
-    p = _standard_prefix(spec.directive, 1 << last.bit_length()) if last >= 0 else ""
+    p = _standard_prefix(spec.directive, last + 1) if last >= 0 else ""
     if last >= len(p):  # name the first position out of reach
         pos = lo if -lo - 2 >= len(p) else max(lo, len(p) + 1)
         raise ValueError(f"directive too short for position {pos}")
@@ -396,14 +395,12 @@ class _RadixChainReportFields(NamedTuple):
 class RadixChainReport(_RadixChainReportFields):
     """The radix-sorted factor chain of a checked language.
 
-    Its consecutive q-Markoff differences are computed on first access and
-    kept in the instance __dict__, which is why this record has no __slots__.
+    Its consecutive q-Markoff differences are computed anew on each access.
     """
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    __slots__ = ()
 
-    @cached_property
+    @property
     def differences(self) -> tuple[IntPolynomial, ...]:
         """q_markoff(v) - q_markoff(u) for each consecutive pair (u, v) of the chain."""
         return tuple(g - f for f, g in pairwise(q_markoff_chain(self.chain)))

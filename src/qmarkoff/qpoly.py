@@ -5,12 +5,14 @@ representation: index i holds the coefficient of q^i.  The zero polynomial
 has an empty coefficient tuple.  The commands need only sums, differences,
 the nonnegativity test, evaluation and the text form; products of
 polynomials and of matrices are never formed (morphism walks packed rows).
+QMatrix is a NamedTuple like every other library record: it equals the
+4-tuple of its entries, unpacks into them and hashes as that tuple.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 Scalar = Union[int, float, Fraction]
 
@@ -100,31 +102,13 @@ class IntPolynomial:
         return f"IntPolynomial({list(self.coeffs)!r})"
 
 
-class QMatrix:
-    """Immutable 2x2 matrix with IntPolynomial entries."""
+class QMatrix(NamedTuple):
+    """2x2 record of IntPolynomial entries, row by row: the type mu_q returns."""
 
-    __slots__ = ("e11", "e12", "e21", "e22")
-
-    def __init__(self, e11: IntPolynomial, e12: IntPolynomial, e21: IntPolynomial, e22: IntPolynomial):
-        object.__setattr__(self, "e11", e11)
-        object.__setattr__(self, "e12", e12)
-        object.__setattr__(self, "e21", e21)
-        object.__setattr__(self, "e22", e22)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QMatrix is immutable")
-
-    def entries(self) -> tuple[IntPolynomial, IntPolynomial, IntPolynomial, IntPolynomial]:
-        return (self.e11, self.e12, self.e21, self.e22)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QMatrix) and self.entries() == other.entries()
-
-    def __hash__(self) -> int:
-        return hash(self.entries())
+    e11: IntPolynomial
+    e12: IntPolynomial
+    e21: IntPolynomial
+    e22: IntPolynomial
 
     def __str__(self) -> str:
         return f"[[{self.e11}, {self.e12}], [{self.e21}, {self.e22}]]"
-
-    def __repr__(self) -> str:
-        return f"QMatrix({self.e11!r}, {self.e12!r}, {self.e21!r}, {self.e22!r})"

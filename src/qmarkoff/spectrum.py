@@ -37,7 +37,7 @@ class _PeriodicCFFields(NamedTuple):
 
 
 class PeriodicCF(_PeriodicCFFields):
-    """Biinfinite periodic sequence of positive partial quotients; seq[i] reads it cyclically."""
+    """Biinfinite periodic sequence of positive partial quotients: a_i is period[i % len(period)]."""
 
     __slots__ = ()
 
@@ -48,9 +48,6 @@ class PeriodicCF(_PeriodicCFFields):
         return super().__new__(cls, period)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through __new__
-
-    def __getitem__(self, i: int) -> int:
-        return self.period[i % len(self.period)]
 
 
 def _convergents(quotients: Iterable[int]) -> tuple[int, int, int, int]:

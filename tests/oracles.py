@@ -76,12 +76,12 @@ def matmul(*ms: QMatrix) -> QMatrix:
 
 
 def matsub(m: QMatrix, n: QMatrix) -> QMatrix:
-    return QMatrix(*(x - y for x, y in zip(m.entries(), n.entries())))
+    return QMatrix(*(x - y for x, y in zip(m, n)))
 
 
 def matscale(f: IntPolynomial, m: QMatrix) -> QMatrix:
     """The scalar multiple f·m."""
-    return QMatrix(*(pmul(f, x) for x in m.entries()))
+    return QMatrix(*(pmul(f, x) for x in m))
 
 
 def det(m: QMatrix) -> IntPolynomial:
@@ -216,15 +216,17 @@ def cf_tail(seq: PeriodicCF, start: int, depth: int) -> tuple[Fraction, Fraction
     """Bracket for [0; a_start, a_start+1, ...] read cyclically; width shrinks like 1/F_depth^2."""
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    return _bracket(seq[start + j] for j in range(depth))
+    a = seq.period
+    return _bracket(a[(start + j) % len(a)] for j in range(depth))
 
 
 def lambda_i(seq: PeriodicCF, i: int, depth: int) -> SpectrumValue:
     """a_i plus the tails read rightward from i+1 and leftward from i-1; error sums the widths."""
+    a = seq.period
     right = cf_tail(seq, i + 1, depth)
-    left = _bracket(seq[i - 1 - j] for j in range(depth))
-    lo = seq[i] + right[0] + left[0]
-    hi = seq[i] + right[1] + left[1]
+    left = _bracket(a[(i - 1 - j) % len(a)] for j in range(depth))
+    lo = a[i % len(a)] + right[0] + left[0]
+    hi = a[i % len(a)] + right[1] + left[1]
     return SpectrumValue(value=float((lo + hi) / 2), error_bound=float(hi - lo))
 
 
@@ -243,8 +245,8 @@ def lambda_i_by_reversal(seq, i, depth):
     right = cf_tail(seq, i + 1, depth)
     n = len(seq.period)
     left = cf_tail(PeriodicCF(seq.period[::-1]), (n - 1 - ((i - 1) % n)) % n, depth)
-    lo = seq[i] + right[0] + left[0]
-    hi = seq[i] + right[1] + left[1]
+    lo = seq.period[i % n] + right[0] + left[0]
+    hi = seq.period[i % n] + right[1] + left[1]
     return SpectrumValue(value=float((lo + hi) / 2), error_bound=float(hi - lo))
 
 
@@ -338,8 +340,7 @@ def characteristic_letter_by_prefix(spec, pos):
     if pos == 0:
         return "b"
     idx = pos - 1 if pos > 0 else -pos - 2
-    # cached by the next power of two: O(idx) letters, one lookup per call
-    p = _standard_prefix(spec.directive, 1 << idx.bit_length())
+    p = _standard_prefix(spec.directive, idx + 1)
     if idx >= len(p):
         raise ValueError(f"directive too short for position {pos}")
     return p[idx]

@@ -39,7 +39,7 @@ def _transpose(m: QMatrix) -> QMatrix:
 
 def _apply(f: QMatrix, x: QMatrix) -> IntPolynomial:
     """f(X) = sum F_ij X_ij."""
-    return sum((pmul(a, b) for a, b in zip(f.entries(), x.entries())), ZERO)
+    return sum((pmul(a, b) for a, b in zip(f, x)), ZERO)
 
 
 def _e12_functional(left: QMatrix, right: QMatrix) -> QMatrix:
@@ -81,7 +81,7 @@ def test_wrap_functionals():
     assert after["combo2", "a"] == matscale(poly(0, 0, 1), COMBO1)
     assert after["combo1", "a"] == QMatrix(poly(0, 0, 0, 1), ZERO, poly(0, 1, 1), Q)
     for key in (("combo1", "a"), ("combo1", "b"), ("combo2", "b")):
-        assert all(map(_nonneg, after[key].entries())) and after[key].e11, key
+        assert all(map(_nonneg, after[key])) and after[key].e11, key
     assert (_apply(COMBO1, IDENTITY), _apply(COMBO2, IDENTITY)) == (Q, poly(0, 0, 1))
 
 

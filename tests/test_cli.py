@@ -418,7 +418,7 @@ def test_qmarkoff_long_word(capsys):
     mu_q.cache_clear()
     code, out, err = run(capsys, "qmarkoff", w)
     assert code == 0 and err == ""
-    m11, m12, m21, m22 = (e.evaluate(1) for e in mu_q(w).entries())
+    m11, m12, m21, m22 = (e.evaluate(1) for e in mu_q(w))
     assert f"mu: [[{m11}, {m12}], [{m21}, {m22}]]" in out.splitlines()
 
 

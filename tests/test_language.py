@@ -1,6 +1,9 @@
 import itertools
 import math
+import sys
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -29,7 +32,7 @@ from qmarkoff.language import (
     radix_chain_check,
     sequence_window,
 )
-from qmarkoff.morphism import mu, q_markoff, q_markoff_chain
+from qmarkoff.morphism import mu, mu_q, q_markoff, q_markoff_chain
 from qmarkoff.qpoly import IntPolynomial
 from qmarkoff.words import christoffel_word, render_word, reversal
 
@@ -117,6 +120,15 @@ def test_characteristic_letter_at_matches_standard_word():
         p = characteristic_word(directive, 80)
         assert sequence_window(spec, -1, 81) == "ab" + p
         assert sequence_window(spec, -81, 1) == reversal(p) + "ab"
+
+
+def test_letter_reads_cost_no_more_with_a_long_directive():
+    # a read builds only the letters it needs, whatever the directive's length
+    spec = Characteristic((1,) * 60000)
+    start = time.perf_counter()
+    letters = "".join(letter_at(spec, i) for i in range(-2050, 2051))
+    assert time.perf_counter() - start < 0.5
+    assert letters == sequence_window(spec, -2050, 2051)
 
 
 def test_characteristic_letter_at_directive_too_short():
@@ -484,6 +496,28 @@ def test_radix_chain_fibonacci():
     assert len(report.chain) == 55
     assert len(report.differences) == 54
     assert all(d.is_nonneg_nonzero() for d in report.differences)
+
+
+def test_library_calls_from_concurrent_threads_match_serial():
+    # the README says the library is safe to use from concurrent threads: the mu_q memo is filled
+    # from four threads at once, and every thread reads the differences of one shared report
+    report = radix_chain_check(FIB, 12)
+    words = report.chain[1:]
+    jobs = ([(q_markoff, w) for w in words] + [(mu_q, w) for w in words]
+            + [(lambda lo: sequence_window(FIB, lo, lo + 64), lo) for lo in range(-300, 300, 7)]
+            + [(lambda _: report.differences, None)] * 16)
+    mu_q.cache_clear()
+    serial = [f(x) for f, x in jobs]
+    mu_q.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(f, x) for f, x in jobs]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == serial
 
 
 @pytest.mark.parametrize(

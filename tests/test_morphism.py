@@ -87,8 +87,8 @@ def test_mu_q_generators():
     assert mu_q("a") == MU_Q_A
     assert mu_q("b") == MU_Q_B
     assert mu_q("") == IDENTITY
-    assert mu_q("a").entries() == (poly(0, 1, 1), poly(1), poly(0, 1), poly(1))
-    assert mu_q("b").entries() == (poly(0, 1, 2, 1, 1), poly(1, 1), poly(0, 1, 1), poly(1))
+    assert tuple(mu_q("a")) == (poly(0, 1, 1), poly(1), poly(0, 1), poly(1))
+    assert tuple(mu_q("b")) == (poly(0, 1, 2, 1, 1), poly(1, 1), poly(0, 1, 1), poly(1))
 
 
 def test_generators_factor_into_r_and_l():

@@ -138,10 +138,10 @@ def test_qmatrix_det_multiplicative_random():
 def test_qmatrix_scale_sub_evaluate():
     a = QMatrix(poly(0, 1, 1), poly(1), poly(0, 1), poly(1))
     assert matscale(poly(0, 1), a).e11 == poly(0, 0, 1, 1)
-    assert matsub(a, a).entries() == (ZERO,) * 4
-    assert [e.evaluate(1) for e in a.entries()] == [2, 1, 1, 1]
+    assert tuple(matsub(a, a)) == (ZERO,) * 4
+    assert [e.evaluate(1) for e in a] == [2, 1, 1, 1]
     assert str(a) == "[[q + q^2, 1], [q, 1]]"
-    assert a == QMatrix(*a.entries()) and hash(a) == hash(QMatrix(*a.entries())) and a != IDENTITY
+    assert a == QMatrix(*a) and hash(a) == hash(QMatrix(*a)) and a != IDENTITY
 
 
 def test_immutability():

@@ -8,6 +8,7 @@ The same holds for a method or property of a library class that no code
 outside its own definition reads as an attribute; operator and other dunder
 methods are pinned per class instead, since Python calls them by syntax.
 A name a module imports and never uses is what such a move leaves behind.
+A memo of the functools cache family sits only where it is allowlisted.
 """
 
 import ast
@@ -35,7 +36,7 @@ ALLOWED_MEMBERS = {
 DUNDERS = {
     "IntPolynomial": {"__init__", "__setattr__", "__bool__", "__eq__", "__hash__", "__neg__", "__add__", "__sub__",
                       "__str__", "__repr__"},
-    "QMatrix": {"__init__", "__setattr__", "__eq__", "__hash__", "__str__", "__repr__"},
+    "QMatrix": {"__str__"},
     "MarkoffTriple": {"__new__", "__str__"},
     "ChristoffelNode": {"__str__"},
     "Mechanical": {"__new__"},
@@ -44,9 +45,15 @@ DUNDERS = {
     "Skew": {"__new__"},
     "FactorLanguage": {"__len__"},
     "MonotonicityError": {"__init__"},
-    "RadixChainReport": {"__setattr__"},
     "Pattern": {"__new__"},
-    "PeriodicCF": {"__new__", "__getitem__"},
+    "PeriodicCF": {"__new__"},
+}
+
+MEMO_DECORATORS = {"lru_cache", "cache", "cached_property"}
+
+MEMOIZED = {
+    # bench/tracer.py reads mu_q.cache_info for the morphism.matrix_steps and mu_q_* metrics
+    "mu_q",
 }
 
 PACKAGE = Path(qmarkoff.__file__).parent
@@ -115,6 +122,26 @@ def test_dunders_of_each_class_are_pinned():
         for cls in _classes(PACKAGE)
     }
     assert {name: dunders for name, dunders in defined.items() if dunders} == DUNDERS
+
+
+def _memoized(package: Path) -> set[str]:
+    """Class.function or function for each definition that a functools cache decorator wraps."""
+    found = set()
+    for stmt in _statements(package):
+        members = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+        for member in members:
+            if not isinstance(member, ast.FunctionDef):
+                continue
+            for decorator in member.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name in MEMO_DECORATORS:
+                    found.add(f"{stmt.name}.{member.name}" if member is not stmt else member.name)
+    return found
+
+
+def test_only_allowlisted_definitions_memoize():
+    assert _memoized(PACKAGE) == MEMOIZED
 
 
 def _unused_imports(path: Path) -> set[str]:

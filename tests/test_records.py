@@ -1,10 +1,13 @@
-"""The record types keep the contract they had as frozen dataclasses.
+"""Every library record is a NamedTuple and keeps the contract of a frozen value.
 
-Every expected repr and error message below was recorded from the dataclass
-versions.  The records are NamedTuples now; the differences that brings on
-purpose (tuple equality, iteration, ``_replace``) are pinned down at the end.
+The expected reprs and error messages below were recorded from the frozen
+dataclasses the records used to be; QMatrix, a hand-written class before,
+takes the NamedTuple repr that names its fields.  The differences a
+NamedTuple brings on purpose (tuple equality, iteration, ``_replace``) are
+pinned down at the end.
 """
 
+import inspect
 import os
 import subprocess
 import sys
@@ -14,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import qmarkoff
+from qmarkoff import language, morphism, pairs, qpoly, spectrum, words
 from qmarkoff.language import (
     Change,
     Characteristic,
@@ -25,10 +29,12 @@ from qmarkoff.language import (
     enumerate_factors,
     radix_chain_check,
 )
-from qmarkoff.morphism import ChristoffelNode, MarkoffTriple, christoffel_node, markoff_triple
+from qmarkoff.morphism import ChristoffelNode, MarkoffTriple, christoffel_node, markoff_triple, mu_q
 from qmarkoff.pairs import AsymptoticPair, PairReport, Pattern
+from qmarkoff.qpoly import QMatrix
 from qmarkoff.spectrum import PeriodicCF, SpectrumValue
 
+import oracles
 from oracles import PositivityReport, WrapDeltas, delta_wrap, positivity_report
 
 # (type, build, a record of the same type with other values, repr of build())
@@ -64,21 +70,30 @@ RECORDS = [
     (PairReport, lambda: PairReport(4, 0, True), PairReport(5, 0, True),
      "PairReport(radius=4, patterns_checked=0, indistinguishable=True, failing=None)"),
     (PeriodicCF, lambda: PeriodicCF([1, 2, 2]), PeriodicCF((2, 2, 1)), "PeriodicCF(period=(1, 2, 2))"),
+    (QMatrix, lambda: mu_q("a"), mu_q("b"),
+     "QMatrix(e11=IntPolynomial([0, 1, 1]), e12=IntPolynomial([1]), e21=IntPolynomial([0, 1]), "
+     "e22=IntPolynomial([1]))"),
     (SpectrumValue, lambda: SpectrumValue(2.5, 0.125), SpectrumValue(2.5, 0.25),
      "SpectrumValue(value=2.5, error_bound=0.125)"),
 ]
 
-FORMER_DATACLASSES = {
-    Mechanical, Periodic, Characteristic, Skew, FactorLanguage, Change, RadixChainReport, PositivityReport,
-    WrapDeltas, MarkoffTriple, ChristoffelNode, Pattern, AsymptoticPair, PairReport, PeriodicCF, SpectrumValue,
-}
-
 IDS = [expected.partition("(")[0] for *_, expected in RECORDS]
 
 
-def test_every_former_dataclass_is_covered():
-    assert {cls for cls, *_ in RECORDS} == FORMER_DATACLASSES
-    assert len(FORMER_DATACLASSES) == 16
+def _public_records(module) -> set[type]:
+    """The public tuple subclasses with fields that `module` defines."""
+    return {
+        cls
+        for name, cls in inspect.getmembers(module, inspect.isclass)
+        if cls.__module__ == module.__name__ and not name.startswith("_") and issubclass(cls, tuple)
+        and hasattr(cls, "_fields")
+    }
+
+
+def test_every_record_is_covered():
+    library = set().union(*map(_public_records, (language, morphism, pairs, qpoly, spectrum, words)))
+    assert {cls for cls, *_ in RECORDS} == library | _public_records(oracles)
+    assert len(library) == 15
 
 
 @pytest.mark.parametrize("cls, build, other, expected", RECORDS, ids=IDS)
@@ -113,11 +128,12 @@ def test_attributes_cannot_be_assigned(cls, build, other, expected):
     assert record == build()
 
 
-def test_radix_chain_report_caches_its_differences():
+def test_radix_chain_report_recomputes_its_differences():
     report = radix_chain_check(Periodic("aab"), 4)
     first = report.differences
-    assert report.differences is first
+    assert report.differences == first and report.differences is not first
     assert len(first) == len(report.chain) - 1
+    assert not hasattr(report, "__dict__")
 
 
 VALIDATION_ERRORS = [

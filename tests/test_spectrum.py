@@ -29,8 +29,6 @@ def test_sigma_subst():
 
 
 def test_periodic_cf_validation():
-    assert PeriodicCF((2, 1))[2] == 2
-    assert PeriodicCF((2, 1))[-1] == 1
     with pytest.raises(ValueError):
         PeriodicCF(())
     with pytest.raises(ValueError):
