@@ -13,11 +13,11 @@ _NAMES = {
     "qpoly": ("IntPolynomial", "QMatrix"),
     "morphism": ("ChristoffelNode", "MarkoffTriple", "christoffel_node", "is_christoffel", "markoff_triple",
                  "mu", "mu_q", "q_markoff", "tree_paths"),
-    "language": ("BalancedSpec", "Change", "Characteristic", "ComplexityViolation", "FactorLanguage",
-                 "Mechanical", "MonotonicityError", "Periodic", "RadixChainReport", "Skew",
-                 "characteristic_word", "compact_representations", "curves_export", "enumerate_factors",
-                 "flip_permutation", "letter_at", "radix_chain_check", "sequence_window"),
-    "pairs": ("AsymptoticPair", "Pattern", "build_pair"),
+    "language": ("BalancedSpec", "Change", "Characteristic", "ComplexityViolation", "Mechanical",
+                 "MonotonicityError", "Periodic", "RadixChainReport", "Skew", "characteristic_word",
+                 "compact_representations", "curves_export", "enumerate_factors", "flip_permutation",
+                 "letter_at", "radix_chain_check", "sequence_window"),
+    "pairs": ("AsymptoticPair", "build_pair"),
     "spectrum": ("PeriodicCF", "SpectrumValue", "closed_form_supremum", "markoff_supremum", "sigma_subst"),
 }
 _HOME = {name: module for module, names in _NAMES.items() for name in names}

@@ -196,8 +196,8 @@ def _cmd_language(args) -> tuple[int, list[str]]:
         payload = {"n": n, "factors": [render_word(f, args.alphabet) for f in factors], "changes": tagged}
         return 0, _lines(json.dumps(payload, indent=2))
     # one radix segment: last of length n-1, the length-n factors, first of length n+1 (kinds from changes)
-    below = [enumerate_factors(spec, n - 1).factors[-1]] if n >= 2 else []
-    above = enumerate_factors(spec, n + 1).factors[0]
+    below = [enumerate_factors(spec, n - 1)[-1]] if n >= 2 else []
+    above = enumerate_factors(spec, n + 1)[0]
     segment = below + factors + [above]
     kinds = ([""] + [classify_change(w, factors[0]) for w in below] + [c.kind for c in changes]
              + [classify_change(factors[-1], above)])
@@ -258,9 +258,11 @@ def _cmd_pair_check(args) -> tuple[int, list[str]]:
 
     spec = parse_spec(args.spec)
     report = pair_report(build_pair(spec, 0), args.radius)
-    return 0 if report.indistinguishable else 1, _lines(
-        f"spec: {_spec_name(spec)}", f"radius: {report.radius}", f"patterns checked: {report.patterns_checked}",
-        f"indistinguishable: {'yes' if report.indistinguishable else 'no'}")
+    head = f"spec: {_spec_name(spec)}", f"radius: {report.radius}", f"patterns checked: {report.patterns_checked}"
+    if report.indistinguishable:
+        return 0, _lines(*head, "indistinguishable: yes")
+    off, word = report.failing
+    return 1, _lines(*head, "indistinguishable: no", f"failing: {excerpt(word)} at offset {off}")
 
 
 def _verdict(label: str, value: bool) -> str:

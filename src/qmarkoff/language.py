@@ -1,4 +1,4 @@
-"""Finite specifications of biinfinite balanced sequences and their factor languages.
+"""Specs of biinfinite balanced sequences and their factor languages, as lex-sorted tuples of words.
 
 A balanced sequence is described by one of four spec variants (periodic,
 characteristic, skew, mechanical), each a NamedTuple that checks and
@@ -254,24 +254,8 @@ def compact_representations(prefix: str) -> tuple[str, str]:
     return (rp + "ab" + prefix, rp + "ba" + prefix)
 
 
-class _FactorLanguageFields(NamedTuple):
-    n: int
-    factors: tuple[str, ...]
-
-
-class FactorLanguage(_FactorLanguageFields):
-    """The lex-sorted set of length-n factors of a balanced sequence; its len is the factor count."""
-
-    __slots__ = ()
-
-    def __len__(self) -> int:
-        return len(self.factors)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # the inherited one checks len(), the factor count
-
-
-def enumerate_factors(spec: BalancedSpec, n: int) -> FactorLanguage:
-    """All length-n factors of the spec's sequence, lex-sorted.
+def enumerate_factors(spec: BalancedSpec, n: int) -> tuple[str, ...]:
+    """All length-n factors of the spec's sequence, lex-sorted; its len is the factor count.
 
     A periodic or mechanical spec of slope p/q (the b-density of the period,
     or alpha) has the factors of Mechanical(p/q), the repetition of
@@ -282,18 +266,16 @@ def enumerate_factors(spec: BalancedSpec, n: int) -> FactorLanguage:
     """
     if n < 0:
         raise ValueError("factor length must be >= 0")
-    if n == 0:
-        return FactorLanguage(0, ("",))
     if isinstance(spec, (Periodic, Mechanical)):
         slope = _slope(spec)
         spec = Mechanical(slope)
         if slope.denominator <= n:
-            return FactorLanguage(n, tuple(factors(sequence_window(spec, 0, slope.denominator + n - 1), n)))
+            return tuple(factors(sequence_window(spec, 0, slope.denominator + n - 1), n))
     first, second = compact_representations(sequence_window(spec, 1, n))
     fs = factors(first, n)
     if fs != factors(second, n):
         raise AssertionError(f"compact representations disagree at n={n}")
-    return FactorLanguage(n, tuple(fs))
+    return tuple(fs)
 
 
 LAST_LETTER = "last_letter"
@@ -365,7 +347,7 @@ def flip_permutation(spec: BalancedSpec, n: int) -> list[Change]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    fs = enumerate_factors(spec, n).factors
+    fs = enumerate_factors(spec, n)
     if len(fs) != n + 1:
         raise ComplexityViolation(f"complexity violation: {len(fs)} factors of length {n}, expected {n + 1}")
     return [Change(u, v, classify_change(u, v)) for u, v in zip(fs, fs[1:])]
@@ -373,7 +355,7 @@ def flip_permutation(spec: BalancedSpec, n: int) -> list[Change]:
 
 def _radix_words(spec: BalancedSpec, max_n: int) -> list[str]:
     """All factors of lengths 0..max_n in radix order, the empty word first."""
-    return [""] + [w for n in range(1, max_n + 1) for w in enumerate_factors(spec, n).factors]
+    return [w for n in range(max_n + 1) for w in enumerate_factors(spec, n)]
 
 
 class MonotonicityError(Exception):

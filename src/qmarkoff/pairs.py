@@ -1,4 +1,4 @@
-"""Indistinguishable asymptotic pairs: patterns and their verification.
+"""Indistinguishable asymptotic pairs and their verification.
 
 Two biinfinite sequences that differ at finitely many positions form an
 asymptotic pair; the pair is indistinguishable when every finite pattern
@@ -7,37 +7,17 @@ can only happen at shifts whose translated support touches the difference
 set, so everything here is an exact finite computation.  ``pair_report``
 compares, per support, the multisets of words read from both sequences at
 those shifts; the one-pattern count occ_diff is its reference in
-tests/oracles.py.
+tests/oracles.py, where a pattern is a {position: letter} dict.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, NamedTuple
 
 from .language import BalancedSpec, Characteristic, Skew, letter_at
 
 LetterFn = Callable[[int], str]
-
-
-class _PatternFields(NamedTuple):
-    assignment: Mapping[int, str]
-
-
-class Pattern(_PatternFields):
-    """A finite assignment of letters to integer positions (support may have gaps)."""
-
-    __slots__ = ()
-
-    def __new__(cls, assignment: Mapping[int, str]):
-        return super().__new__(cls, dict(assignment))
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through __new__
-
-    @classmethod
-    def from_word(cls, word: str, start: int = 0) -> "Pattern":
-        """Contiguous pattern placing `word` at positions start..start+len-1."""
-        return cls({start + i: ch for i, ch in enumerate(word)})
 
 
 class AsymptoticPair(NamedTuple):
@@ -74,12 +54,15 @@ def build_pair(spec: BalancedSpec, n0: int = 0) -> AsymptoticPair:
 
 
 class PairReport(NamedTuple):
-    """Outcome of an indistinguishability check."""
+    """Outcome of an indistinguishability check.
+
+    failing is the first unbalanced pattern, as (offset, word): word at positions offset, offset + 1, ...
+    """
 
     radius: int
     patterns_checked: int
     indistinguishable: bool
-    failing: Pattern | None = None
+    failing: tuple[int, str] | None = None
 
 
 def pair_report(pair: AsymptoticPair, radius: int) -> PairReport:
@@ -117,5 +100,5 @@ def pair_report(pair: AsymptoticPair, radius: int) -> PairReport:
         for word, count in balance.items():
             checked += 1
             if count:
-                return PairReport(radius, checked, False, Pattern.from_word(word, off))
+                return PairReport(radius, checked, False, (off, word))
     return PairReport(radius, checked, True)

@@ -51,12 +51,10 @@ def reversal(w: str) -> str:
 def factors(w: str, n: int) -> list[str]:
     """All length-n contiguous subwords of w, lex-sorted without repeats.
 
-    factors(w, 0) == [""]; empty list when n > len(w).
+    factors(w, 0) == [""] for every w, the empty word included; empty list when n > len(w).
     """
     if n < 0:
         raise ValueError("factor length must be >= 0")
-    if n == 0:
-        return [""]
     return sorted({w[i : i + n] for i in range(len(w) - n + 1)})
 
 

@@ -18,7 +18,7 @@ from qmarkoff.language import (
     FLIP_AB_BA, LAST_LETTER, WRAP_AWA, WRAP_AWB, MonotonicityError, Periodic, Skew, _standard_prefix, sequence_window,
 )
 from qmarkoff.morphism import det_exponent, mu_q, q_markoff, q_markoff_chain
-from qmarkoff.pairs import AsymptoticPair, PairReport, Pattern, pair_report
+from qmarkoff.pairs import AsymptoticPair, PairReport, pair_report
 from qmarkoff.qpoly import IntPolynomial, QMatrix
 from qmarkoff.spectrum import PeriodicCF, SpectrumValue, _convergents, christoffel_supremum, closed_form_supremum
 from qmarkoff.words import factors, reversal
@@ -149,15 +149,15 @@ def swapped(pair: AsymptoticPair) -> AsymptoticPair:
     return AsymptoticPair(pair.t, pair.s, pair.difference_set)
 
 
-def occ_diff(pair: AsymptoticPair, pattern: Pattern) -> tuple[int, int]:
-    """(#occurrences gained by s, #occurrences gained by t) for one pattern.
+def occ_diff(pair: AsymptoticPair, pattern: dict[int, str]) -> tuple[int, int]:
+    """(#occurrences gained by s, #occurrences gained by t) for one {position: letter} pattern.
 
     A shift n is an occurrence of the pattern in a sequence when the
-    sequence matches the assignment translated by n.  Outside the shifts
+    sequence matches the pattern translated by n.  Outside the shifts
     whose translated support meets the difference set both sequences
     agree, so only those finitely many shifts are examined.
     """
-    items = tuple(pattern.assignment.items())
+    items = tuple(pattern.items())
     if not items:
         return (0, 0)
     shifts = {d - off for d in pair.difference_set for off, _ in items}
@@ -199,10 +199,10 @@ def pair_report_by_patterns(pair, radius):
                     continue
                 seen.add(key)
                 checked += 1
-                pattern = Pattern(dict(key))
-                gained, lost = occ_diff(pair, pattern)
+                gained, lost = occ_diff(pair, dict(key))
                 if gained != lost:
-                    return PairReport(radius, checked, False, pattern)
+                    word = "".join(letter for _, letter in key)
+                    return PairReport(radius, checked, False, (support[0], word))
     return PairReport(radius, checked, True)
 
 

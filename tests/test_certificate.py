@@ -235,8 +235,8 @@ def test_mechanical_languages_lie_in_their_certified_enclosing_skew_language():
     for slope in slopes:
         skew = language._enclosing_skew(slope)
         for n in range(1, 41):
-            inner = set(language.enumerate_factors(Mechanical(slope), n).factors)
-            assert inner <= set(language.enumerate_factors(skew, n).factors), (slope, n)
+            inner = set(language.enumerate_factors(Mechanical(slope), n))
+            assert inner <= set(language.enumerate_factors(skew, n)), (slope, n)
         chain = language._radix_words(skew, 40)
         assert all(map(language._certified, chain, chain[1:])), slope
 

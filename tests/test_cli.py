@@ -137,8 +137,7 @@ def reference_tree(mode, depth):
     return "".join(f"{render(p)}\n" for p in paths)
 
 
-def test_tree_two_processes_print_the_bytes_of_one(capsys):
-    # the name predates the one-process renderer; stdout must still be the reference text
+def test_tree_prints_the_reference_text_at_every_depth(capsys):
     for mode in TREE_MODES:
         for depth in range(9):
             argv = ["tree", "--depth", str(depth), *filter(None, [mode])]
@@ -147,7 +146,7 @@ def test_tree_two_processes_print_the_bytes_of_one(capsys):
 
 @pytest.mark.parametrize("mode", ["--qpoly", "--json"])
 @pytest.mark.parametrize("letters", [0, 7])
-def test_tree_worker_failure_exits_3_after_the_last_whole_node(capsys, monkeypatch, mode, letters):
+def test_tree_render_failure_exits_3_after_the_last_whole_node(capsys, monkeypatch, mode, letters):
     _, whole, _ = run(capsys, "tree", "--depth", "4", mode)
     real = cli.q_markoff
 
@@ -830,6 +829,20 @@ def test_pair_check_requires_factorization(capsys):
     assert "central factorization" in err
 
 
+def test_pair_check_names_its_failing_pattern(capsys, monkeypatch):
+    from qmarkoff import pairs
+
+    real = pairs.build_pair
+
+    def flip_control_pair(spec, n0=0):  # s and s with its letter at 0 flipped: never indistinguishable
+        s = real(spec, n0).s
+        return pairs.AsymptoticPair(s, lambda i: {"a": "b", "b": "a"}[s(i)] if i == 0 else s(i), frozenset({0}))
+
+    monkeypatch.setattr(pairs, "build_pair", flip_control_pair)
+    assert run(capsys, "pair-check", "--spec", "fibonacci", "--radius", "1") == (
+        1, "spec: characteristic\nradius: 1\npatterns checked: 1\nindistinguishable: no\nfailing: 'b' at offset 0\n", "")
+
+
 def test_counterexamples(capsys):
     code, out, _ = run(capsys, "counterexamples")
     assert code == 0
@@ -934,7 +947,7 @@ def test_lazy_public_api_in_a_fresh_interpreter():
         "['qmarkoff']",  # import qmarkoff loads no module of the library
         "[]",
         "module 'qmarkoff' has no attribute 'frobnicate'",
-        "44 []",  # each name is the one object every library module binds to it
+        "42 []",  # each name is the one object every library module binds to it
     ]
 
 

@@ -34,7 +34,7 @@ from qmarkoff.language import (
 )
 from qmarkoff.morphism import mu, mu_q, q_markoff, q_markoff_chain
 from qmarkoff.qpoly import IntPolynomial
-from qmarkoff.words import christoffel_word, render_word, reversal
+from qmarkoff.words import christoffel_word, factors, render_word, reversal
 
 from oracles import degree, is_balanced_family, poly, precedes
 
@@ -176,15 +176,18 @@ def test_compact_representations():
 
 def test_factor_table_rows():
     for n, expected in FIB_TABLE.items():
-        assert enumerate_factors(FIB, n).factors == expected
+        assert enumerate_factors(FIB, n) == expected
 
 
 def test_factors_n0_and_length8():
-    assert enumerate_factors(FIB, 0).factors == ("",)
+    # n = 0 takes the general path of each variant, and of words.factors
+    for spec in (FIB, Periodic("aab"), Skew("aba", "blocks", "ba"), Mechanical("2/5", "1/3", "upper")):
+        assert enumerate_factors(spec, 0) == ("",), spec
+    assert factors("", 0) == factors("ab", 0) == [""]
     f8 = enumerate_factors(FIB, 8)
     assert len(f8) == 9
-    assert render_word(f8.factors[0], "01") == "00100101"
-    assert render_word(f8.factors[-1], "01") == "10100101"
+    assert render_word(f8[0], "01") == "00100101"
+    assert render_word(f8[-1], "01") == "10100101"
 
 
 def test_complexity_and_double_representation():
@@ -205,14 +208,14 @@ def test_factor_balance_all_variants():
     ]
     for spec in specs:
         for n in range(1, 9):
-            fs = enumerate_factors(spec, n).factors
+            fs = enumerate_factors(spec, n)
             assert is_balanced_family(fs, "a"), (spec, n)
             assert is_balanced_family(fs, "b"), (spec, n)
 
 
 def test_periodic_factors():
-    assert enumerate_factors(Periodic("ab"), 3).factors == ("aba", "bab")
-    assert enumerate_factors(Periodic("a"), 4).factors == ("aaaa",)
+    assert enumerate_factors(Periodic("ab"), 3) == ("aba", "bab")
+    assert enumerate_factors(Periodic("a"), 4) == ("aaaa",)
 
 
 def test_periodic_spec_validation():
@@ -334,7 +337,7 @@ def test_skew_language_from_compact_representations_matches_window_oracle(m, for
 
     spec = Skew(m, form, xy)
     language = enumerate_factors(spec, n)
-    assert language.factors == window_factors(spec, n)
+    assert language == window_factors(spec, n)
     assert len(language) == n + 1
 
 
@@ -406,7 +409,7 @@ def test_mechanical_factors_match_window_oracle(slope, k, offset, kind, n):
 
     (p, q), (j, d) = slope, offset
     spec = Mechanical(Fraction(p, q), Fraction(k * d + j, q * d), kind)
-    assert enumerate_factors(spec, n).factors == window_factors(spec, n)
+    assert enumerate_factors(spec, n) == window_factors(spec, n)
 
 
 @settings(max_examples=80, deadline=None)
@@ -414,7 +417,7 @@ def test_mechanical_factors_match_window_oracle(slope, k, offset, kind, n):
 def test_periodic_factors_match_cyclic_and_window_oracles(word, n):
     from oracles import cyclic_factors, window_factors
 
-    fs = enumerate_factors(Periodic(word), n).factors
+    fs = enumerate_factors(Periodic(word), n)
     assert fs == tuple(cyclic_factors(word, n)) == window_factors(Periodic(word), n)
 
 
@@ -693,7 +696,7 @@ def test_characteristic_factors_match_mechanical_window(directive):
     length = 3 * slope.denominator + 24
     window = "".join(letter_at(mech, k) for k in range(length))
     for n in range(1, 9):
-        from_compact = set(enumerate_factors(spec, n).factors)
+        from_compact = set(enumerate_factors(spec, n))
         from_window = {window[i : i + n] for i in range(length - n + 1)}
         assert from_compact == from_window, n
 

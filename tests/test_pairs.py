@@ -10,7 +10,6 @@ from qmarkoff.language import Characteristic, Mechanical, Periodic, Skew
 from qmarkoff.pairs import (
     AsymptoticPair,
     PairReport,
-    Pattern,
     build_pair,
     pair_report,
 )
@@ -31,8 +30,7 @@ def indistinguishable_bruteforce(pair, radius):
     for size in range(1, 2 * radius + 2):
         for support in itertools.combinations(universe, size):
             for letters in itertools.product("ab", repeat=size):
-                pattern = Pattern(dict(zip(support, letters)))
-                gained, lost = occ_diff(pair, pattern)
+                gained, lost = occ_diff(pair, dict(zip(support, letters)))
                 if gained != lost:
                     return False
     return True
@@ -78,18 +76,18 @@ def test_build_pair_shift_equivariance():
 
 def test_occ_diff_single_letter():
     pair = build_pair(FIB, 0)
-    assert occ_diff(pair, Pattern.from_word("a")) == (1, 1)
-    assert occ_diff(pair, Pattern.from_word("b")) == (1, 1)
+    assert occ_diff(pair, {0: "a"}) == (1, 1)
+    assert occ_diff(pair, {0: "b"}) == (1, 1)
 
 
 def test_occ_diff_empty_pattern():
     pair = build_pair(FIB, 0)
-    assert occ_diff(pair, Pattern({})) == (0, 0)
+    assert occ_diff(pair, {}) == (0, 0)
 
 
 def test_occ_diff_central_window_pattern():
     pair = build_pair(FIB, 0)
-    pattern = Pattern({-1: pair.s(-1), 0: pair.s(0)})
+    pattern = {-1: pair.s(-1), 0: pair.s(0)}
     gained, lost = occ_diff(pair, pattern)
     assert gained == lost
 
@@ -98,7 +96,7 @@ def test_occ_diff_symmetry():
     pair = build_pair(FIB, 0)
     swapped_pair = swapped(pair)
     for word in ("a", "ab", "aba", "abaab"):
-        pattern = Pattern.from_word(word)
+        pattern = dict(enumerate(word))
         assert occ_diff(pair, pattern) == tuple(reversed(occ_diff(swapped_pair, pattern)))
 
 
@@ -107,8 +105,8 @@ def test_occ_diff_shift_invariance():
     p7 = build_pair(FIB, 7)
     for word in ("a", "ba", "aab", "abaab"):
         for start in (-2, 0, 3):
-            base = Pattern.from_word(word, start)
-            shifted = Pattern.from_word(word, start + 7)
+            base = dict(enumerate(word, start))
+            shifted = dict(enumerate(word, start + 7))
             assert occ_diff(p0, base) == occ_diff(p7, shifted)
 
 
@@ -163,18 +161,12 @@ def test_pair_report_counts():
         pair_report(build_pair(FIB, 0), 0)
 
 
-def test_pattern_support():
-    p = Pattern({3: "a", -1: "b"})
-    assert set(p.assignment) == {3, -1}
-    assert Pattern.from_word("ab", -1).assignment == {-1: "a", 0: "b"}
-
-
 def test_control_pair_report_witness():
     ctrl = flip_control_pair(FIB)
     for radius in (1, 3):
         report = pair_report(ctrl, radius)
         assert report.patterns_checked == 1
-        assert report.failing == Pattern({0: "b"})
+        assert report.failing == (0, "b")
 
 
 @settings(max_examples=80, deadline=None)

@@ -43,9 +43,7 @@ DUNDERS = {
     "Periodic": {"__new__"},
     "Characteristic": {"__new__"},
     "Skew": {"__new__"},
-    "FactorLanguage": {"__len__"},
     "MonotonicityError": {"__init__"},
-    "Pattern": {"__new__"},
     "PeriodicCF": {"__new__"},
 }
 
