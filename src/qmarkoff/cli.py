@@ -46,9 +46,10 @@ MAX_SPECTRUM_DEPTH = 1024  # bracket widths fall like phi^(-2 depth): floats set
 MAX_SPECTRUM_LETTERS = 4096
 # Wall time and peak RSS of the costliest spec at each limit, then one step above it
 # (2-vCPU Xeon, Python 3.11):
-# fibonacci 0.3 s, 23 MiB; a periodic or mechanical spec of slope p/q, q <= max_n, also builds
-# the chain of its enclosing skew language, so one with q near max_n costs the most:
-MAX_MONOTONE_N = 256  # mechanical:alpha=126/253 0.5 s, 32 MiB; --max-n 320: 0.8 s, 47 MiB
+# verify-monotone holds one length of its chain: fibonacci 0.14 s, 16 MiB; a periodic or mechanical
+# spec of slope p/q, q <= max_n, also holds the whole chain of its enclosing skew language (_cover),
+# so one with q near max_n costs the most:
+MAX_MONOTONE_N = 256  # mechanical:alpha=126/253 0.23 s, 25 MiB; --max-n 320: 0.34 s, 34 MiB
 MAX_CURVES_LEN = 160  # fibonacci, 5 gammas: 1.3 s, 64 MiB; --max-len 240: 3.5 s, 99 MiB
 # curves --max-len 160, skew blocks, gammas like 255/256: 8 gammas 6.2 s, 155 MiB; 16 gammas
 # 12.5 s, 292 MiB; 8 gammas with terms near 512: 6.8 s, 163 MiB.  Checked before the spec.
@@ -212,10 +213,10 @@ def _cmd_verify_monotone(args) -> tuple[int, list[str]]:
     spec = parse_spec(args.spec)
     head = f"spec: {_spec_name(spec)}", f"max_n: {args.max_n}"
     try:
-        chain = radix_chain_check(spec, args.max_n).chain
+        words = radix_chain_check(spec, args.max_n)
     except MonotonicityError as exc:
         return 1, _lines(*head, f"FAIL: {exc.src!r} -> {exc.dst!r}", f"difference: {exc.difference}")
-    return 0, _lines(*head, f"factors: {len(chain)}", f"differences: {len(chain) - 1}",
+    return 0, _lines(*head, f"factors: {words}", f"differences: {words - 1}",
                      "all differences nonzero with nonnegative coefficients: OK")
 
 

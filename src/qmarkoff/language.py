@@ -13,7 +13,8 @@ Mechanical(p/q), the repetition of christoffel_word(p, q), read the same
 way when q > n.  The class of a sequence (M1 periodic, M2 mechanical, M3
 characteristic, M4 skew) is its declared variant.  Nothing here is
 memoized: a characteristic window builds just the prefix of the standard
-word it reads, and RadixChainReport.differences is recomputed on each read.
+word it reads, and the radix chain is yielded one length at a time, so
+radix_chain_check holds one length of factors rather than the chain.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from itertools import pairwise
 from typing import Iterator, NamedTuple, Sequence, Union
 
-from .morphism import is_christoffel, q_markoff, q_markoff_chain, q_markoff_ratios
+from .morphism import is_christoffel, q_markoff, q_markoff_ratios
 from .qpoly import IntPolynomial, Scalar
 from .words import christoffel_word, excerpt, factors, is_balanced_periodic, parse_word, reversal
 
@@ -353,9 +354,10 @@ def flip_permutation(spec: BalancedSpec, n: int) -> list[Change]:
     return [Change(u, v, classify_change(u, v)) for u, v in zip(fs, fs[1:])]
 
 
-def _radix_words(spec: BalancedSpec, max_n: int) -> list[str]:
-    """All factors of lengths 0..max_n in radix order, the empty word first."""
-    return [w for n in range(max_n + 1) for w in enumerate_factors(spec, n)]
+def _radix_words(spec: BalancedSpec, max_n: int) -> Iterator[str]:
+    """All factors of lengths 0..max_n in radix order, the empty word first, one length at a time."""
+    for n in range(max_n + 1):
+        yield from enumerate_factors(spec, n)
 
 
 class MonotonicityError(Exception):
@@ -370,24 +372,6 @@ class MonotonicityError(Exception):
         )
 
 
-class _RadixChainReportFields(NamedTuple):
-    chain: tuple[str, ...]
-
-
-class RadixChainReport(_RadixChainReportFields):
-    """The radix-sorted factor chain of a checked language.
-
-    Its consecutive q-Markoff differences are computed anew on each access.
-    """
-
-    __slots__ = ()
-
-    @property
-    def differences(self) -> tuple[IntPolynomial, ...]:
-        """q_markoff(v) - q_markoff(u) for each consecutive pair (u, v) of the chain."""
-        return tuple(g - f for f, g in pairwise(q_markoff_chain(self.chain)))
-
-
 def _cover(spec: BalancedSpec, max_n: int) -> dict[str, int]:
     """Each word of the radix chain of the enclosing skew language of a periodic or mechanical spec,
     to its index there, when every pair of that chain is _certified; empty otherwise.
@@ -396,18 +380,19 @@ def _cover(spec: BalancedSpec, max_n: int) -> dict[str, int]:
     """
     if not isinstance(spec, (Periodic, Mechanical)):
         return {}
-    chain = _radix_words(_enclosing_skew(_slope(spec)), max_n)
+    chain = list(_radix_words(_enclosing_skew(_slope(spec)), max_n))
     if not all(map(_certified, chain, chain[1:])):
         return {}
     return {w: i for i, w in enumerate(chain)}
 
 
-def radix_chain_check(spec: BalancedSpec, max_n: int) -> RadixChainReport:
-    """Certify monotonicity of w -> q_markoff(w) on the spec's language up to max_n.
+def radix_chain_check(spec: BalancedSpec, max_n: int) -> int:
+    """Certify monotonicity of w -> q_markoff(w) on the spec's language up to max_n; return the
+    number of words checked.
 
-    Builds the radix-sorted chain of all factors of lengths 0..max_n
-    (the empty word is the radix minimum) and checks that every
-    consecutive difference is a nonzero polynomial with nonnegative
+    Walks the radix-sorted chain of all factors of lengths 0..max_n (the
+    empty word is the radix minimum), one length at a time, and checks that
+    every consecutive difference is a nonzero polynomial with nonnegative
     coefficients; by transitivity this covers every radix-ordered pair.
     Each pair (u, v) is decided in turn: ordered when _certified accepts it;
     else ordered when u comes before v in the _cover of a periodic or
@@ -418,9 +403,10 @@ def radix_chain_check(spec: BalancedSpec, max_n: int) -> RadixChainReport:
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    chain = _radix_words(spec, max_n)
+    words = 1  # the empty word
     cover = None  # built on the first pair that is not _certified
-    for u, v in pairwise(chain):
+    for u, v in pairwise(_radix_words(spec, max_n)):
+        words += 1
         if _certified(u, v):
             continue
         if cover is None:
@@ -430,7 +416,7 @@ def radix_chain_check(spec: BalancedSpec, max_n: int) -> RadixChainReport:
         difference = q_markoff(v) - q_markoff(u)
         if not difference.is_nonneg_nonzero():
             raise MonotonicityError(u, v, difference)
-    return RadixChainReport(tuple(chain))
+    return words
 
 
 def curve_ratios(
@@ -448,11 +434,3 @@ def curve_ratios(
         if g <= 0:
             raise ValueError(f"positivity domain: gamma must be > 0, got {g}")
     return q_markoff_ratios(_radix_words(spec, max_len), gammas)
-
-
-def curves_export(spec: BalancedSpec, max_len: int, gammas: Sequence[Scalar]) -> list[tuple[str, Scalar, Scalar]]:
-    """The values of curve_ratios as (word, gamma, exact value), each word with every gamma in
-    turn: an int gamma gives an int, a Fraction or float gamma gives a Fraction."""
-    rows = curve_ratios(spec, max_len, gammas)
-    return [(w, g, y if isinstance(g, int) else Fraction(y, s))
-            for w, values in rows for g, (y, s) in zip(gammas, values)]

@@ -15,23 +15,21 @@ and ``_walk`` hard-codes them; no matrix product is formed.
 Every entry of mu_q(w) has nonnegative coefficients, and each coefficient
 is at most the entry's value at q = 1, so at most max mu(w) <= ||mu(w)||_2
 <= phi^(2|w|_a) (3 + 2 sqrt 2)^(|w|_b), the spectral norms of the classical images of a and b,
-whose log2 are below 1.3885 and 2.5432.  So an entry of mu_q(w), or of mu_q
-of any factor of w, packs into one int, sum c_i 2^(iB), with slots of
-B = (13885|w|_a + 25432|w|_b) // 10000 + 3 bits rounded up to whole bytes
-(``_slot_bits``, from the letter counts alone).  Nothing needs its two
-spare bits; a narrower slot changes the cost of every walk, so it is a
-change to measure on its own.  Multiplying a packed row by q is a shift by
-B bits, so R and L are a shift and an add each (``_walk``).  ``mu_q``
-walks both rows left to right over the word, and ``q_markoff`` the first
-row alone, the only one holding e12.  ``_eval_walk`` takes the same steps
-at q = n/d on integer rows, each step scaling them by d; ``mu`` is that
-walk at q = 1.  ``_chain_rows`` walks a radix chain of factors, one letter
-per word from the kept row of w[:-1]: with ``_walk`` for
-``q_markoff_chain``, and with ``_eval_walk`` for the integer ratios of
-``q_markoff_ratios``.  No other module knows the packed format.  Order
-along a radix chain is decided in language.radix_chain_check, on the
-words where it can be and by a difference of q_markoff values where it
-cannot.
+whose log2 are below 1.3885 and 2.5432.  So an entry of mu_q(w) packs into
+one int, sum c_i 2^(iB), with slots of B = (13885|w|_a + 25432|w|_b) // 10000
++ 3 bits rounded up to whole bytes (``_slot_bits``, from the letter counts
+alone).  Nothing needs its two spare bits; a narrower slot changes the
+cost of every walk, so it is a change to measure on its own.  Multiplying
+a packed row by q is a shift by B bits, so R and L are a shift and an add
+each (``_walk``).  ``mu_q`` walks both rows left to right over the word,
+and ``q_markoff`` the first row alone, the only one holding e12.
+``_eval_walk`` takes the same steps at q = n/d on integer rows, each step
+scaling them by d; ``mu`` is that walk at q = 1.  ``q_markoff_ratios``
+walks a radix chain of factors with ``_eval_walk``, one letter per word and
+gamma from the kept row of w[:-1], for the integer ratios that ``curves``
+prints.  No other module knows the packed format.  Order along a radix
+chain is decided in language.radix_chain_check, on the words where it can
+be and by a difference of q_markoff values where it cannot.
 """
 
 from __future__ import annotations
@@ -47,8 +45,8 @@ IntMatrix = tuple[tuple[int, int], tuple[int, int]]
 
 
 def _slot_bits(w: str) -> int:
-    """Slot width B for mu_q(w) and its factors: bitlen(max mu(w)) <= (13885|w|_a +
-    25432|w|_b) // 10000 + 1, plus two spare bits, rounded up to whole bytes."""
+    """Slot width B for mu_q(w): bitlen(max mu(w)) <= (13885|w|_a + 25432|w|_b) // 10000 + 1,
+    plus two spare bits, rounded up to whole bytes."""
     return ((13885 * w.count("a") + 25432 * w.count("b")) // 10000 + 10) // 8 * 8
 
 
@@ -100,45 +98,27 @@ def mu_q(w: str) -> QMatrix:
     return QMatrix(*(_unpack(e, bits) for e in (e11, e12, e21, e22)))
 
 
-def _chain_rows(chain: Sequence[str], walk, *args) -> Iterator[tuple[int, int]]:
-    """First row of mu_q(w) for each w of `chain`, one `walk(letter, x, y, *args)` per word.
+def q_markoff_ratios(chain: Iterable[str], gammas: Sequence[Scalar]) -> Iterator[tuple[str, list[tuple[int, int]]]]:
+    """(w, [(y, s) for each gamma]) with q_markoff(w) = y / s at q = gamma, for each w of
+    `chain` and each gamma > 0, exactly, with no polynomial, in one pass over `chain`.
 
-    The row of w is one letter on from the row of w[:-1], kept from the
-    previous length, so two lengths of rows are held at a time.
+    As in the radix chain of a factor language, the words run by
+    nondecreasing length, and each nonempty w follows w[:-1] among the words
+    one letter shorter.  With (n, d) = gamma.as_integer_ratio(), the row of
+    each gamma carries s = d^det_exponent(w) times the first row of mu_q(w)
+    at n/d, in ints; it is one letter of _eval_walk on from the row of
+    w[:-1], kept from the previous length, so two lengths of rows are held
+    at a time.
     """
-    length, prev, rows = 0, {}, {"": (1, 0)}
+    ratios = [g.as_integer_ratio() for g in gammas]
+    length, prev, rows = 0, {}, {"": [(1, 0)] * len(ratios)}
     for w in chain:
         if len(w) != length:
             length, prev, rows = len(w), rows, {}
         if w:
-            rows[w] = walk(w[-1], *prev[w[:-1]], *args)
-        yield rows[w]
-
-
-def q_markoff_chain(chain: Sequence[str]) -> Iterator[IntPolynomial]:
-    """q_markoff(w) for each w of `chain`, one letter of row walk per word and no mu_q.
-
-    As in the radix chain of a factor language, the words run by
-    nondecreasing length, and each nonempty w follows w[:-1] among the words
-    one letter shorter.  The slots are the widest that any word needs.
-    """
-    bits = max(map(_slot_bits, chain))
-    return (_unpack(y, bits) for _, y in _chain_rows(chain, _walk, bits))
-
-
-def q_markoff_ratios(chain: Sequence[str], gammas: Sequence[Scalar]) -> Iterator[tuple[str, list[tuple[int, int]]]]:
-    """(w, [(y, s) for each gamma]) with q_markoff(w) = y / s at q = gamma, for each w of
-    `chain` and each gamma > 0, exactly, with no polynomial.
-
-    `chain` is as in q_markoff_chain.  With (n, d) = gamma.as_integer_ratio(),
-    the walk of each gamma carries s = d^det_exponent(w) times the first row
-    of mu_q(w) at n/d, in ints.
-    """
-    ratios = [g.as_integer_ratio() for g in gammas]
-    walks = [_chain_rows(chain, _eval_walk, n, d) for n, d in ratios]
-    for w, *rows in zip(chain, *walks):
+            rows[w] = [_eval_walk(w[-1], x, y, n, d) for (x, y), (n, d) in zip(prev[w[:-1]], ratios)]
         e = det_exponent(w)
-        yield w, [(y, d**e) for (_, d), (_, y) in zip(ratios, rows)]
+        yield w, [(y, d**e) for (_, d), (_, y) in zip(ratios, rows[w])]
 
 
 def q_markoff(w: str) -> IntPolynomial:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 from qmarkoff.language import (
     FLIP_AB_BA, LAST_LETTER, WRAP_AWA, WRAP_AWB, MonotonicityError, Periodic, Skew, _standard_prefix, sequence_window,
 )
-from qmarkoff.morphism import det_exponent, mu_q, q_markoff, q_markoff_chain
+from qmarkoff.morphism import det_exponent, mu_q, q_markoff
 from qmarkoff.pairs import AsymptoticPair, PairReport, pair_report
 from qmarkoff.qpoly import IntPolynomial, QMatrix
 from qmarkoff.spectrum import PeriodicCF, SpectrumValue, _convergents, christoffel_supremum, closed_form_supremum
@@ -281,9 +281,9 @@ def radix_chain_differences(chain):
 def first_unordered(chain):
     """Least i with q_markoff(chain[i+1]) - q_markoff(chain[i]) not nonzero and nonnegative, or None.
 
-    Every pair is compared as polynomials; `chain` is as in q_markoff_chain.
+    Every pair is compared as polynomials.
     """
-    pairs = enumerate(pairwise(q_markoff_chain(chain)))
+    pairs = enumerate(pairwise(map(q_markoff, chain)))
     return next((i for i, (f, g) in pairs if not precedes(f, g)), None)
 
 

@@ -16,9 +16,10 @@ from qmarkoff.language import (
     Characteristic,
     Periodic,
     Skew,
+    _radix_words,
     characteristic_word,
     compact_representations,
-    curves_export,
+    curve_ratios,
     enumerate_factors,
     flip_permutation,
     radix_chain_check,
@@ -50,6 +51,7 @@ from oracles import (
     occ_diff,
     poly,
     positivity_report,
+    radix_chain_differences,
     supremum_residual,
 )
 
@@ -133,19 +135,22 @@ def test_criterion_3_radix_chain_monotonicity():
     with criterion(3, "radix-chain monotonicity at desk scale"):
         mu_q.cache_clear()
         start = time.perf_counter()
-        report = radix_chain_check(FIB, 12)
-        assert len(report.chain) == 91
-        assert len(report.differences) == 90
+        assert radix_chain_check(FIB, 12) == 91
+        chain = list(_radix_words(FIB, 12))
+        differences = radix_chain_differences(chain)
+        assert len(chain) == 91
+        assert len(differences) == 90
         for spec in (
             Periodic("ab"),
             Periodic("aabab"),
             Skew(m="aba", form="blocks"),
             Characteristic((2, 1, 2, 1, 2, 1, 2, 1, 2, 1)),
         ):
-            rep = radix_chain_check(spec, 12)
-            assert all(d.is_nonneg_nonzero() for d in rep.differences)
+            spec_chain = list(_radix_words(spec, 12))
+            assert radix_chain_check(spec, 12) == len(spec_chain)
+            assert all(d.is_nonneg_nonzero() for d in radix_chain_differences(spec_chain))
         elapsed = time.perf_counter() - start
-        assert all(d.is_nonneg_nonzero() for d in report.differences)
+        assert all(d.is_nonneg_nonzero() for d in differences)
         assert elapsed < 2.0, f"{elapsed:.3f}s"
 
 
@@ -161,9 +166,9 @@ def test_criterion_4_degree_span_and_strict_growth():
         nine = [w for w in words if len(w) == 9 and degree(q_markoff(w)) == 23]
         assert len(nine) == 4
         gammas = [Fraction(1, 100), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(100)]
-        rows = curves_export(FIB, 9, gammas)
-        for g in gammas:
-            values = [v for (_, gamma, v) in rows if gamma == g]
+        rows = list(curve_ratios(FIB, 9, gammas))
+        for i, g in enumerate(gammas):
+            values = [Fraction(*ratios[i]) for _, ratios in rows]
             assert len(values) == 55
             assert all(x < y for x, y in zip(values, values[1:])), g
 

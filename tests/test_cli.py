@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from qmarkoff import cli, morphism, spectrum, words
 from qmarkoff.cli import LIMITS, MAX_SPECTRUM_DEPTH, MAX_TREE_DEPTH, main, parse_spec, SpecSyntaxError
-from qmarkoff.language import Characteristic, Mechanical, Periodic, Skew, curves_export
+from qmarkoff.language import Characteristic, Mechanical, Periodic, Skew, _radix_words
 from qmarkoff.morphism import mu_q
 from qmarkoff.words import christoffel_word
 
@@ -454,6 +454,30 @@ def test_verify_monotone_deterministic(capsys):
     assert first == second
 
 
+# (spec, its class, words checked at --max-n 256, whether a pair falls back to the cover)
+VERIFY_MONOTONE_GOLDEN = [
+    ("fibonacci", "characteristic", 33153, False),
+    ("periodic:aabab", "periodic", 1275, True),
+    ("mechanical:alpha=126/253", "mechanical", 33143, True),
+    ("skew:m=aba,form=blocks,xy=ba", "skew", 33153, False),
+]
+
+
+@pytest.mark.parametrize("spec, name, words, covered", VERIFY_MONOTONE_GOLDEN,
+                         ids=[g[0] for g in VERIFY_MONOTONE_GOLDEN])
+def test_verify_monotone_golden_stdout_at_the_limit(capsys, monkeypatch, spec, name, words, covered):
+    from qmarkoff import language
+
+    covers = []
+    real = language._cover
+    monkeypatch.setattr(language, "_cover", lambda *args: covers.append(args) or real(*args))
+    code, out, err = run(capsys, "verify-monotone", "--spec", spec, "--max-n", "256")
+    assert (code, err) == (0, "")
+    assert out == (f"spec: {name}\nmax_n: 256\nfactors: {words}\ndifferences: {words - 1}\n"
+                   "all differences nonzero with nonnegative coefficients: OK\n")
+    assert len(covers) == covered
+
+
 def test_spectrum_command(capsys):
     code, out, _ = run(capsys, "spectrum", "ab", "--depth", "64")
     assert code == 0
@@ -663,9 +687,10 @@ def test_curves_csv_values_are_the_floats_of_the_exact_values(spec, max_len, tok
     with contextlib.redirect_stdout(out):
         assert main(["curves", "--spec", spec, "--max-len", str(max_len), "--gammas", ",".join(tokens)]) == 0
     gammas = [int(tok) if tok.isdigit() else Fraction(tok) for tok in tokens]
-    exact = curves_export(parse_spec(spec), max_len, gammas)
+    words = _radix_words(parse_spec(spec), max_len)
+    exact = [morphism.q_markoff(w).evaluate(Fraction(g)) for w in words for g in gammas]
     values = [line.rsplit(",", 1)[1] for line in out.getvalue().splitlines()[1:]]
-    assert values == [repr(float(v)) for _, _, v in exact]
+    assert values == [repr(float(v)) for v in exact]
 
 
 @pytest.mark.parametrize(
@@ -947,7 +972,7 @@ def test_lazy_public_api_in_a_fresh_interpreter():
         "['qmarkoff']",  # import qmarkoff loads no module of the library
         "[]",
         "module 'qmarkoff' has no attribute 'frobnicate'",
-        "42 []",  # each name is the one object every library module binds to it
+        "40 []",  # each name is the one object every library module binds to it
     ]
 
 

@@ -22,21 +22,22 @@ from qmarkoff.language import (
     MonotonicityError,
     Periodic,
     Skew,
+    _radix_words,
     characteristic_word,
     classify_change,
     compact_representations,
-    curves_export,
+    curve_ratios,
     enumerate_factors,
     flip_permutation,
     letter_at,
     radix_chain_check,
     sequence_window,
 )
-from qmarkoff.morphism import mu, mu_q, q_markoff, q_markoff_chain
+from qmarkoff.morphism import mu, mu_q, q_markoff
 from qmarkoff.qpoly import IntPolynomial
 from qmarkoff.words import christoffel_word, factors, render_word, reversal
 
-from oracles import degree, is_balanced_family, poly, precedes
+from oracles import degree, is_balanced_family, poly, precedes, radix_chain_differences
 
 FIB = Characteristic((1,) * 24)
 
@@ -495,20 +496,19 @@ def test_classify_change_wraps():
 
 
 def test_radix_chain_fibonacci():
-    report = radix_chain_check(FIB, 9)
-    assert len(report.chain) == 55
-    assert len(report.differences) == 54
-    assert all(d.is_nonneg_nonzero() for d in report.differences)
+    assert radix_chain_check(FIB, 9) == 55
+    differences = radix_chain_differences(list(_radix_words(FIB, 9)))
+    assert len(differences) == 54
+    assert all(d.is_nonneg_nonzero() for d in differences)
 
 
 def test_library_calls_from_concurrent_threads_match_serial():
     # the README says the library is safe to use from concurrent threads: the mu_q memo is filled
-    # from four threads at once, and every thread reads the differences of one shared report
-    report = radix_chain_check(FIB, 12)
-    words = report.chain[1:]
+    # from four threads at once, and every thread checks the radix chain of one shared spec
+    words = list(_radix_words(FIB, 12))[1:]
     jobs = ([(q_markoff, w) for w in words] + [(mu_q, w) for w in words]
             + [(lambda lo: sequence_window(FIB, lo, lo + 64), lo) for lo in range(-300, 300, 7)]
-            + [(lambda _: report.differences, None)] * 16)
+            + [(lambda n: radix_chain_check(FIB, n), 12)] * 16)
     mu_q.cache_clear()
     serial = [f(x) for f, x in jobs]
     mu_q.cache_clear()
@@ -533,15 +533,16 @@ def test_library_calls_from_concurrent_threads_match_serial():
     ],
 )
 def test_radix_chain_matches_schoolbook(spec):
-    from oracles import mu_q_schoolbook, radix_chain_differences
+    from oracles import mu_q_schoolbook
 
-    report = radix_chain_check(spec, 16)
-    assert report.differences == radix_chain_differences(report.chain)
-    values = [mu_q_schoolbook(w).e12 for w in report.chain]
-    assert list(q_markoff_chain(report.chain)) == values
+    chain = list(_radix_words(spec, 16))
+    assert radix_chain_check(spec, 16) == len(chain)
+    values = [mu_q_schoolbook(w).e12 for w in chain]
+    assert list(map(q_markoff, chain)) == values
     gammas = [Fraction(1, 3), 1, Fraction(7, 5)]
-    expected = [(w, g, p.evaluate(g)) for w, p in zip(report.chain, values) for g in gammas]
-    assert curves_export(spec, 16, gammas) == expected
+    expected = [(w, [p.evaluate(g) for g in gammas]) for w, p in zip(chain, values)]
+    rows = [(w, [Fraction(y, s) for y, s in ratios]) for w, ratios in curve_ratios(spec, 16, gammas)]
+    assert rows == expected
 
 
 def test_curves_export_builds_no_mu_q(monkeypatch):
@@ -550,8 +551,8 @@ def test_curves_export_builds_no_mu_q(monkeypatch):
 
     monkeypatch.setattr(morphism, "mu_q", refuse)
     monkeypatch.setattr(IntPolynomial, "evaluate", refuse)
-    rows = curves_export(FIB, 9, [1, Fraction(1, 2), 0.5])
-    assert len(rows) == 55 * 3
+    rows = list(curve_ratios(FIB, 9, [1, Fraction(1, 2), 0.5]))
+    assert len(rows) == 55 and all(len(ratios) == 3 for _, ratios in rows)
 
 
 positive_gammas = st.one_of(
@@ -578,17 +579,17 @@ positive_gammas = st.one_of(
     st.lists(positive_gammas, min_size=1, max_size=3),
 )
 def test_curves_export_matches_polynomial_evaluation(spec, max_len, gammas):
-    # exact for every kind of gamma: ints stay ints, Fractions and floats give Fractions
-    rows = curves_export(spec, max_len, gammas)
-    for w, g, value in rows:
-        assert value == q_markoff(w).evaluate(Fraction(g))
-        assert type(value) is (int if isinstance(g, int) else Fraction)
+    # exact for every kind of gamma: int, Fraction or float, and an int gamma has denominator 1
+    rows = list(curve_ratios(spec, max_len, gammas))
+    assert [w for w, _ in rows] == list(_radix_words(spec, max_len))
+    for w, ratios in rows:
+        for g, (y, s) in zip(gammas, ratios, strict=True):
+            assert Fraction(y, s) == q_markoff(w).evaluate(Fraction(g))
+            assert s == 1 or not isinstance(g, int)
 
 
 def test_radix_chain_failure_matches_schoolbook(monkeypatch):
     # all words of length <= 3 form a prefix-closed chain that is not balanced
-    from oracles import radix_chain_differences
-
     chain = [""] + ["".join(t) for n in range(1, 4) for t in itertools.product("ab", repeat=n)]
     monkeypatch.setattr(language, "_radix_words", lambda spec, n: chain)
     with pytest.raises(MonotonicityError) as checked:
@@ -601,15 +602,15 @@ def test_radix_chain_failure_matches_schoolbook(monkeypatch):
 
 
 def test_radix_chain_check_memory_is_bounded():
-    # 2145 words; their packed rows at all lengths would take about 8 MiB
+    # 33,153 words, up to 256 letters: the whole chain takes about 7.5 MiB, one length of it 0.2 MiB
     radix_chain_check(FIB, 4)
     tracemalloc.start()
     try:
-        radix_chain_check(FIB, 64)
+        radix_chain_check(FIB, 256)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 << 20, peak
+    assert peak < 1 << 20, peak
 
 
 def test_radix_chain_other_specs():
@@ -645,24 +646,22 @@ def test_radix_chain_requires_positive_max_n():
 
 def test_curves_export_counts_and_specialization():
     gammas = [Fraction(1, 2), 1]
-    rows = curves_export(FIB, 9, gammas)
-    assert len(rows) == 55 * len(gammas)
-    for word, gamma, value in rows:
-        if gamma == 1:
-            assert value == mu(word)[0][1]
+    rows = list(curve_ratios(FIB, 9, gammas))
+    assert len(rows) == 55
+    for word, (_, (y, s)) in rows:
+        assert Fraction(y, s) == mu(word)[0][1]
 
 
 def test_curves_export_strictly_increasing():
     gammas = [Fraction(1, 100), Fraction(1, 2), 1, 3, 100]
-    rows = curves_export(FIB, 9, gammas)
-    for g in gammas:
-        vals = [v for (_, gamma, v) in rows if gamma == g]
+    rows = list(curve_ratios(FIB, 9, gammas))
+    for i, g in enumerate(gammas):
+        vals = [Fraction(*ratios[i]) for _, ratios in rows]
         assert all(x < y for x, y in zip(vals, vals[1:])), g
 
 
 def test_curves_export_degree_facts():
-    rows = curves_export(FIB, 9, [1])
-    words = [w for (w, _, _) in rows]
+    words = list(_radix_words(FIB, 9))
     degrees = sorted({degree(q_markoff(w)) for w in words if w})
     assert degrees == list(range(25))
     nine = [w for w in words if len(w) == 9 and degree(q_markoff(w)) == 23]
@@ -671,9 +670,9 @@ def test_curves_export_degree_facts():
 
 def test_curves_export_rejects_nonpositive_gamma():
     with pytest.raises(ValueError, match="positivity domain"):
-        curves_export(FIB, 3, [1, 0])
+        curve_ratios(FIB, 3, [1, 0])
     with pytest.raises(ValueError, match="positivity domain"):
-        curves_export(FIB, 3, [Fraction(-1, 2)])
+        curve_ratios(FIB, 3, [Fraction(-1, 2)])
 
 
 def _convergent_slope(directive):

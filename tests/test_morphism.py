@@ -19,7 +19,6 @@ from qmarkoff.morphism import (
     mu,
     mu_q,
     q_markoff,
-    q_markoff_chain,
     tree_paths,
 )
 from qmarkoff.qpoly import QMatrix
@@ -372,7 +371,6 @@ def test_first_unordered_small_chains():
     chain = ["", "a", "aa", "ab", "aab", "aba", "abaa", "aabb", "abaab", "aabba", "aabbab", "abaabb"]
     assert first_unordered(chain[:-1]) is None
     assert first_unordered(chain) == len(chain) - 2
-    assert list(q_markoff_chain(chain)) == [mu_q_schoolbook(w).e12 for w in chain]
 
 
 def _width_of_largest_entry(w):
@@ -429,11 +427,11 @@ def test_grown_slot_width_matches_schoolbook_on_words():
 
 @pytest.mark.parametrize("spec, n", GROWN_CHAINS, ids=["periodic", "fibonacci", "skew", "mechanical"])
 def test_grown_slot_width_matches_schoolbook_on_chains(spec, n):
-    chain = _radix_words(spec, n)
+    chain = list(_radix_words(spec, n))
     top = max((w for w in chain if len(w) == n), key=lambda w: w.count("b"))
     assert _slot_bits(top) > max(_width_of_largest_entry(w) for w in chain if len(w) == n)
     assert first_unordered(chain) is _first_unordered_by_schoolbook(chain) is None
-    assert list(q_markoff_chain(chain)) == [mu_q_schoolbook(w).e12 for w in chain]
+    assert list(map(q_markoff, chain)) == [mu_q_schoolbook(w).e12 for w in chain]
     # two words of the top length swapped: the first unordered pair is found at the same index
     swapped = chain[:-2] + [chain[-1], chain[-2]]
     assert first_unordered(swapped) == _first_unordered_by_schoolbook(swapped) == len(chain) - 2
@@ -448,6 +446,6 @@ def test_grown_slot_width_matches_schoolbook_on_chains(spec, n):
     ids=["every-word", "powers"],
 )
 def test_chain_with_unequal_longest_words_matches_schoolbook(chain):
-    # the longest words range from a^n to b^n; b^n, with the most letters b, fixes the slot width
-    assert list(q_markoff_chain(chain)) == [mu_q_schoolbook(w).e12 for w in chain]
+    # the longest words range from a^n to b^n, each in the slots its own letters need
+    assert list(map(q_markoff, chain)) == [mu_q_schoolbook(w).e12 for w in chain]
     assert first_unordered(chain) == _first_unordered_by_schoolbook(chain)

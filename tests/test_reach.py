@@ -19,8 +19,6 @@ import qmarkoff
 ALLOWED = {
     # the Markoff-property predicate, until a CLI command runs balance <=> Markoff property
     "has_markoff_property_periodic",
-    # the exact values of the curves export; the CLI prints floats from curve_ratios, its one walk
-    "curves_export",
     # the standard-word prefix that acceptance criterion 7 reads; enumerate_factors reads the window
     "characteristic_word",
 }
@@ -28,8 +26,6 @@ ALLOWED = {
 ALLOWED_MEMBERS = {
     # the README's library example evaluates a q-Markoff polynomial at q = 1 and q = 1/2
     "IntPolynomial.evaluate",
-    # the README's library example reads the differences of a radix chain
-    "RadixChainReport.differences",
 }
 
 # Every dunder method each library class defines: an operator joins a class only with a caller in src/ and an entry here.

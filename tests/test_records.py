@@ -23,9 +23,7 @@ from qmarkoff.language import (
     Characteristic,
     Mechanical,
     Periodic,
-    RadixChainReport,
     Skew,
-    radix_chain_check,
 )
 from qmarkoff.morphism import ChristoffelNode, MarkoffTriple, christoffel_node, markoff_triple, mu_q
 from qmarkoff.pairs import AsymptoticPair, PairReport
@@ -47,8 +45,6 @@ RECORDS = [
     (Skew, lambda: Skew(), Skew(xy="ba"), "Skew(m='', form='xxyxx', xy='ab')"),
     (Change, lambda: Change("ab", "ba", "flip_ab_ba"), Change("ab", "bb", "last_letter"),
      "Change(src='ab', dst='ba', kind='flip_ab_ba')"),
-    (RadixChainReport, lambda: radix_chain_check(Periodic("ab"), 2), RadixChainReport(("", "a")),
-     "RadixChainReport(chain=('', 'a', 'b', 'ab', 'ba'))"),
     (PositivityReport, lambda: positivity_report("ab"), positivity_report("ba"),
      "PositivityReport(e11=IntPolynomial([0, 1, 2, 3, 3, 2, 1]), e12=IntPolynomial([1, 1, 2, 1]), "
      "e21=IntPolynomial([0, 1, 2, 2, 1, 1]), e22=IntPolynomial([1, 1, 1]), "
@@ -87,7 +83,7 @@ def _public_records(module) -> set[type]:
 def test_every_record_is_covered():
     library = set().union(*map(_public_records, (language, morphism, pairs, qpoly, spectrum, words)))
     assert {cls for cls, *_ in RECORDS} == library | _public_records(oracles)
-    assert len(library) == 13
+    assert len(library) == 12
 
 
 @pytest.mark.parametrize("cls, build, other, expected", RECORDS, ids=IDS)
@@ -114,14 +110,6 @@ def test_attributes_cannot_be_assigned(cls, build, other, expected):
     with pytest.raises(AttributeError):
         record.note = "x"
     assert record == build()
-
-
-def test_radix_chain_report_recomputes_its_differences():
-    report = radix_chain_check(Periodic("aab"), 4)
-    first = report.differences
-    assert report.differences == first and report.differences is not first
-    assert len(first) == len(report.chain) - 1
-    assert not hasattr(report, "__dict__")
 
 
 VALIDATION_ERRORS = [
