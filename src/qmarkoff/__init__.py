@@ -14,8 +14,8 @@ _NAMES = {
     "morphism": ("ChristoffelNode", "MarkoffTriple", "christoffel_node", "is_christoffel", "markoff_triple",
                  "mu", "mu_q", "q_markoff", "tree_paths"),
     "language": ("BalancedSpec", "Change", "Characteristic", "ComplexityViolation", "Mechanical",
-                 "MonotonicityError", "Periodic", "Skew", "characteristic_word", "compact_representations",
-                 "enumerate_factors", "flip_permutation", "letter_at", "radix_chain_check", "sequence_window"),
+                 "MonotonicityError", "Periodic", "Skew", "compact_representations", "enumerate_factors",
+                 "flip_permutation", "radix_chain_check", "sequence_window"),
     "pairs": ("AsymptoticPair", "build_pair"),
     "spectrum": ("PeriodicCF", "SpectrumValue", "closed_form_supremum", "markoff_supremum", "sigma_subst"),
 }

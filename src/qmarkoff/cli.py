@@ -1,7 +1,7 @@
 """Command-line front end: trees, factor tables, verification reports, CSV export.
 
 Every command returns its exit code and its text as chunks; main is the only writer of stdout and
-stderr. Every command but tree builds its whole text before it returns; tree streams node by node.
+stderr. Every command but tree returns its whole text as one chunk; tree streams node by node.
 
 Each command is a fresh interpreter, so the imports follow the commands: the modules every command
 runs (morphism, with qpoly, and words) load at the top, while language, pairs, spectrum and json
@@ -150,8 +150,9 @@ def _spec_name(spec: BalancedSpec) -> str:
 
 
 def _lines(*lines: str) -> list[str]:
-    """A command's text as chunks: the lines joined by newlines, then the last newline."""
-    return ["\n".join(lines), "\n"]
+    """A command's text as one chunk, so main writes it in one call: a reader that closes the pipe
+    after its first match cannot close it between two writes."""
+    return ["\n".join(lines) + "\n"]
 
 
 def _cmd_tree(args) -> tuple[int, Iterator[str]]:
@@ -258,7 +259,7 @@ def _cmd_pair_check(args) -> tuple[int, list[str]]:
     from .pairs import build_pair, pair_report
 
     spec = parse_spec(args.spec)
-    report = pair_report(build_pair(spec, 0), args.radius)
+    report = pair_report(build_pair(spec), args.radius)
     head = f"spec: {_spec_name(spec)}", f"radius: {report.radius}", f"patterns checked: {report.patterns_checked}"
     if report.indistinguishable:
         return 0, _lines(*head, "indistinguishable: yes")
@@ -374,10 +375,10 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a closed or full stdout fails here at the latest
         return code
     except (ValueError, OverflowError) as exc:
-        from .language import ComplexityViolation  # raised only by commands that loaded language
-
+        # only a command that loaded language raises ComplexityViolation: a usage error loads nothing
+        violation = getattr(sys.modules.get(f"{__package__}.language"), "ComplexityViolation", ())
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, ComplexityViolation) else 2
+        return 1 if isinstance(exc, violation) else 2
     except Exception as exc:  # a closed or full stdout, or an internal error
         print(f"error: {exc}", file=sys.stderr)
         try:

@@ -72,27 +72,14 @@ def _mechanical_window(spec: Mechanical, lo: int, hi: int) -> str:
 
 
 def _standard_prefix(directive: tuple[int, ...], length: int) -> str:
-    """Up to `length` letters of the standard word; s_{k-1}^{d_k} is cut to the power covering them."""
+    """Up to `length` letters of the standard word of `directive`: from ("b", "a"), s_k = s_{k-1}^{d_k} s_{k-2}
+    (directive 1, 1, ... gives the Fibonacci word), with s_{k-1}^{d_k} cut to the power covering them."""
     prev, cur = "b", "a"
     for d in directive:
         if len(cur) >= length:
             break
         prev, cur = cur, cur * min(d, length // len(cur) + 1) + prev
     return cur[:length]
-
-
-def characteristic_word(directive: Sequence[int], length: int) -> str:
-    """Length-`length` prefix of the standard word driven by `directive`: positions 1..length
-    of its Characteristic sequence.
-
-    The recursion starts from ("b", "a") and appends s_k = s_{k-1}^{d_k} s_{k-2};
-    directive (1, 1, 1, ...) yields the Fibonacci word.  Raises ValueError on
-    an empty directive or a nonpositive entry, and when the finite directive
-    cannot reach the requested length (naming the first position out of reach).
-    """
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    return sequence_window(Characteristic(directive), 1, length + 1)
 
 
 class _PeriodicFields(NamedTuple):
@@ -189,11 +176,6 @@ def _enclosing_skew(slope: Fraction) -> Skew:
     if q == 1:
         return Skew("", "xxyxx", "ba" if p else "ab")
     return Skew(christoffel_word(p, q)[1:-1], "blocks")
-
-
-def letter_at(spec: BalancedSpec, pos: int) -> str:
-    """Letter of the spec's canonical biinfinite sequence at position `pos`."""
-    return sequence_window(spec, pos, pos + 1)
 
 
 def sequence_window(spec: BalancedSpec, lo: int, hi: int) -> str:

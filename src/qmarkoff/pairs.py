@@ -4,7 +4,10 @@ Two biinfinite sequences that differ at finitely many positions form an
 asymptotic pair; the pair is indistinguishable when every finite pattern
 gains exactly as many occurrences as it loses.  Occurrence differences
 can only happen at shifts whose translated support touches the difference
-set, so everything here is an exact finite computation.  ``pair_report``
+set, so everything here is an exact finite computation.  ``build_pair``
+reads the pair of a spec with mirror center, whose two sequences differ at
+the center {-1, 0}; any other difference set is an AsymptoticPair built by
+hand.  ``pair_report``
 compares, per support, the multisets of words read from both sequences at
 those shifts; the one-pattern count occ_diff is its reference in
 tests/oracles.py, where a pattern is a {position: letter} dict.
@@ -15,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, NamedTuple
 
-from .language import BalancedSpec, Characteristic, Skew, letter_at
+from .language import BalancedSpec, Characteristic, Skew, sequence_window
 
 LetterFn = Callable[[int], str]
 
@@ -28,8 +31,8 @@ class AsymptoticPair(NamedTuple):
     difference_set: frozenset[int]
 
 
-def build_pair(spec: BalancedSpec, n0: int = 0) -> AsymptoticPair:
-    """The asymptotic pair of a spec with mirror center, shifted to difference set {n0-1, n0}.
+def build_pair(spec: BalancedSpec) -> AsymptoticPair:
+    """The asymptotic pair of a spec with mirror center, with difference set {-1, 0}.
 
     Only characteristic and skew specs carry the central factorization;
     other variants raise ValueError("no central factorization").  The
@@ -40,17 +43,13 @@ def build_pair(spec: BalancedSpec, n0: int = 0) -> AsymptoticPair:
         raise ValueError("no central factorization")
 
     def s(i: int) -> str:
-        return letter_at(spec, i - n0)
+        return sequence_window(spec, i, i + 1)
 
     def t(i: int) -> str:
-        j = i - n0
-        if j == -1:
-            return letter_at(spec, 0)
-        if j == 0:
-            return letter_at(spec, -1)
-        return letter_at(spec, j)
+        j = -1 - i if i in (-1, 0) else i  # the central letters swap places
+        return sequence_window(spec, j, j + 1)
 
-    return AsymptoticPair(s, t, frozenset({n0 - 1, n0}))
+    return AsymptoticPair(s, t, frozenset({-1, 0}))
 
 
 class PairReport(NamedTuple):

@@ -3,10 +3,11 @@
 Coefficients are arbitrary-precision Python ints in a dense ascending
 representation: index i holds the coefficient of q^i.  The zero polynomial
 has an empty coefficient tuple.  The commands need only sums, differences,
-the nonnegativity test, evaluation and the text form; products of
-polynomials and of matrices are never formed (morphism walks packed rows).
-QMatrix is a NamedTuple like every other library record: it equals the
-4-tuple of its entries, unpacks into them and hashes as that tuple.
+the nonnegativity test and the text form; products of polynomials and of
+matrices are never formed, and a value at a number comes from packed rows
+(morphism.q_markoff_ratios), not from a polynomial.  QMatrix is a NamedTuple
+like every other library record: it equals the 4-tuple of its entries,
+unpacks into them and hashes as that tuple.
 """
 
 from __future__ import annotations
@@ -59,26 +60,6 @@ class IntPolynomial:
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         return self + (-other)
 
-    def evaluate(self, x: Scalar) -> Scalar:
-        """Horner evaluation; exact when x is an int or Fraction.
-
-        For x = n/d the loop stays in integers: it computes d^k * p(n/d),
-        k the degree, and divides once.  Other x (floats) use the plain loop.
-        """
-        if not isinstance(x, (int, Fraction)):
-            acc: Scalar = 0
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
-        n, d = x.numerator, x.denominator
-        total, scale = 0, 1
-        for c in reversed(self.coeffs):
-            total = total * n + c * scale
-            scale *= d
-        if isinstance(x, int) or not self.coeffs:
-            return total
-        return Fraction(total, scale // d)
-
     def is_nonneg_nonzero(self) -> bool:
         """True iff the polynomial is nonzero with all coefficients >= 0."""
         return bool(self.coeffs) and all(c >= 0 for c in self.coeffs)
@@ -109,6 +90,3 @@ class QMatrix(NamedTuple):
     e12: IntPolynomial
     e21: IntPolynomial
     e22: IntPolynomial
-
-    def __str__(self) -> str:
-        return f"[[{self.e11}, {self.e12}], [{self.e21}, {self.e22}]]"

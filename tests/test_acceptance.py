@@ -17,12 +17,12 @@ from qmarkoff.language import (
     Periodic,
     Skew,
     _radix_words,
-    characteristic_word,
     compact_representations,
     curve_ratios,
     enumerate_factors,
     flip_permutation,
     radix_chain_check,
+    sequence_window,
 )
 from qmarkoff.morphism import (
     christoffel_node,
@@ -239,11 +239,11 @@ def test_criterion_7_language_structure():
     with criterion(7, "factor tables, compact representations, flip tagging"):
         for n, expected in FIB_TABLE.items():
             assert enumerate_factors(FIB, n) == expected
-        first, second = compact_representations(characteristic_word(FIB.directive, 7))
+        first, second = compact_representations(sequence_window(FIB, 1, 8))
         assert render_word(first, "01") == "1010010010100101"
         assert render_word(second, "01") == "1010010100100101"
         for n in range(1, 13):
-            w = characteristic_word(FIB.directive, n - 1)
+            w = sequence_window(FIB, 1, n)
             left, right = compact_representations(w)
             left_factors = {left[i : i + n] for i in range(n + 1)}
             right_factors = {right[i : i + n] for i in range(n + 1)}
@@ -281,7 +281,7 @@ def test_criterion_9_spectrum():
 
 def test_criterion_10_indistinguishability():
     with criterion(10, "indistinguishable asymptotic pairs"):
-        pair = build_pair(FIB, 0)
+        pair = build_pair(FIB)
         assert is_indistinguishable_up_to(pair, 6)
 
         # non-contiguous brute force at radius 4 agrees

@@ -19,6 +19,8 @@ from qmarkoff.language import Characteristic, Mechanical, Periodic, Skew, _radix
 from qmarkoff.morphism import mu_q
 from qmarkoff.words import christoffel_word
 
+from oracles import evaluate_by_fraction_horner
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -254,6 +256,41 @@ def test_only_main_writes_stdout():
     assert [ast.unparse(n) for other in others for n in writers(other)] == []
 
 
+def test_every_command_but_tree_returns_one_chunk():
+    # one write: a reader that closes the pipe at its first match cannot close it between two writes
+    commands = set()
+    for argv in (["qmarkoff", "aabab"], ["language", "--spec", "fibonacci", "--n", "5"],
+                 ["language", "--spec", "fibonacci", "--n", "5", "--json"],
+                 ["verify-monotone", "--spec", "fibonacci", "--max-n", "8"], ["spectrum", "aabab"],
+                 ["curves", "--spec", "fibonacci", "--max-len", "4", "--gammas", "1/2,2"],
+                 ["pair-check", "--spec", "skew", "--radius", "4"], ["counterexamples"]):
+        args = cli.build_parser().parse_args(argv)
+        code, chunks = args.func(args)
+        assert (argv, code, len(chunks), chunks[0][-1:]) == (argv, 0, 1, "\n")
+        commands.add(args.func.__name__)
+    assert commands | {"_cmd_tree"} == {name for name in vars(cli) if name.startswith("_cmd_")}
+
+
+def test_a_reader_that_closes_after_one_line_sees_exit_0():
+    # unbuffered, as under python -u, each write reaches the pipe at once: a second write would
+    # find it closed
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = ["verify-monotone", "--spec", "fibonacci", "--max-n", "256"]
+    proc = subprocess.Popen([sys.executable, "-m", "qmarkoff.cli", *argv], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"spec: characteristic\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read().decode()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert (code, err) == (0, "")
+
+
 def test_language_text_listing(capsys):
     code, out, _ = run(capsys, "language", "--spec", "fibonacci", "--n", "8", "--alphabet", "01")
     assert code == 0
@@ -417,7 +454,7 @@ def test_qmarkoff_long_word(capsys):
     mu_q.cache_clear()
     code, out, err = run(capsys, "qmarkoff", w)
     assert code == 0 and err == ""
-    m11, m12, m21, m22 = (e.evaluate(1) for e in mu_q(w))
+    m11, m12, m21, m22 = (evaluate_by_fraction_horner(e, 1) for e in mu_q(w))
     assert f"mu: [[{m11}, {m12}], [{m21}, {m22}]]" in out.splitlines()
 
 
@@ -688,7 +725,7 @@ def test_curves_csv_values_are_the_floats_of_the_exact_values(spec, max_len, tok
         assert main(["curves", "--spec", spec, "--max-len", str(max_len), "--gammas", ",".join(tokens)]) == 0
     gammas = [int(tok) if tok.isdigit() else Fraction(tok) for tok in tokens]
     words = _radix_words(parse_spec(spec), max_len)
-    exact = [morphism.q_markoff(w).evaluate(Fraction(g)) for w in words for g in gammas]
+    exact = [evaluate_by_fraction_horner(morphism.q_markoff(w), Fraction(g)) for w in words for g in gammas]
     values = [line.rsplit(",", 1)[1] for line in out.getvalue().splitlines()[1:]]
     assert values == [repr(float(v)) for v in exact]
 
@@ -859,8 +896,8 @@ def test_pair_check_names_its_failing_pattern(capsys, monkeypatch):
 
     real = pairs.build_pair
 
-    def flip_control_pair(spec, n0=0):  # s and s with its letter at 0 flipped: never indistinguishable
-        s = real(spec, n0).s
+    def flip_control_pair(spec):  # s and s with its letter at 0 flipped: never indistinguishable
+        s = real(spec).s
         return pairs.AsymptoticPair(s, lambda i: {"a": "b", "b": "a"}[s(i)] if i == 0 else s(i), frozenset({0}))
 
     monkeypatch.setattr(pairs, "build_pair", flip_control_pair)
@@ -936,7 +973,7 @@ def test_readme_cli_examples_run(capsys):
 def test_readme_library_example_runs(capsys):
     example = README.split("## Library example", 1)[1].split("```python", 1)[1].split("```", 1)[0]
     exec(compile(example, "README.md", "exec"), {})
-    assert capsys.readouterr().out.splitlines()[1] == "194"
+    assert capsys.readouterr().out.splitlines() == [str(morphism.q_markoff("aabab"))]
 
 
 def _fresh(code: str) -> str:
@@ -948,7 +985,7 @@ def _fresh(code: str) -> str:
 def test_readme_library_example_runs_in_a_fresh_interpreter():
     # a name missing from the lazy table fails only where no other import has loaded its module
     example = README.split("## Library example", 1)[1].split("```python", 1)[1].split("```", 1)[0]
-    assert _fresh(example).splitlines()[1] == "194"
+    assert _fresh(example).splitlines() == [str(morphism.q_markoff("aabab"))]
 
 
 def test_lazy_public_api_in_a_fresh_interpreter():
@@ -972,7 +1009,7 @@ def test_lazy_public_api_in_a_fresh_interpreter():
         "['qmarkoff']",  # import qmarkoff loads no module of the library
         "[]",
         "module 'qmarkoff' has no attribute 'frobnicate'",
-        "40 []",  # each name is the one object every library module binds to it
+        "38 []",  # each name is the one object every library module binds to it
     ]
 
 
@@ -980,29 +1017,34 @@ CLI_MODULES = ["qmarkoff", "qmarkoff.cli", "qmarkoff.morphism", "qmarkoff.qpoly"
 
 
 @pytest.mark.parametrize(
-    "argv, also",
+    "argv, also, code",
     [
-        (None, []),
-        (["tree", "--depth", "3", "--json"], []),
-        (["qmarkoff", "aabab"], []),
-        (["counterexamples"], []),
-        (["spectrum", "aabab", "--depth", "16"], ["qmarkoff.spectrum"]),
-        (["language", "--spec", "fibonacci", "--n", "5"], ["qmarkoff.language"]),
-        (["language", "--spec", "fibonacci", "--n", "5", "--json"], ["json", "qmarkoff.language"]),
-        (["verify-monotone", "--spec", "periodic:aab", "--max-n", "6"], ["qmarkoff.language"]),
-        (["curves", "--spec", "fibonacci", "--max-len", "4", "--gammas", "1/2"], ["qmarkoff.language"]),
-        (["pair-check", "--spec", "skew", "--radius", "4"], ["qmarkoff.language", "qmarkoff.pairs"]),
+        (None, [], 0),
+        (["tree", "--depth", "3", "--json"], [], 0),
+        (["qmarkoff", "aabab"], [], 0),
+        (["counterexamples"], [], 0),
+        (["spectrum", "aabab", "--depth", "16"], ["qmarkoff.spectrum"], 0),
+        (["language", "--spec", "fibonacci", "--n", "5"], ["qmarkoff.language"], 0),
+        (["language", "--spec", "fibonacci", "--n", "5", "--json"], ["json", "qmarkoff.language"], 0),
+        (["verify-monotone", "--spec", "periodic:aab", "--max-n", "6"], ["qmarkoff.language"], 0),
+        (["curves", "--spec", "fibonacci", "--max-len", "4", "--gammas", "1/2"], ["qmarkoff.language"], 0),
+        (["pair-check", "--spec", "skew", "--radius", "4"], ["qmarkoff.language", "qmarkoff.pairs"], 0),
+        # telling a complexity violation (exit 1) from a usage error (exit 2) imports nothing
+        (["qmarkoff", "abc"], [], 2),
+        (["spectrum", "aabb"], ["qmarkoff.spectrum"], 2),
+        (["language", "--spec", "periodic:ab", "--n", "5"], ["qmarkoff.language"], 1),
     ],
     ids=["import", "tree-json", "qmarkoff", "counterexamples", "spectrum", "language", "language-json",
-         "verify-monotone", "curves", "pair-check"],
+         "verify-monotone", "curves", "pair-check", "qmarkoff-usage-error", "spectrum-usage-error",
+         "language-complexity-violation"],
 )
-def test_each_command_loads_only_the_modules_it_runs(argv, also):
+def test_each_command_loads_only_the_modules_it_runs(argv, also, code):
     out = _fresh(
         "import sys, qmarkoff.cli\n"
         f"code = 0 if {argv!r} is None else qmarkoff.cli.main({argv!r})\n"
         "print(code, sorted(m for m in sys.modules if m.startswith('qmarkoff') or m in ('json', 'dataclasses')))\n"
     )
-    assert out.splitlines()[-1] == f"0 {sorted(CLI_MODULES + also)}"
+    assert out.splitlines()[-1] == f"{code} {sorted(CLI_MODULES + also)}"
 
 
 @pytest.mark.parametrize(

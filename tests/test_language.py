@@ -23,21 +23,20 @@ from qmarkoff.language import (
     Periodic,
     Skew,
     _radix_words,
-    characteristic_word,
     classify_change,
     compact_representations,
     curve_ratios,
     enumerate_factors,
     flip_permutation,
-    letter_at,
     radix_chain_check,
     sequence_window,
 )
 from qmarkoff.morphism import mu, mu_q, q_markoff
-from qmarkoff.qpoly import IntPolynomial
 from qmarkoff.words import christoffel_word, factors, render_word, reversal
 
-from oracles import degree, is_balanced_family, poly, precedes, radix_chain_differences
+from oracles import (
+    degree, evaluate_by_fraction_horner, is_balanced_family, poly, precedes, radix_chain_differences,
+)
 
 FIB = Characteristic((1,) * 24)
 
@@ -63,16 +62,16 @@ def test_mechanical_letter_matches_fraction_oracle(slope, rho, kind):
 
     spec = Mechanical(Fraction(*slope), rho, kind)
     for pos in range(-60, 60):
-        assert letter_at(spec, pos) == mechanical_letter_by_fractions(spec, pos)
+        assert sequence_window(spec, pos, pos + 1) == mechanical_letter_by_fractions(spec, pos)
 
 
 def test_mechanical_letter_examples():
     zero = Mechanical(Fraction(0))
     one = Mechanical(Fraction(1))
-    assert all(letter_at(zero, p) == "a" for p in range(-5, 6))
-    assert all(letter_at(one, p) == "b" for p in range(-5, 6))
+    assert all(sequence_window(zero, p, p + 1) == "a" for p in range(-5, 6))
+    assert all(sequence_window(one, p, p + 1) == "b" for p in range(-5, 6))
     half = Mechanical(Fraction(1, 2))
-    assert [letter_at(half, p) for p in range(4)] == ["a", "b", "a", "b"]
+    assert [sequence_window(half, p, p + 1) for p in range(4)] == ["a", "b", "a", "b"]
 
 
 def test_mechanical_spec_normalization():
@@ -88,37 +87,36 @@ def test_upper_vs_lower_mechanical():
     lower = Mechanical(Fraction(2, 5), kind="lower")
     upper = Mechanical(Fraction(2, 5), kind="upper")
     # rational slope with rho = 0: lower and upper differ in alignment only
-    lw = "".join(letter_at(lower, p) for p in range(10))
-    uw = "".join(letter_at(upper, p) for p in range(10))
+    lw = "".join(sequence_window(lower, p, p + 1) for p in range(10))
+    uw = "".join(sequence_window(upper, p, p + 1) for p in range(10))
     assert sorted(lw) == sorted(uw)
     assert lw != uw
 
 
 def test_characteristic_word_fibonacci():
-    assert characteristic_word((1,) * 8, 20) == "abaababaabaababaabab"
-    assert characteristic_word((1,) * 8, 0) == ""
-    assert characteristic_word((2, 1, 1), 5) == "aabaa"
+    # the characteristic (standard) word of a directive: positions 1, 2, ... of its Characteristic sequence
+    assert sequence_window(Characteristic((1,) * 8), 1, 21) == "abaababaabaababaabab"
+    assert sequence_window(Characteristic((1,) * 8), 1, 1) == ""
+    assert sequence_window(Characteristic((2, 1, 1)), 1, 6) == "aabaa"
 
 
 def test_characteristic_word_errors():
     with pytest.raises(ValueError, match="directive"):
-        characteristic_word((1, 1), 10)
+        sequence_window(Characteristic((1, 1)), 1, 11)
     with pytest.raises(ValueError):
-        characteristic_word((1, 0, 1), 3)
-    with pytest.raises(ValueError):
-        characteristic_word((1,), -1)
+        sequence_window(Characteristic((1, 0, 1)), 1, 4)
 
 
 def test_characteristic_word_large_directive_entries():
     # a huge directive entry costs no more than the letters asked for
-    assert characteristic_word((10**12, 3), 6) == "aaaaaa"
-    assert characteristic_word((2, 10**12), 7) == "aabaaba"
+    assert sequence_window(Characteristic((10**12, 3)), 1, 7) == "aaaaaa"
+    assert sequence_window(Characteristic((2, 10**12)), 1, 8) == "aabaaba"
 
 
 def test_characteristic_letter_at_matches_standard_word():
     for directive in ((1,) * 10, (2, 3, 1, 4, 2), (1, 5, 2, 3)):
         spec = Characteristic(directive)
-        p = characteristic_word(directive, 80)
+        p = sequence_window(spec, 1, 81)
         assert sequence_window(spec, -1, 81) == "ab" + p
         assert sequence_window(spec, -81, 1) == reversal(p) + "ab"
 
@@ -127,7 +125,7 @@ def test_letter_reads_cost_no_more_with_a_long_directive():
     # a read builds only the letters it needs, whatever the directive's length
     spec = Characteristic((1,) * 60000)
     start = time.perf_counter()
-    letters = "".join(letter_at(spec, i) for i in range(-2050, 2051))
+    letters = "".join(sequence_window(spec, i, i + 1) for i in range(-2050, 2051))
     assert time.perf_counter() - start < 0.5
     assert letters == sequence_window(spec, -2050, 2051)
 
@@ -138,7 +136,7 @@ def test_characteristic_letter_at_directive_too_short():
     assert sequence_window(spec, -4, 4) == "abaababa"
     for pos in (4, -5, 100):
         with pytest.raises(ValueError, match="directive too short"):
-            letter_at(spec, pos)
+            sequence_window(spec, pos, pos + 1)
 
 
 def test_characteristic_letter_at_memory_is_bounded():
@@ -146,7 +144,7 @@ def test_characteristic_letter_at_memory_is_bounded():
     spec = Characteristic((1,) * 38)
     tracemalloc.start()
     try:
-        assert letter_at(spec, 100) == characteristic_word(spec.directive, 100)[99]
+        assert sequence_window(spec, 100, 101) == sequence_window(spec, 1, 101)[99]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -157,18 +155,18 @@ def test_characteristic_prefix_occurs_in_mechanical_word():
     # directive (d1, d2, ...) encodes slope [0; d1+1, d2, ...]; the prefix
     # must occur in the lower mechanical word of the convergent slope
     directive = (2, 1, 1)
-    prefix = characteristic_word(directive, 5)
+    prefix = sequence_window(Characteristic(directive), 1, 6)
     slope = Fraction(0)
     for d in reversed((directive[0] + 1,) + directive[1:]):
         slope = Fraction(1, d + slope)
     spec = Mechanical(slope)
-    window = "".join(letter_at(spec, p) for p in range(0, 40))
+    window = "".join(sequence_window(spec, p, p + 1) for p in range(0, 40))
     assert prefix in window
 
 
 def test_compact_representations():
     assert compact_representations("") == ("ab", "ba")
-    w = characteristic_word((1,) * 8, 7)
+    w = sequence_window(Characteristic((1,) * 8), 1, 8)
     first, second = compact_representations(w)
     assert render_word(first, "01") == "1010010010100101"
     assert render_word(second, "01") == "1010010100100101"
@@ -241,7 +239,7 @@ def test_skew_sequences():
     # central block bb ends at -1, ab blocks rightwards, ba blocks leftwards
     blocks = Skew(m="", form="blocks")
     assert sequence_window(blocks, -6, 6) == "bababbababab"
-    assert letter_at(blocks, -3) == "a" and letter_at(blocks, -4) == "b"
+    assert sequence_window(blocks, -3, -2) == "a" and sequence_window(blocks, -4, -3) == "b"
 
 
 WINDOW_BOUNDS = st.integers(-600, 600)
@@ -319,7 +317,7 @@ def test_skew_letter_far_from_the_origin_costs_its_width():
         for pos in (10**12, -(10**12), 10**15 + 3):
             tracemalloc.start()
             try:
-                assert letter_at(spec, pos) == skew_letter_by_blocks(spec, pos)
+                assert sequence_window(spec, pos, pos + 1) == skew_letter_by_blocks(spec, pos)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -425,11 +423,13 @@ def test_periodic_factors_match_cyclic_and_window_oracles(word, n):
 def test_skew_and_mechanical_factors_read_no_single_letter(monkeypatch):
     specs = (Skew("aba", "blocks", "ba"), Skew(), Mechanical(Fraction(3, 8), Fraction(5, 7), "upper"))
     expected = [enumerate_factors(spec, 9) for spec in specs]
+    window = language.sequence_window
 
-    def refuse(*args):
-        raise AssertionError("letter_at called")
+    def refuse_one_letter(spec, lo, hi):
+        assert hi - lo != 1, f"single letter read at {lo}"
+        return window(spec, lo, hi)
 
-    monkeypatch.setattr(language, "letter_at", refuse)
+    monkeypatch.setattr(language, "sequence_window", refuse_one_letter)
     assert [enumerate_factors(spec, 9) for spec in specs] == expected
 
 
@@ -463,7 +463,7 @@ def test_flip_permutation_positions_n8():
 def test_flip_permutation_structure():
     # endpoints a·w / b·w, one final-letter change, flips have prefix parts
     for n in range(1, 11):
-        w = characteristic_word(FIB.directive, n - 1)
+        w = sequence_window(FIB, 1, n)
         changes = flip_permutation(FIB, n)
         factor_chain = [changes[0].src] + [c.dst for c in changes]
         assert factor_chain[0] == "a" + w
@@ -540,7 +540,7 @@ def test_radix_chain_matches_schoolbook(spec):
     values = [mu_q_schoolbook(w).e12 for w in chain]
     assert list(map(q_markoff, chain)) == values
     gammas = [Fraction(1, 3), 1, Fraction(7, 5)]
-    expected = [(w, [p.evaluate(g) for g in gammas]) for w, p in zip(chain, values)]
+    expected = [(w, [evaluate_by_fraction_horner(p, g) for g in gammas]) for w, p in zip(chain, values)]
     rows = [(w, [Fraction(y, s) for y, s in ratios]) for w, ratios in curve_ratios(spec, 16, gammas)]
     assert rows == expected
 
@@ -550,7 +550,6 @@ def test_curves_export_builds_no_mu_q(monkeypatch):
         raise AssertionError(f"mu_q({w!r}) called")
 
     monkeypatch.setattr(morphism, "mu_q", refuse)
-    monkeypatch.setattr(IntPolynomial, "evaluate", refuse)
     rows = list(curve_ratios(FIB, 9, [1, Fraction(1, 2), 0.5]))
     assert len(rows) == 55 and all(len(ratios) == 3 for _, ratios in rows)
 
@@ -584,7 +583,7 @@ def test_curves_export_matches_polynomial_evaluation(spec, max_len, gammas):
     assert [w for w, _ in rows] == list(_radix_words(spec, max_len))
     for w, ratios in rows:
         for g, (y, s) in zip(gammas, ratios, strict=True):
-            assert Fraction(y, s) == q_markoff(w).evaluate(Fraction(g))
+            assert Fraction(y, s) == evaluate_by_fraction_horner(q_markoff(w), Fraction(g))
             assert s == 1 or not isinstance(g, int)
 
 
@@ -693,7 +692,7 @@ def test_characteristic_factors_match_mechanical_window(directive):
     spec = Characteristic(directive)
     mech = Mechanical(slope, Fraction(0))
     length = 3 * slope.denominator + 24
-    window = "".join(letter_at(mech, k) for k in range(length))
+    window = "".join(sequence_window(mech, k, k + 1) for k in range(length))
     for n in range(1, 9):
         from_compact = set(enumerate_factors(spec, n))
         from_window = {window[i : i + n] for i in range(length - n + 1)}

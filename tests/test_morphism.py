@@ -36,6 +36,7 @@ from oracles import (
     delta_wrap,
     det_mu_q,
     det,
+    evaluate_by_fraction_horner,
     first_unordered,
     flip_delta,
     flip_matrix,
@@ -67,7 +68,8 @@ TREE_POLYNOMIALS = {
 
 def _at_one(m):
     """m with every entry evaluated at q = 1, as mu returns it."""
-    return (m.e11.evaluate(1), m.e12.evaluate(1)), (m.e21.evaluate(1), m.e22.evaluate(1))
+    e11, e12, e21, e22 = (evaluate_by_fraction_horner(e, 1) for e in m)
+    return (e11, e12), (e21, e22)
 
 
 def all_words(min_len, max_len):
