@@ -46,10 +46,9 @@ MAX_SPECTRUM_DEPTH = 1024  # bracket widths fall like phi^(-2 depth): floats set
 MAX_SPECTRUM_LETTERS = 4096
 # Wall time and peak RSS of the costliest spec at each limit, then one step above it
 # (2-vCPU Xeon, Python 3.11):
-# verify-monotone holds one length of its chain: fibonacci 0.14 s, 16 MiB; a periodic or mechanical
-# spec of slope p/q, q <= max_n, also holds the whole chain of its enclosing skew language (_cover),
-# so one with q near max_n costs the most:
-MAX_MONOTONE_N = 256  # mechanical:alpha=126/253 0.23 s, 25 MiB; --max-n 320: 0.34 s, 34 MiB
+# verify-monotone holds one length of its chain, and a periodic or mechanical spec of slope p/q, q <= max_n,
+# one length of its enclosing skew chain too (_cover): fibonacci 0.17 s; alpha=255/511 --max-n 512: 0.66 s, 16 MiB
+MAX_MONOTONE_N = 256  # mechanical:alpha=126/253 0.19 s, 16 MiB; --max-n 320: 0.26 s, 16 MiB
 MAX_CURVES_LEN = 160  # fibonacci, 5 gammas: 1.3 s, 64 MiB; --max-len 240: 3.5 s, 99 MiB
 # curves --max-len 160, skew blocks, gammas like 255/256: 8 gammas 6.2 s, 155 MiB; 16 gammas
 # 12.5 s, 292 MiB; 8 gammas with terms near 512: 6.8 s, 163 MiB.  Checked before the spec.

@@ -13,8 +13,8 @@ Mechanical(p/q), the repetition of christoffel_word(p, q), read the same
 way when q > n.  The class of a sequence (M1 periodic, M2 mechanical, M3
 characteristic, M4 skew) is its declared variant.  Nothing here is
 memoized: a characteristic window builds just the prefix of the standard
-word it reads, and the radix chain is yielded one length at a time, so
-radix_chain_check holds one length of factors rather than the chain.
+word it reads, and a radix chain is yielded one length at a time, so
+radix_chain_check holds one length of its chain and of its _cover's.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import pairwise
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 from .morphism import is_christoffel, q_markoff, q_markoff_ratios
 from .qpoly import IntPolynomial, Scalar
@@ -354,18 +354,27 @@ class MonotonicityError(Exception):
         )
 
 
-def _cover(spec: BalancedSpec, max_n: int) -> dict[str, int]:
-    """Each word of the radix chain of the enclosing skew language of a periodic or mechanical spec,
-    to its index there, when every pair of that chain is _certified; empty otherwise.
-
-    Such a chain is ordered, so u precedes v whenever both are in it and u comes first.
-    """
+def _cover(spec: BalancedSpec, max_n: int) -> Callable[[str, str], bool]:
+    """A test ordered(u, v): whether u and then v occur in the radix chain of the enclosing skew language
+    of a periodic or mechanical spec with every pair from u to v _certified, so u precedes v.  It walks
+    that chain once, asked its pairs in radix order, and keeps the word last read: a pair may start there."""
     if not isinstance(spec, (Periodic, Mechanical)):
-        return {}
-    chain = list(_radix_words(_enclosing_skew(_slope(spec)), max_n))
-    if not all(map(_certified, chain, chain[1:])):
-        return {}
-    return {w: i for i, w in enumerate(chain)}
+        return lambda u, v: False
+    chain = iter(_radix_words(_enclosing_skew(_slope(spec)), max_n))
+    last = next(chain)  # the empty word
+    done = "b" * (max_n + 1)  # read once the chain is spent: after all of it in radix order
+
+    def ordered(u: str, v: str) -> bool:
+        nonlocal last
+        while (len(last), last) < (len(u), u):
+            last = next(chain, done)
+        found = last == u
+        while found and (len(last), last) < (len(v), v):
+            prev, last = last, next(chain, done)
+            found = _certified(prev, last)
+        return found and last == v != u
+
+    return ordered
 
 
 def radix_chain_check(spec: BalancedSpec, max_n: int) -> int:
@@ -376,24 +385,22 @@ def radix_chain_check(spec: BalancedSpec, max_n: int) -> int:
     empty word is the radix minimum), one length at a time, and checks that
     every consecutive difference is a nonzero polynomial with nonnegative
     coefficients; by transitivity this covers every radix-ordered pair.
-    Each pair (u, v) is decided in turn: ordered when _certified accepts it;
-    else ordered when u comes before v in the _cover of a periodic or
-    mechanical spec (its non-local pairs, slope p/q with q <= max_n), by
-    transitivity; else by its own q-Markoff difference.
-    Raises MonotonicityError on the first offending pair, with its exact
-    difference.
+    Each pair (u, v) is ordered when _certified accepts it, else when the
+    _cover of a periodic or mechanical spec (its non-local pairs, slope p/q
+    with q <= max_n) orders it, else by its own q-Markoff difference; the
+    first offending pair raises MonotonicityError with its exact difference.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     words = 1  # the empty word
-    cover = None  # built on the first pair that is not _certified
+    ordered = None  # the _cover walk, begun at the first pair that is not _certified
     for u, v in pairwise(_radix_words(spec, max_n)):
         words += 1
         if _certified(u, v):
             continue
-        if cover is None:
-            cover = _cover(spec, max_n)
-        if u in cover and v in cover and cover[u] < cover[v]:
+        if ordered is None:
+            ordered = _cover(spec, max_n)
+        if ordered(u, v):
             continue
         difference = q_markoff(v) - q_markoff(u)
         if not difference.is_nonneg_nonzero():

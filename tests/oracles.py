@@ -137,16 +137,18 @@ def balanced_periodic_scan(w, max_n=None):
     return True
 
 
-def check_window(pair: AsymptoticPair, radius: int) -> bool:
-    """Verify on [-radius, radius] that s and t differ exactly on the difference set."""
-    return all(
-        (pair.s(i) != pair.t(i)) == (i in pair.difference_set)
-        for i in range(-radius, radius + 1)
-    )
+def pair_letter(pair: AsymptoticPair, i: int, of_t: bool = False) -> str:
+    """The letter of s at position i, or of t: the letter of s, flipped a <-> b on the difference set."""
+    c = pair.s(i, i + 1)
+    return {"a": "b", "b": "a"}[c] if of_t and i in pair.difference_set else c
 
 
 def swapped(pair: AsymptoticPair) -> AsymptoticPair:
-    return AsymptoticPair(pair.t, pair.s, pair.difference_set)
+    """The pair read from t: its reader gives t's letters, with the same difference set."""
+    def t(lo: int, hi: int) -> str:
+        return "".join(pair_letter(pair, i, True) for i in range(lo, hi))
+
+    return AsymptoticPair(t, pair.difference_set)
 
 
 def occ_diff(pair: AsymptoticPair, pattern: dict[int, str]) -> tuple[int, int]:
@@ -155,7 +157,8 @@ def occ_diff(pair: AsymptoticPair, pattern: dict[int, str]) -> tuple[int, int]:
     A shift n is an occurrence of the pattern in a sequence when the
     sequence matches the pattern translated by n.  Outside the shifts
     whose translated support meets the difference set both sequences
-    agree, so only those finitely many shifts are examined.
+    agree, so only those finitely many shifts are examined.  Letters are
+    read one at a time, t's as s's flipped on the difference set.
     """
     items = tuple(pattern.items())
     if not items:
@@ -163,8 +166,8 @@ def occ_diff(pair: AsymptoticPair, pattern: dict[int, str]) -> tuple[int, int]:
     shifts = {d - off for d in pair.difference_set for off, _ in items}
     s_only = t_only = 0
     for n in sorted(shifts):
-        in_s = all(pair.s(n + off) == letter for off, letter in items)
-        in_t = all(pair.t(n + off) == letter for off, letter in items)
+        in_s = all(pair_letter(pair, n + off) == c for off, c in items)
+        in_t = all(pair_letter(pair, n + off, True) == c for off, c in items)
         if in_s and not in_t:
             s_only += 1
         elif in_t and not in_s:
@@ -193,15 +196,15 @@ def pair_report_by_patterns(pair, radius):
         shifts = {d - off for d in pair.difference_set for off in support}
         seen = set()
         for n in sorted(shifts):
-            for seq in (pair.s, pair.t):
-                key = tuple((off, seq(n + off)) for off in support)
+            for of_t in (False, True):
+                key = tuple((off, pair_letter(pair, n + off, of_t)) for off in support)
                 if key in seen:
                     continue
                 seen.add(key)
                 checked += 1
                 gained, lost = occ_diff(pair, dict(key))
                 if gained != lost:
-                    word = "".join(letter for _, letter in key)
+                    word = "".join(c for _, c in key)
                     return PairReport(radius, checked, False, (support[0], word))
     return PairReport(radius, checked, True)
 

@@ -266,17 +266,27 @@ def test_cover_keeps_the_order_of_the_enclosing_chain(monkeypatch):
     _assert_matches_reference(chain, lambda: radix_chain_check(Periodic("aabab"), 12))
 
 
-def test_uncertified_enclosing_chain_covers_nothing(monkeypatch):
-    # one refused pair of the enclosing chain: each pair _certified refuses takes its own difference
+def test_a_refused_enclosing_pair_uncovers_only_the_segments_spanning_it(monkeypatch):
+    # the cover orders a refused spec pair (u, v) by the pairs of the enclosing chain from u to v alone:
+    # a refused pair of that chain sends the spec pair whose segment spans it to its own difference,
+    # and a refused pair outside every segment sends none
     spec = Periodic("aabab")
     skew = list(language._radix_words(language._enclosing_skew(language._slope(spec)), 12))
+    index = {w: i for i, w in enumerate(skew)}
+    # skew[k] -> skew[k + 1] refused for each k: a pair of both chains, a pair inside the segment of
+    # skew[78] -> skew[81], and the last pair, which no segment reaches
+    cuts = (21, 79, len(skew) - 2)
     certified = language._certified
-    monkeypatch.setattr(language, "_certified", lambda u, v: (u, v) != tuple(skew[-2:]) and certified(u, v))
-    chain = language._radix_words(spec, 12)
-    refused = sum(not language._certified(u, v) for u, v in pairwise(chain))
-    calls = _counted(monkeypatch, (language, "q_markoff"))
+    cut = {(skew[k], skew[k + 1]) for k in cuts}
+    monkeypatch.setattr(language, "_certified", lambda u, v: (u, v) not in cut and certified(u, v))
+    refused = [(u, v) for u, v in pairwise(language._radix_words(spec, 12)) if not language._certified(u, v)]
+    spanning = [(u, v) for u, v in refused if any(index[u] <= k < index[v] for k in cuts)]
+    assert len(refused) == 30 and spanning == [(skew[21], skew[22]), (skew[78], skew[81])]
+    words = []
+    real = language.q_markoff
+    monkeypatch.setattr(language, "q_markoff", lambda w: words.append(w) or real(w))
     _assert_spec_matches_reference(spec, 12)
-    assert refused > 0 and calls == Counter(q_markoff=2 * refused)
+    assert words == [skew[22], skew[21], skew[81], skew[78]]
 
 
 def test_non_balanced_chain_matches_packed(monkeypatch):

@@ -505,9 +505,9 @@ VERIFY_MONOTONE_GOLDEN = [
 def test_verify_monotone_golden_stdout_at_the_limit(capsys, monkeypatch, spec, name, words, covered):
     from qmarkoff import language
 
-    covers = []
-    real = language._cover
-    monkeypatch.setattr(language, "_cover", lambda *args: covers.append(args) or real(*args))
+    covers = []  # one enclosing skew chain read per entry
+    real = language._enclosing_skew
+    monkeypatch.setattr(language, "_enclosing_skew", lambda slope: covers.append(slope) or real(slope))
     code, out, err = run(capsys, "verify-monotone", "--spec", spec, "--max-n", "256")
     assert (code, err) == (0, "")
     assert out == (f"spec: {name}\nmax_n: 256\nfactors: {words}\ndifferences: {words - 1}\n"
@@ -897,8 +897,7 @@ def test_pair_check_names_its_failing_pattern(capsys, monkeypatch):
     real = pairs.build_pair
 
     def flip_control_pair(spec):  # s and s with its letter at 0 flipped: never indistinguishable
-        s = real(spec).s
-        return pairs.AsymptoticPair(s, lambda i: {"a": "b", "b": "a"}[s(i)] if i == 0 else s(i), frozenset({0}))
+        return pairs.AsymptoticPair(real(spec).s, frozenset({0}))
 
     monkeypatch.setattr(pairs, "build_pair", flip_control_pair)
     assert run(capsys, "pair-check", "--spec", "fibonacci", "--radius", "1") == (
@@ -968,6 +967,16 @@ def test_readme_cli_examples_run(capsys):
     for argv in commands:
         code, _, err = run(capsys, *argv)
         assert (argv, code, err) == (argv, 0, "")
+
+
+def test_ci_workflow_parses_and_runs_the_cli_checks():
+    # a plain YAML scalar holding ": " starts a mapping, so a step such as grep -qx 'factors: 33153' needs a
+    # block scalar; PyYAML is not a test dependency, so CI itself skips this
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((Path(__file__).resolve().parents[1] / ".github/workflows/tests.yml").read_text())
+    runs = [step["run"] for step in workflow["jobs"]["tier1"]["steps"] if "run" in step]
+    for check in ("factors: 33153", "factors: 33143", "indistinguishable: yes"):
+        assert any(f"| grep -qx '{check}'" in r and r.startswith("set -o pipefail\n") for r in runs), check
 
 
 def test_readme_library_example_runs(capsys):

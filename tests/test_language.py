@@ -612,6 +612,19 @@ def test_radix_chain_check_memory_is_bounded():
     assert peak < 1 << 20, peak
 
 
+@pytest.mark.parametrize("spec", [Mechanical(Fraction(126, 253)), Periodic("aabab")], ids=["126/253", "aabab"])
+def test_radix_chain_check_memory_is_bounded_through_the_cover(spec):
+    # both walk the chain of their enclosing skew language (33,153 words) beside their own, one length at a time
+    radix_chain_check(spec, 4)
+    tracemalloc.start()
+    try:
+        radix_chain_check(spec, 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def test_radix_chain_other_specs():
     for spec in (
         Periodic("ab"),

@@ -1,5 +1,4 @@
 import itertools
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,13 +14,9 @@ from qmarkoff.pairs import (
 )
 from qmarkoff.words import render_word
 
-from oracles import check_window, is_indistinguishable_up_to, occ_diff, pair_report_by_patterns, swapped
+from oracles import is_indistinguishable_up_to, occ_diff, pair_report_by_patterns, swapped
 
 FIB = Characteristic((1,) * 24)
-
-
-def window(fn, lo, hi):
-    return "".join(fn(i) for i in range(lo, hi))
 
 
 def indistinguishable_bruteforce(pair, radius):
@@ -36,33 +31,30 @@ def indistinguishable_bruteforce(pair, radius):
     return True
 
 
-def flipped_pair(base, positions):
-    """Pair of `base` and its copy with the letters at `positions` swapped."""
-    positions = frozenset(positions)
+def word_reader(word, origin):
+    """Window reader of a finite word whose letter at `origin` is at position 0; no position outside it."""
+    def s(lo, hi):
+        assert 0 <= lo + origin <= hi + origin <= len(word), (lo, hi)
+        return word[lo + origin : hi + origin]
 
-    def flipped(i):
-        return {"a": "b", "b": "a"}[base(i)] if i in positions else base(i)
-
-    return AsymptoticPair(base, flipped, positions)
+    return s
 
 
 def shift_pair(pair, n0):
     """`pair` moved n0 places to the right: its difference set becomes {d + n0}."""
-    return AsymptoticPair(lambda i: pair.s(i - n0), lambda i: pair.t(i - n0),
-                          frozenset(d + n0 for d in pair.difference_set))
+    return AsymptoticPair(lambda lo, hi: pair.s(lo - n0, hi - n0), frozenset(d + n0 for d in pair.difference_set))
 
 
 def flip_control_pair(spec, position=0):
     """Pair differing at exactly one position: never indistinguishable."""
-    return flipped_pair(build_pair(spec).s, {position})
+    return AsymptoticPair(build_pair(spec).s, frozenset({position}))
 
 
 def test_build_pair_fibonacci_windows():
     pair = build_pair(FIB)
     assert pair.difference_set == frozenset({-1, 0})
-    assert render_word(window(pair.s, -8, 8), "01") == "1010010010100101"
-    assert render_word(window(pair.t, -8, 8), "01") == "1010010100100101"
-    assert check_window(pair, 40)
+    assert render_word(pair.s(-8, 8), "01") == "1010010010100101"
+    assert render_word(swapped(pair).s(-8, 8), "01") == "1010010100100101"
 
 
 def test_build_pair_requires_central_factorization():
@@ -85,7 +77,7 @@ def test_occ_diff_empty_pattern():
 
 def test_occ_diff_central_window_pattern():
     pair = build_pair(FIB)
-    pattern = {-1: pair.s(-1), 0: pair.s(0)}
+    pattern = {-1: pair.s(-1, 0), 0: pair.s(0, 1)}
     gained, lost = occ_diff(pair, pattern)
     assert gained == lost
 
@@ -143,8 +135,8 @@ def test_bruteforce_noncontiguous_agreement_radius4():
 def test_window_language_equality():
     pair = build_pair(FIB)
     for n in range(1, 9):
-        s_win = window(pair.s, -n, n)
-        t_win = window(pair.t, -n, n)
+        s_win = pair.s(-n, n)
+        t_win = swapped(pair).s(-n, n)
         s_factors = {s_win[i : i + n] for i in range(n + 1)}
         t_factors = {t_win[i : i + n] for i in range(n + 1)}
         assert s_factors == t_factors
@@ -174,47 +166,44 @@ def test_control_pair_report_witness():
     radius=st.integers(1, 5),
 )
 def test_pair_report_matches_per_pattern_oracle_periodic(base, positions, radius):
-    pair = flipped_pair(lambda i: base[i % len(base)], positions)
+    pair = AsymptoticPair(lambda lo, hi: "".join(base[i % len(base)] for i in range(lo, hi)), frozenset(positions))
     assert pair_report(pair, radius) == pair_report_by_patterns(pair, radius)
 
 
+@settings(max_examples=6, deadline=None)
+@given(word=st.text(alphabet="ab", min_size=33, max_size=33),
+       positions=st.sets(st.integers(-6, 6), min_size=1, max_size=3))
 @pytest.mark.parametrize("spec", [FIB, Skew(), Skew(m="aba", form="blocks")])
 @pytest.mark.parametrize("n0", [-5, 0, 3])
-def test_pair_report_matches_per_pattern_oracle_pairs(spec, n0):
+def test_pair_report_matches_per_pattern_oracle_pairs(spec, n0, word, positions):
     pair = shift_pair(build_pair(spec), n0)
-    control = flipped_pair(pair.s, {n0})
+    control = AsymptoticPair(pair.s, frozenset({n0}))
+    drawn = AsymptoticPair(word_reader(word, 16), frozenset(positions))  # any word, flipped at 1-3 places
     for radius in range(1, 6):
-        assert pair_report(pair, radius) == pair_report_by_patterns(pair, radius)
-        assert pair_report(control, radius) == pair_report_by_patterns(control, radius)
+        for p in (pair, control, drawn):
+            assert pair_report(p, radius) == pair_report_by_patterns(p, radius)
 
 
 def test_pair_report_reads_each_position_once():
     pair = build_pair(FIB)
-    reads = {"s": Counter(), "t": Counter()}
-
-    def counted(name, fn):
-        def letter(i):
-            reads[name][i] += 1
-            return fn(i)
-
-        return letter
-
+    reads = []
     radius = 48
-    wrapped = AsymptoticPair(counted("s", pair.s), counted("t", pair.t), pair.difference_set)
+    wrapped = AsymptoticPair(lambda lo, hi: reads.append((lo, hi)) or pair.s(lo, hi), pair.difference_set)
     report = pair_report(wrapped, radius)
     assert report == pair_report(pair, radius)
     assert report.indistinguishable and report.patterns_checked == 1322
-    lo, hi = min(pair.difference_set) - 2 * radius, max(pair.difference_set) + 2 * radius
-    for counts in reads.values():
-        assert set(counts) <= set(range(lo, hi + 1))
-        assert max(counts.values()) == 1
+    assert reads == [(min(pair.difference_set) - 2 * radius, max(pair.difference_set) + 2 * radius + 1)]
+    shifted = AsymptoticPair(wrapped.s, frozenset({-7, 2, 5}))
+    reads.clear()
+    pair_report(shifted, 3)
+    assert reads == [(-13, 12)]
 
 
 def test_pair_report_empty_difference_set():
-    def unread(i):
+    def unread(lo, hi):
         raise AssertionError("no letter should be read")
 
-    pair = AsymptoticPair(unread, unread, frozenset())
+    pair = AsymptoticPair(unread, frozenset())
     assert pair_report(pair, 4) == PairReport(4, 0, True)
     with pytest.raises(ValueError):
         pair_report(pair, 0)
