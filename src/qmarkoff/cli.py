@@ -22,7 +22,6 @@ import argparse
 import os
 import re
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .morphism import (
@@ -36,6 +35,8 @@ from .morphism import (
 from .words import excerpt, parse_word, render_word
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .language import BalancedSpec
 
 FIBONACCI_DIRECTIVE = (1,) * 24
@@ -46,9 +47,9 @@ MAX_SPECTRUM_DEPTH = 1024  # bracket widths fall like phi^(-2 depth): floats set
 MAX_SPECTRUM_LETTERS = 4096
 # Wall time and peak RSS of the costliest spec at each limit, then one step above it
 # (2-vCPU Xeon, Python 3.11):
-# verify-monotone holds one length of its chain, and a periodic or mechanical spec of slope p/q, q <= max_n,
-# one length of its enclosing skew chain too (_cover): fibonacci 0.17 s; alpha=255/511 --max-n 512: 0.66 s, 16 MiB
-MAX_MONOTONE_N = 256  # mechanical:alpha=126/253 0.19 s, 16 MiB; --max-n 320: 0.26 s, 16 MiB
+# verify-monotone walks one chain a length at a time: its own, or for a periodic or mechanical spec of slope p/q,
+# q <= max_n, its enclosing skew chain: fibonacci 0.14 s; mechanical:alpha=255/511 --max-n 512: 0.47 s, 16 MiB
+MAX_MONOTONE_N = 256  # periodic:aabab 0.15 s, 16 MiB; mechanical:alpha=126/253 --max-n 320: 0.25 s, 16 MiB
 MAX_CURVES_LEN = 160  # fibonacci, 5 gammas: 1.3 s, 64 MiB; --max-len 240: 3.5 s, 99 MiB
 # curves --max-len 160, skew blocks, gammas like 255/256: 8 gammas 6.2 s, 155 MiB; 16 gammas
 # 12.5 s, 292 MiB; 8 gammas with terms near 512: 6.8 s, 163 MiB.  Checked before the spec.
@@ -91,11 +92,15 @@ def parse_spec(text: str) -> BalancedSpec:
         if head == "skew":
             return Skew(**_parse_options(rest, Skew._fields))
         if head == "mechanical":
-            opts = _parse_options(rest, Mechanical._fields)
+            opts = _parse_options(rest, ("alpha", "rho", "kind"))
             if "alpha" not in opts:
                 raise SpecSyntaxError("mechanical spec needs alpha=P/Q")
-            alpha = _fraction(opts.pop("alpha"), "mechanical alpha")
-            return Mechanical(alpha, _fraction(opts.pop("rho", "0"), "mechanical rho"), **opts)
+            alpha = _fraction(opts["alpha"], "mechanical alpha")
+            _fraction(opts.get("rho", "0"), "mechanical rho")  # rho and kind are checked, then dropped:
+            spec = Mechanical(alpha)  # no intercept or rounding changes the language of a slope
+            if opts.get("kind", "lower") not in ("lower", "upper"):
+                raise ValueError("kind must be 'lower' or 'upper'")
+            return spec
     except SpecSyntaxError:
         raise
     except (ValueError, ZeroDivisionError) as exc:
@@ -131,6 +136,7 @@ def _number(token: str, kind: str, convert: Callable[[str], int | Fraction]) -> 
 
 def _fraction(token: str, kind: str) -> Fraction:
     """Fraction(token) for P/Q and decimal tokens; exponent forms such as 1e10000000 cost seconds."""
+    from fractions import Fraction  # loaded only where a rational is parsed
     if "e" in token.lower():
         raise ValueError(f"exponent form {excerpt(token)} is not accepted")
     return _number(token, kind, Fraction)

@@ -10,19 +10,19 @@ reflected about a two-letter center at positions -1 and 0
 representations w̃·ab·w and w̃·ba·w of its letters w at positions 1..n-1.
 A periodic or mechanical spec of slope p/q has the language of
 Mechanical(p/q), the repetition of christoffel_word(p, q), read the same
-way when q > n.  The class of a sequence (M1 periodic, M2 mechanical, M3
-characteristic, M4 skew) is its declared variant.  Nothing here is
+way when q > n: a mechanical spec is its slope, as no intercept or rounding
+changes the language.  The class of a sequence (M1 periodic, M2 mechanical,
+M3 characteristic, M4 skew) is its declared variant.  Nothing here is
 memoized: a characteristic window builds just the prefix of the standard
 word it reads, and a radix chain is yielded one length at a time, so
-radix_chain_check holds one length of its chain and of its _cover's.
+radix_chain_check holds one length of the one chain it walks.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import pairwise
-from typing import Callable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .morphism import is_christoffel, q_markoff, q_markoff_ratios
 from .qpoly import IntPolynomial, Scalar
@@ -31,44 +31,22 @@ from .words import christoffel_word, excerpt, factors, is_balanced_periodic, par
 
 class _MechanicalFields(NamedTuple):
     alpha: Fraction
-    rho: Fraction = Fraction(0)
-    kind: str = "lower"
 
 
 class Mechanical(_MechanicalFields):
-    """Rational-slope mechanical sequence: a rotation coding with exact slope and intercept.
-
-    The intercept is normalized into [0, 1); slopes must lie in [0, 1].
-    """
+    """Rational-slope mechanical sequence, given by its slope p/q in [0, 1] alone: its canonical sequence is
+    christoffel_word(p, q)^∞, whose language every mechanical word of slope p/q has, whatever its intercept
+    and rounding (Lothaire, Algebraic Combinatorics on Words, ch. 2)."""
 
     __slots__ = ()
 
-    def __new__(cls, alpha: Fraction, rho: Fraction = Fraction(0), kind: str = "lower"):
+    def __new__(cls, alpha: Fraction):
         alpha = Fraction(alpha)
-        rho = Fraction(rho)
         if not 0 <= alpha <= 1:
             raise ValueError("slope must lie in [0, 1]")
-        if kind not in ("lower", "upper"):
-            raise ValueError("kind must be 'lower' or 'upper'")
-        return super().__new__(cls, alpha, rho - math.floor(rho), kind)
+        return super().__new__(cls, alpha)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through __new__
-
-
-def _mechanical_window(spec: Mechanical, lo: int, hi: int) -> str:
-    """Letters lo..hi-1 from the floors (lower) or ceilings (upper) of alpha*i + rho, i = lo..hi.
-
-    alpha*i + rho is (step*i + x0)/den over the common denominator den, in integers.
-    """
-    a, r = spec.alpha, spec.rho
-    den = a.denominator * r.denominator
-    step = a.numerator * r.denominator
-    x0 = r.numerator * a.denominator
-    if spec.kind == "lower":
-        ends = [(step * i + x0) // den for i in range(lo, hi + 1)]
-    else:  # ceil(t) = -floor(-t)
-        ends = [-((-step * i - x0) // den) for i in range(lo, hi + 1)]
-    return "".join(["ab"[v - u] for u, v in pairwise(ends)])
 
 
 def _standard_prefix(directive: tuple[int, ...], length: int) -> str:
@@ -184,8 +162,9 @@ def sequence_window(spec: BalancedSpec, lo: int, hi: int) -> str:
         return _cyclic_slice(spec.word, lo, hi)
     if isinstance(spec, Characteristic):
         return _characteristic_window(spec, lo, hi)
-    if isinstance(spec, Mechanical):
-        return _mechanical_window(spec, lo, hi)
+    if isinstance(spec, Mechanical):  # letter i of christoffel_word(p, q)^∞ is b iff ⌊(i+1)p/q⌋ - ⌊ip/q⌋ = 1
+        p, q = spec.alpha.as_integer_ratio()
+        return "".join(["ab"[v - u] for u, v in pairwise([p * i // q for i in range(lo, hi + 1)])])
     if isinstance(spec, Skew):
         return _skew_window(spec, lo, hi)
     raise TypeError(f"not a balanced spec: {spec!r}")
@@ -256,7 +235,8 @@ def enumerate_factors(spec: BalancedSpec, n: int) -> tuple[str, ...]:
             return tuple(factors(sequence_window(spec, 0, slope.denominator + n - 1), n))
     first, second = compact_representations(sequence_window(spec, 1, n))
     fs = factors(first, n)
-    if fs != factors(second, n):
+    others = {second[i : i + n] for i in range(len(second) - n + 1)}  # unsorted: only fs needs an order
+    if len(others) != len(fs) or not others.issuperset(fs):
         raise AssertionError(f"compact representations disagree at n={n}")
     return tuple(fs)
 
@@ -354,57 +334,39 @@ class MonotonicityError(Exception):
         )
 
 
-def _cover(spec: BalancedSpec, max_n: int) -> Callable[[str, str], bool]:
-    """A test ordered(u, v): whether u and then v occur in the radix chain of the enclosing skew language
-    of a periodic or mechanical spec with every pair from u to v _certified, so u precedes v.  It walks
-    that chain once, asked its pairs in radix order, and keeps the word last read: a pair may start there."""
-    if not isinstance(spec, (Periodic, Mechanical)):
-        return lambda u, v: False
-    chain = iter(_radix_words(_enclosing_skew(_slope(spec)), max_n))
-    last = next(chain)  # the empty word
-    done = "b" * (max_n + 1)  # read once the chain is spent: after all of it in radix order
-
-    def ordered(u: str, v: str) -> bool:
-        nonlocal last
-        while (len(last), last) < (len(u), u):
-            last = next(chain, done)
-        found = last == u
-        while found and (len(last), last) < (len(v), v):
-            prev, last = last, next(chain, done)
-            found = _certified(prev, last)
-        return found and last == v != u
-
-    return ordered
-
-
 def radix_chain_check(spec: BalancedSpec, max_n: int) -> int:
     """Certify monotonicity of w -> q_markoff(w) on the spec's language up to max_n; return the
     number of words checked.
 
-    Walks the radix-sorted chain of all factors of lengths 0..max_n (the
-    empty word is the radix minimum), one length at a time, and checks that
-    every consecutive difference is a nonzero polynomial with nonnegative
-    coefficients; by transitivity this covers every radix-ordered pair.
-    Each pair (u, v) is ordered when _certified accepts it, else when the
-    _cover of a periodic or mechanical spec (its non-local pairs, slope p/q
-    with q <= max_n) orders it, else by its own q-Markoff difference; the
-    first offending pair raises MonotonicityError with its exact difference.
+    Walks one radix-sorted chain of lengths 0..max_n, one length at a time (the empty word first):
+    the spec's own, or for a periodic or mechanical spec of slope p/q with q <= max_n, whose
+    non-local pairs _certified refuses, that of its enclosing skew language.  Its members are the
+    spec's words: all below length q, and the factors of christoffel_word(p, q)^∞ from length q on.
+    Consecutive members are ordered when every chain pair between them is _certified, else by their
+    own q-Markoff difference, which must be nonzero with nonnegative coefficients; by transitivity
+    every radix-ordered pair is covered.  The first that is not raises MonotonicityError with its
+    exact difference.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
+    chain, q, text = spec, max_n + 1, ""  # every word of the spec's own chain is a member
+    if isinstance(spec, (Periodic, Mechanical)) and _slope(spec).denominator <= max_n:
+        p, q = _slope(spec).as_integer_ratio()
+        chain, text = _enclosing_skew(_slope(spec)), christoffel_word(p, q) * (max_n // q + 2)
     words = 1  # the empty word
-    ordered = None  # the _cover walk, begun at the first pair that is not _certified
-    for u, v in pairwise(_radix_words(spec, max_n)):
+    last, ordered = "", True  # the last member, and whether every chain pair since it is _certified
+    for u, v in pairwise(_radix_words(chain, max_n)):
+        if not _certified(u, v):
+            ordered = False
+        if len(v) >= q and text.find(v, 0, len(v) + q - 1) < 0:  # a member starts at one of 0..q-1
+            continue
         words += 1
-        if _certified(u, v):
-            continue
-        if ordered is None:
-            ordered = _cover(spec, max_n)
-        if ordered(u, v):
-            continue
-        difference = q_markoff(v) - q_markoff(u)
-        if not difference.is_nonneg_nonzero():
-            raise MonotonicityError(u, v, difference)
+        if not ordered:
+            difference = q_markoff(v) - q_markoff(last)
+            if not difference.is_nonneg_nonzero():
+                raise MonotonicityError(last, v, difference)
+            ordered = True
+        last = v
     return words
 
 

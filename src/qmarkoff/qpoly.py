@@ -12,10 +12,9 @@ unpacks into them and hashes as that tuple.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Union
 
-Scalar = Union[int, float, Fraction]
+Scalar = Union[int, float, "Fraction"]  # fractions.Fraction, named without importing the module
 
 
 def _normalize(coeffs: Iterable[int]) -> tuple[int, ...]:

@@ -18,7 +18,6 @@ the one the per-position oracle lambda_i in tests/oracles.py gives.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .morphism import is_christoffel, mu
@@ -92,8 +91,8 @@ def markoff_supremum(seq: PeriodicCF, depth: int = 64) -> SpectrumValue:
 
 
 def closed_form_supremum(m: int) -> float:
-    """sqrt(9 - 4/m^2), evaluated with an exact big-integer ratio under the root."""
-    return math.sqrt(Fraction(9 * m * m - 4, m * m))
+    """sqrt(9 - 4/m^2), from one int true division under the root, which rounds the exact ratio correctly."""
+    return math.sqrt((9 * m * m - 4) / (m * m))
 
 
 def christoffel_supremum(w: str, depth: int = 64) -> tuple[int, SpectrumValue]:

@@ -298,24 +298,29 @@ def evaluate_by_fraction_horner(p, x):
     return acc
 
 
-def mechanical_letter_by_fractions(spec, pos):
-    """One mechanical letter by Fraction floors and ceilings of alpha*pos + rho."""
-    a, r = spec.alpha, spec.rho
-    rnd = math.floor if spec.kind == "lower" else math.ceil
-    return "ab"[rnd(a * (pos + 1) + r) - rnd(a * pos + r)]
+def mechanical_letter_by_fractions(alpha, rho, kind, pos):
+    """Letter pos of the lower or upper mechanical word of slope alpha and intercept rho, by Fraction
+    floors or ceilings of alpha*pos + rho."""
+    rnd = math.floor if kind == "lower" else math.ceil
+    return "ab"[rnd(alpha * (pos + 1) + rho) - rnd(alpha * pos + rho)]
 
 
-def mechanical_letter_by_floors(spec, pos):
-    """One mechanical letter by integer floors (lower) or ceilings (upper): the per-letter window."""
-    a, r = spec.alpha, spec.rho
+def mechanical_letter_by_floors(alpha, rho, kind, pos):
+    """The same letter by integer floors (lower) or ceilings (upper) over the common denominator of alpha and rho."""
+    a, r = Fraction(alpha), Fraction(rho)
     den = a.denominator * r.denominator
     step = a.numerator * r.denominator
     x = step * pos + r.numerator * a.denominator
-    if spec.kind == "lower":
+    if kind == "lower":
         bit = (x + step) // den - x // den
     else:  # ceil(t) = -floor(-t)
         bit = (-x) // den - (-x - step) // den
     return "ab"[bit]
+
+
+def mechanical_window(alpha, rho, kind, lo, hi):
+    """Letters lo..hi-1 of that word, one mechanical_letter_by_floors each."""
+    return "".join(mechanical_letter_by_floors(alpha, rho, kind, i) for i in range(lo, hi))
 
 
 def skew_letter_by_blocks(spec, pos):

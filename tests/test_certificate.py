@@ -1,5 +1,5 @@
 """The word certificate of radix_chain_check: the identities it rests on, the pairs it accepts,
-the cover of periodic and mechanical chains by their enclosing skew chain, and agreement with
+the walk of a periodic or mechanical spec along its enclosing skew chain, and agreement with
 the polynomial reference oracles.first_unordered."""
 
 import itertools
@@ -206,14 +206,9 @@ def test_fuzz_specs_match_packed(text):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    st.integers(1, 40).flatmap(lambda q: st.tuples(st.integers(0, q), st.just(q))),
-    st.fractions(min_value=0, max_value=1, max_denominator=50),
-    st.sampled_from(("lower", "upper")),
-    st.integers(1, 24),
-)
-def test_mechanical_specs_match_packed(slope, rho, kind, max_n):
-    _assert_spec_matches_reference(Mechanical(Fraction(*slope), rho, kind), max_n)
+@given(st.integers(1, 40).flatmap(lambda q: st.tuples(st.integers(0, q), st.just(q))), st.integers(1, 24))
+def test_mechanical_specs_match_packed(slope, max_n):
+    _assert_spec_matches_reference(Mechanical(Fraction(*slope)), max_n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -241,9 +236,25 @@ def test_mechanical_languages_lie_in_their_certified_enclosing_skew_language():
         assert all(map(language._certified, chain, chain[1:])), slope
 
 
+def test_periodic_and_mechanical_walks_count_their_own_chains():
+    # every slope p/q with q <= 30, at each max_n <= 40 where the walk changes: below q its own chain, from q on
+    # the members of its enclosing skew chain; the word count is its own chain's, and where q <= 20, it finds
+    # no unordered pair, as the reference does on its own chain through length q + 1
+    slopes = sorted({Fraction(p, q) for q in range(1, 31) for p in range(q + 1)})
+    assert len(slopes) == 279
+    for slope in slopes:
+        spec, q = Mechanical(slope), slope.denominator
+        for max_n in sorted({q - 1, q, q + 1, 40} - {0}):
+            words = sum(len(language.enumerate_factors(spec, n)) for n in range(max_n + 1))
+            assert radix_chain_check(spec, max_n) == words, (slope, max_n)
+        if q <= 20:
+            _assert_spec_matches_reference(spec, q + 1)
+
+
 @pytest.mark.parametrize("period", ["ab", "aab", "abb", "aabab", "abababb"])
 def test_small_periods_take_the_fallback(period, monkeypatch):
-    # their non-local pairs fall back from _certified to the cover, and none to a difference
+    # their own chains hold non-local pairs that _certified refuses; the walk along the enclosing skew chain
+    # orders them all, and no pair falls back to a difference
     spec = Periodic(period)
     chain = list(language._radix_words(spec, 12))
     assert not all(map(language._certified, chain, chain[1:]))
@@ -253,40 +264,41 @@ def test_small_periods_take_the_fallback(period, monkeypatch):
 
 
 def test_cover_keeps_the_order_of_the_enclosing_chain(monkeypatch):
-    # two top-length words of a periodic chain swapped: both are in the cover, in the other order
+    # the enclosing skew chain covers the spec's chain: with its last two members swapped, the walk meets
+    # the spec's words in the other order, and their own difference refuses them
+    spec = Periodic("aabab")
+    own = list(language._radix_words(spec, 12))
     radix_words = language._radix_words
 
-    def swapped(spec, max_n):
-        chain = list(radix_words(spec, max_n))
-        return chain[:-2] + [chain[-1], chain[-2]] if isinstance(spec, Periodic) else chain
+    def swapped(chain_spec, max_n):
+        chain = list(radix_words(chain_spec, max_n))
+        i, j = chain.index(own[-2]), chain.index(own[-1])
+        chain[i], chain[j] = chain[j], chain[i]
+        return chain
 
     monkeypatch.setattr(language, "_radix_words", swapped)
-    chain = swapped(Periodic("aabab"), 12)
-    assert first_unordered(chain) == len(chain) - 2
-    _assert_matches_reference(chain, lambda: radix_chain_check(Periodic("aabab"), 12))
+    members = own[:-2] + [own[-1], own[-2]]
+    assert first_unordered(members) == len(members) - 2
+    _assert_matches_reference(members, lambda: radix_chain_check(spec, 12))
 
 
 def test_a_refused_enclosing_pair_uncovers_only_the_segments_spanning_it(monkeypatch):
-    # the cover orders a refused spec pair (u, v) by the pairs of the enclosing chain from u to v alone:
-    # a refused pair of that chain sends the spec pair whose segment spans it to its own difference,
-    # and a refused pair outside every segment sends none
+    # consecutive members u, v of the enclosing chain are ordered by its pairs from u to v alone: refusing any
+    # one pair of that chain sends exactly the member pair spanning it to its own difference, and none when
+    # the pair lies past the last member
     spec = Periodic("aabab")
     skew = list(language._radix_words(language._enclosing_skew(language._slope(spec)), 12))
-    index = {w: i for i, w in enumerate(skew)}
-    # skew[k] -> skew[k + 1] refused for each k: a pair of both chains, a pair inside the segment of
-    # skew[78] -> skew[81], and the last pair, which no segment reaches
-    cuts = (21, 79, len(skew) - 2)
-    certified = language._certified
-    cut = {(skew[k], skew[k + 1]) for k in cuts}
-    monkeypatch.setattr(language, "_certified", lambda u, v: (u, v) not in cut and certified(u, v))
-    refused = [(u, v) for u, v in pairwise(language._radix_words(spec, 12)) if not language._certified(u, v)]
-    spanning = [(u, v) for u, v in refused if any(index[u] <= k < index[v] for k in cuts)]
-    assert len(refused) == 30 and spanning == [(skew[21], skew[22]), (skew[78], skew[81])]
-    words = []
-    real = language.q_markoff
-    monkeypatch.setattr(language, "q_markoff", lambda w: words.append(w) or real(w))
-    _assert_spec_matches_reference(spec, 12)
-    assert words == [skew[22], skew[21], skew[81], skew[78]]
+    own = list(language._radix_words(spec, 12))
+    assert (len(skew), len(own)) == (91, 55) and skew[-1] not in own
+    segments = list(pairwise([skew.index(w) for w in own]))
+    certified, real = language._certified, language.q_markoff
+    for k in range(len(skew) - 1):
+        monkeypatch.setattr(language, "_certified", lambda u, v: (u, v) != (skew[k], skew[k + 1]) and certified(u, v))
+        words = []
+        monkeypatch.setattr(language, "q_markoff", lambda w: words.append(w) or real(w))
+        assert radix_chain_check(spec, 12) == 55
+        assert words == [w for i, j in segments if i <= k < j for w in (skew[j], skew[i])], k
+        assert len(words) == (2 if k < skew.index(own[-1]) else 0), k
 
 
 def test_non_balanced_chain_matches_packed(monkeypatch):

@@ -35,11 +35,7 @@ def test_parse_spec_grammar():
     assert parse_spec("characteristic:2,1,2,1") == Characteristic((2, 1, 2, 1))
     assert parse_spec("skew:m=aba,form=blocks,xy=ab") == Skew(m="aba", form="blocks", xy="ab")
     assert parse_spec("skew") == Skew()
-    mech = parse_spec("mechanical:alpha=2/5,rho=1/3,kind=upper")
-    assert isinstance(mech, Mechanical)
-    assert mech.alpha == Fraction(2, 5)
-    assert mech.rho == Fraction(1, 3)
-    assert mech.kind == "upper"
+    assert parse_spec("mechanical:alpha=2/5,rho=1/3,kind=upper") == Mechanical(Fraction(2, 5))
 
 
 def test_parse_spec_errors():
@@ -47,6 +43,23 @@ def test_parse_spec_errors():
                 "skew:form", "mechanical:alpha=1/0"):
         with pytest.raises(SpecSyntaxError):
             parse_spec(bad)
+
+
+def test_parse_spec_checks_rho_and_kind_then_drops_them():
+    # the language of a mechanical spec is that of its slope, so rho and kind keep their checks and no more
+    for text in ("mechanical:alpha=3/7", "mechanical:alpha=3/7,rho=-5/2,kind=upper", "mechanical:kind=lower,alpha=6/14",
+                 "mechanical:alpha=3/7,rho=0.25"):
+        assert parse_spec(text) == Mechanical(Fraction(3, 7)) == (Fraction(3, 7),), text
+    for text, message in (
+        ("mechanical:alpha=1/2,kind=middle", "kind must be 'lower' or 'upper'"),
+        ("mechanical:alpha=1/2,rho=x", "bad mechanical rho 'x'"),
+        ("mechanical:alpha=1/2,rho=1/0", "Fraction(1, 0)"),
+        ("mechanical:alpha=3/2,kind=middle", "slope must lie in [0, 1]"),  # the slope is checked before the kind
+        ("mechanical:alpha=3/2,rho=x", "bad mechanical rho 'x'"),  # and after rho
+    ):
+        with pytest.raises(SpecSyntaxError) as info:
+            parse_spec(text)
+        assert str(info.value) == f"bad spec {text!r}: {message}"
 
 
 def test_qmarkoff_command_golden(capsys):
@@ -491,7 +504,7 @@ def test_verify_monotone_deterministic(capsys):
     assert first == second
 
 
-# (spec, its class, words checked at --max-n 256, whether a pair falls back to the cover)
+# (spec, its class, words checked at --max-n 256, whether the walk takes the enclosing skew chain)
 VERIFY_MONOTONE_GOLDEN = [
     ("fibonacci", "characteristic", 33153, False),
     ("periodic:aabab", "periodic", 1275, True),
@@ -500,19 +513,19 @@ VERIFY_MONOTONE_GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("spec, name, words, covered", VERIFY_MONOTONE_GOLDEN,
+@pytest.mark.parametrize("spec, name, words, enclosed", VERIFY_MONOTONE_GOLDEN,
                          ids=[g[0] for g in VERIFY_MONOTONE_GOLDEN])
-def test_verify_monotone_golden_stdout_at_the_limit(capsys, monkeypatch, spec, name, words, covered):
+def test_verify_monotone_golden_stdout_at_the_limit(capsys, monkeypatch, spec, name, words, enclosed):
     from qmarkoff import language
 
-    covers = []  # one enclosing skew chain read per entry
-    real = language._enclosing_skew
-    monkeypatch.setattr(language, "_enclosing_skew", lambda slope: covers.append(slope) or real(slope))
+    walked = []  # the class of each spec whose radix chain is walked
+    radix_words = language._radix_words
+    monkeypatch.setattr(language, "_radix_words", lambda s, n: walked.append(type(s).__name__) or radix_words(s, n))
     code, out, err = run(capsys, "verify-monotone", "--spec", spec, "--max-n", "256")
     assert (code, err) == (0, "")
     assert out == (f"spec: {name}\nmax_n: 256\nfactors: {words}\ndifferences: {words - 1}\n"
                    "all differences nonzero with nonnegative coefficients: OK\n")
-    assert len(covers) == covered
+    assert walked == ["Skew" if enclosed else name.capitalize()]
 
 
 def test_spectrum_command(capsys):
@@ -975,7 +988,7 @@ def test_ci_workflow_parses_and_runs_the_cli_checks():
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((Path(__file__).resolve().parents[1] / ".github/workflows/tests.yml").read_text())
     runs = [step["run"] for step in workflow["jobs"]["tier1"]["steps"] if "run" in step]
-    for check in ("factors: 33153", "factors: 33143", "indistinguishable: yes"):
+    for check in ("factors: 33153", "factors: 33143", "factors: 1275", "indistinguishable: yes"):
         assert any(f"| grep -qx '{check}'" in r and r.startswith("set -o pipefail\n") for r in runs), check
 
 
@@ -1048,12 +1061,15 @@ CLI_MODULES = ["qmarkoff", "qmarkoff.cli", "qmarkoff.morphism", "qmarkoff.qpoly"
          "language-complexity-violation"],
 )
 def test_each_command_loads_only_the_modules_it_runs(argv, also, code):
+    # fractions (with decimal and numbers) loads with language, or where a rational is parsed
     out = _fresh(
         "import sys, qmarkoff.cli\n"
         f"code = 0 if {argv!r} is None else qmarkoff.cli.main({argv!r})\n"
-        "print(code, sorted(m for m in sys.modules if m.startswith('qmarkoff') or m in ('json', 'dataclasses')))\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('qmarkoff')\n"
+        "                   or m in ('json', 'dataclasses', 'fractions', 'decimal', 'numbers')))\n"
     )
-    assert out.splitlines()[-1] == f"{code} {sorted(CLI_MODULES + also)}"
+    fractions = ["decimal", "fractions", "numbers"] if "qmarkoff.language" in also else []
+    assert out.splitlines()[-1] == f"{code} {sorted(CLI_MODULES + also + fractions)}"
 
 
 @pytest.mark.parametrize(

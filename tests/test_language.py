@@ -58,11 +58,13 @@ FIB_TABLE = {
     st.sampled_from(("lower", "upper")),
 )
 def test_mechanical_letter_matches_fraction_oracle(slope, rho, kind):
-    from oracles import mechanical_letter_by_fractions
+    # the two oracles agree on every intercept and rounding; Mechanical reads the lower word of intercept 0
+    from oracles import mechanical_letter_by_floors, mechanical_letter_by_fractions
 
-    spec = Mechanical(Fraction(*slope), rho, kind)
+    alpha = Fraction(*slope)
     for pos in range(-60, 60):
-        assert sequence_window(spec, pos, pos + 1) == mechanical_letter_by_fractions(spec, pos)
+        assert mechanical_letter_by_floors(alpha, rho, kind, pos) == mechanical_letter_by_fractions(alpha, rho, kind, pos)
+        assert sequence_window(Mechanical(alpha), pos, pos + 1) == mechanical_letter_by_fractions(alpha, 0, "lower", pos)
 
 
 def test_mechanical_letter_examples():
@@ -75,22 +77,23 @@ def test_mechanical_letter_examples():
 
 
 def test_mechanical_spec_normalization():
-    spec = Mechanical(Fraction(1, 3), Fraction(7, 3))
-    assert spec.rho == Fraction(1, 3)
+    # a mechanical spec is its slope, read as a Fraction; parse_spec checks and drops an intercept and a rounding
+    assert Mechanical("2/6") == Mechanical(Fraction(1, 3)) == (Fraction(1, 3),)
+    assert Mechanical._fields == ("alpha",)
     with pytest.raises(ValueError):
         Mechanical(Fraction(3, 2))
-    with pytest.raises(ValueError):
-        Mechanical(Fraction(1, 2), kind="middle")
+    with pytest.raises(TypeError):
+        Mechanical(Fraction(1, 2), Fraction(1, 3))
 
 
 def test_upper_vs_lower_mechanical():
-    lower = Mechanical(Fraction(2, 5), kind="lower")
-    upper = Mechanical(Fraction(2, 5), kind="upper")
-    # rational slope with rho = 0: lower and upper differ in alignment only
-    lw = "".join(sequence_window(lower, p, p + 1) for p in range(10))
-    uw = "".join(sequence_window(upper, p, p + 1) for p in range(10))
+    from oracles import mechanical_window
+
+    # rational slope with rho = 0: lower and upper differ in alignment only, and Mechanical reads the lower
+    lw, uw = (mechanical_window(Fraction(2, 5), 0, kind, 0, 10) for kind in ("lower", "upper"))
     assert sorted(lw) == sorted(uw)
-    assert lw != uw
+    assert lw != uw and uw in lw * 2
+    assert lw == sequence_window(Mechanical(Fraction(2, 5)), 0, 10)
 
 
 def test_characteristic_word_fibonacci():
@@ -180,7 +183,7 @@ def test_factor_table_rows():
 
 def test_factors_n0_and_length8():
     # n = 0 takes the general path of each variant, and of words.factors
-    for spec in (FIB, Periodic("aab"), Skew("aba", "blocks", "ba"), Mechanical("2/5", "1/3", "upper")):
+    for spec in (FIB, Periodic("aab"), Skew("aba", "blocks", "ba"), Mechanical("2/5")):
         assert enumerate_factors(spec, 0) == ("",), spec
     assert factors("", 0) == factors("ab", 0) == [""]
     f8 = enumerate_factors(FIB, 8)
@@ -196,6 +199,19 @@ def test_complexity_and_double_representation():
         assert len(fl) == n + 1
 
 
+@pytest.mark.parametrize("first, second, agree", [
+    ("abba", "bbab", True), ("abba", "baab", False), ("aaaa", "aaab", False), ("aaab", "aaaa", False),
+])
+def test_enumerate_factors_checks_both_compact_representations(monkeypatch, first, second, agree):
+    # same factor sets, the same number of them but not the same, and a superset or subset of them
+    monkeypatch.setattr(language, "compact_representations", lambda prefix: (first, second))
+    if agree:
+        assert enumerate_factors(FIB, 2) == tuple(factors(first, 2))
+    else:
+        with pytest.raises(AssertionError, match="compact representations disagree at n=2"):
+            enumerate_factors(FIB, 2)
+
+
 def test_factor_balance_all_variants():
     specs = [
         FIB,
@@ -203,7 +219,7 @@ def test_factor_balance_all_variants():
         Periodic("ab"),
         Skew(),
         Skew(m="aba", form="blocks"),
-        Mechanical(Fraction(2, 5), Fraction(1, 3)),
+        Mechanical(Fraction(2, 5)),
     ]
     for spec in specs:
         for n in range(1, 9):
@@ -246,18 +262,12 @@ WINDOW_BOUNDS = st.integers(-600, 600)
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    st.integers(1, 200).flatmap(lambda q: st.tuples(st.integers(0, q), st.just(q))),
-    st.fractions(min_value=-3, max_value=3, max_denominator=200),
-    st.sampled_from(("lower", "upper")),
-    WINDOW_BOUNDS,
-    WINDOW_BOUNDS,
-)
-def test_mechanical_window_matches_per_letter_oracle(slope, rho, kind, lo, hi):
-    from oracles import mechanical_letter_by_floors
+@given(st.integers(1, 200).flatmap(lambda q: st.tuples(st.integers(0, q), st.just(q))), WINDOW_BOUNDS, WINDOW_BOUNDS)
+def test_mechanical_window_matches_per_letter_oracle(slope, lo, hi):
+    from oracles import mechanical_window
 
-    spec = Mechanical(Fraction(*slope), rho, kind)
-    assert sequence_window(spec, lo, hi) == "".join(mechanical_letter_by_floors(spec, i) for i in range(lo, hi))
+    alpha = Fraction(*slope)
+    assert sequence_window(Mechanical(alpha), lo, hi) == mechanical_window(alpha, 0, "lower", lo, hi)
 
 
 def _christoffel_middle(n):
@@ -355,7 +365,7 @@ def _characteristic_window_by_letters(spec, lo, hi):
 
 
 def test_windows_cross_every_block_boundary():
-    from oracles import mechanical_letter_by_floors, skew_letter_by_blocks
+    from oracles import mechanical_window, skew_letter_by_blocks
 
     for m in ("", "a", "aba", christoffel_word(3, 8)[1:-1]):
         size = len(m) + 2
@@ -364,11 +374,10 @@ def test_windows_cross_every_block_boundary():
                 for hi in range(lo - 1, size + 3):
                     expected = "".join(skew_letter_by_blocks(spec, i) for i in range(lo, hi))
                     assert sequence_window(spec, lo, hi) == expected, (spec, lo, hi)
-    for spec in (Mechanical(Fraction(2, 7), Fraction(1, 3), kind) for kind in ("lower", "upper")):
-        for lo in range(-8, 3):
-            for hi in range(lo - 1, 9):
-                expected = "".join(mechanical_letter_by_floors(spec, i) for i in range(lo, hi))
-                assert sequence_window(spec, lo, hi) == expected, (spec, lo, hi)
+    for lo in range(-8, 3):
+        for hi in range(lo - 1, 9):
+            expected = mechanical_window(Fraction(2, 7), 0, "lower", lo, hi)
+            assert sequence_window(Mechanical(Fraction(2, 7)), lo, hi) == expected, (lo, hi)
     for spec in (Characteristic(directive) for directive in ((1, 1), (2, 1, 3), (1,) * 8)):
         for lo in range(-12, 4):
             for hi in range(lo - 1, 14):
@@ -394,21 +403,27 @@ def test_characteristic_window_matches_per_letter_oracle(directive, lo, hi):
     assert _or_message(sequence_window, spec, lo, hi) == expected
 
 
-@settings(max_examples=80, deadline=None)
+MECHANICAL_SLOPES = sorted({Fraction(p, q) for q in range(1, 31) for p in range(q + 1)})
+
+
+@settings(max_examples=6, deadline=None)
 @given(
-    st.integers(1, 60).flatmap(lambda q: st.tuples(st.integers(0, q), st.just(q))),
     st.integers(-60, 120),
     st.integers(2, 9).flatmap(lambda d: st.tuples(st.integers(0, d - 1), st.just(d))),
     st.sampled_from(("lower", "upper")),
-    st.integers(0, 40),
 )
-def test_mechanical_factors_match_window_oracle(slope, k, offset, kind, n):
+def test_mechanical_factors_match_window_oracle(k, offset, kind):
+    # what Mechanical rests on: for every slope p/q with q <= 30, the mechanical word of any intercept and either
+    # rounding has the factors of Mechanical(p/q) at every n <= q + 1, and so at every n, as it has period q;
     # rho = k/q + j/(dq): on the 1/q grid when j = 0, strictly between two of its points otherwise
-    from oracles import window_factors
+    from oracles import mechanical_window
 
-    (p, q), (j, d) = slope, offset
-    spec = Mechanical(Fraction(p, q), Fraction(k * d + j, q * d), kind)
-    assert enumerate_factors(spec, n) == window_factors(spec, n)
+    j, d = offset
+    for slope in MECHANICAL_SLOPES:
+        q = slope.denominator
+        window = mechanical_window(slope, Fraction(k * d + j, q * d), kind, -3 * q - 2, 3 * q + 2)
+        for n in range(q + 2):
+            assert enumerate_factors(Mechanical(slope), n) == tuple(factors(window, n)), (slope, n)
 
 
 @settings(max_examples=80, deadline=None)
@@ -421,7 +436,7 @@ def test_periodic_factors_match_cyclic_and_window_oracles(word, n):
 
 
 def test_skew_and_mechanical_factors_read_no_single_letter(monkeypatch):
-    specs = (Skew("aba", "blocks", "ba"), Skew(), Mechanical(Fraction(3, 8), Fraction(5, 7), "upper"))
+    specs = (Skew("aba", "blocks", "ba"), Skew(), Mechanical(Fraction(3, 8)))
     expected = [enumerate_factors(spec, 9) for spec in specs]
     window = language.sequence_window
 
@@ -529,7 +544,7 @@ def test_library_calls_from_concurrent_threads_match_serial():
         FIB,
         Periodic("aabab"),
         Skew(m="aba", form="blocks", xy="ba"),
-        Mechanical(Fraction(3, 8), Fraction(1, 5), "upper"),
+        Mechanical(Fraction(3, 8)),
     ],
 )
 def test_radix_chain_matches_schoolbook(spec):
@@ -570,8 +585,8 @@ positive_gammas = st.one_of(
             Periodic("abb"),
             Skew(m="aba", form="blocks", xy="ba"),
             Skew(m="a", form="xxyxx", xy="ab"),
-            Mechanical(Fraction(3, 8), Fraction(1, 5), "upper"),
-            Mechanical(Fraction(2, 7), Fraction(0), "lower"),
+            Mechanical(Fraction(3, 8)),
+            Mechanical(Fraction(2, 7)),
         ]
     ),
     st.integers(0, 12),
@@ -614,7 +629,7 @@ def test_radix_chain_check_memory_is_bounded():
 
 @pytest.mark.parametrize("spec", [Mechanical(Fraction(126, 253)), Periodic("aabab")], ids=["126/253", "aabab"])
 def test_radix_chain_check_memory_is_bounded_through_the_cover(spec):
-    # both walk the chain of their enclosing skew language (33,153 words) beside their own, one length at a time
+    # both walk only the chain of their enclosing skew language, their cover (33,153 words), one length at a time
     radix_chain_check(spec, 4)
     tracemalloc.start()
     try:
@@ -633,7 +648,7 @@ def test_radix_chain_other_specs():
         Skew(),
         Skew(m="aba", form="blocks"),
         Characteristic((2, 1, 2, 1, 2, 1, 2, 1, 2, 1)),
-        Mechanical(Fraction(2, 5), Fraction(1, 3)),
+        Mechanical(Fraction(2, 5)),
     ):
         radix_chain_check(spec, 6)
 
@@ -703,7 +718,7 @@ def test_characteristic_factors_match_mechanical_window(directive):
     # equal those read off a long window of the convergent-slope rotation
     slope = _convergent_slope(directive)
     spec = Characteristic(directive)
-    mech = Mechanical(slope, Fraction(0))
+    mech = Mechanical(slope)
     length = 3 * slope.denominator + 24
     window = "".join(sequence_window(mech, k, k + 1) for k in range(length))
     for n in range(1, 9):

@@ -410,7 +410,7 @@ GROWN_CHAINS = [
     (Periodic("aabab"), 12),
     (Characteristic((1,) * 24), 16),
     (Skew(m="aba", form="blocks", xy="ba"), 16),
-    (Mechanical(Fraction(3, 8), Fraction(1, 5), "upper"), 21),
+    (Mechanical(Fraction(3, 8)), 21),
 ]
 
 

@@ -61,7 +61,7 @@ def test_build_pair_requires_central_factorization():
     with pytest.raises(ValueError, match="no central factorization"):
         build_pair(Periodic("ab"))
     with pytest.raises(ValueError, match="no central factorization"):
-        build_pair(Mechanical(Fraction(2, 5), Fraction(1, 3)))
+        build_pair(Mechanical(Fraction(2, 5)))
 
 
 def test_occ_diff_single_letter():

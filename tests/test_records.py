@@ -35,10 +35,8 @@ from oracles import PositivityReport, WrapDeltas, delta_wrap, positivity_report
 
 # (type, build, a record of the same type with other values, repr of build())
 RECORDS = [
-    (Mechanical, lambda: Mechanical(Fraction(2, 5), Fraction(7, 3), "upper"), Mechanical("1/3"),
-     "Mechanical(alpha=Fraction(2, 5), rho=Fraction(1, 3), kind='upper')"),
-    (Mechanical, lambda: Mechanical("1/3"), Mechanical("1/3", kind="upper"),
-     "Mechanical(alpha=Fraction(1, 3), rho=Fraction(0, 1), kind='lower')"),
+    (Mechanical, lambda: Mechanical(Fraction(2, 5)), Mechanical("1/3"), "Mechanical(alpha=Fraction(2, 5))"),
+    (Mechanical, lambda: Mechanical("2/6"), Mechanical(1), "Mechanical(alpha=Fraction(1, 3))"),
     (Periodic, lambda: Periodic("00101"), Periodic("ab"), "Periodic(word='aabab')"),
     (Characteristic, lambda: Characteristic([2, 1]), Characteristic((1, 2)), "Characteristic(directive=(2, 1))"),
     (Skew, lambda: Skew("aba", "blocks", "ba"), Skew("aba", "blocks"), "Skew(m='aba', form='blocks', xy='ba')"),
@@ -115,7 +113,6 @@ def test_attributes_cannot_be_assigned(cls, build, other, expected):
 VALIDATION_ERRORS = [
     (lambda: Mechanical(Fraction(3, 2)), "slope must lie in [0, 1]"),
     (lambda: Mechanical(-1), "slope must lie in [0, 1]"),
-    (lambda: Mechanical("1/2", 0, "middle"), "kind must be 'lower' or 'upper'"),
     (lambda: Mechanical("x"), "Invalid literal for Fraction: 'x'"),
     (lambda: Periodic(""), "period must be nonempty"),
     (lambda: Periodic("aabb"), "period 'aabb' does not generate a balanced sequence"),
@@ -142,7 +139,7 @@ def test_validation_messages(build, message):
 
 
 def test_keyword_construction_and_defaults():
-    assert Mechanical(alpha=Fraction(1, 3)) == Mechanical(Fraction(1, 3), Fraction(0), "lower")
+    assert Mechanical(alpha="1/3") == Mechanical(Fraction(1, 3))
     assert Skew(form="blocks") == Skew("", "blocks", "ab")
     assert PairReport(radius=3, patterns_checked=1, indistinguishable=True).failing is None
 
@@ -151,18 +148,17 @@ def test_keyword_construction_and_defaults():
 
 
 def test_records_are_tuples_of_their_fields():
-    spec = Mechanical("2/5", "1/3", "upper")
-    assert tuple(spec) == (Fraction(2, 5), Fraction(1, 3), "upper")
-    assert spec == (Fraction(2, 5), Fraction(1, 3), "upper")
-    assert Periodic("ab") == ("ab",)
-    alpha, rho, kind = spec
-    assert (alpha, rho, kind) == (spec.alpha, spec.rho, spec.kind)
+    spec = Skew("aba", "blocks", "ba")
+    assert tuple(spec) == ("aba", "blocks", "ba")
+    assert spec == ("aba", "blocks", "ba")
+    assert Periodic("ab") == ("ab",) and Mechanical("2/5") == (Fraction(2, 5),)
+    m, form, xy = spec
+    assert (m, form, xy) == (spec.m, spec.form, spec.xy)
 
 
 def test_replace_validates_and_normalises():
-    spec = Mechanical("2/5", "1/3")
-    assert spec._replace(kind="upper") == Mechanical("2/5", "1/3", "upper")
-    assert spec._replace(rho=Fraction(7, 3)).rho == Fraction(1, 3)
+    spec = Mechanical("2/5")
+    assert spec._replace(alpha="3/9") == Mechanical(Fraction(1, 3))
     with pytest.raises(ValueError, match=r"slope must lie in \[0, 1\]"):
         spec._replace(alpha=2)
     with pytest.raises(ValueError, match="does not generate a balanced sequence"):
