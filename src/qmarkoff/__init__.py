@@ -8,13 +8,13 @@ from importlib import import_module
 
 # home module -> the public names it defines
 _NAMES = {
-    "words": ("christoffel_word", "factors", "has_markoff_property_periodic", "is_balanced_periodic",
-              "parse_word", "render_word", "reversal"),
+    "words": ("christoffel_word", "has_markoff_property_periodic", "is_balanced_periodic", "parse_word",
+              "render_word"),
     "qpoly": ("IntPolynomial", "QMatrix"),
     "morphism": ("ChristoffelNode", "MarkoffTriple", "christoffel_node", "is_christoffel", "markoff_triple",
                  "mu", "mu_q", "q_markoff", "tree_paths"),
     "language": ("BalancedSpec", "Change", "Characteristic", "ComplexityViolation", "Mechanical",
-                 "MonotonicityError", "Periodic", "Skew", "compact_representations", "enumerate_factors",
+                 "MonotonicityError", "Periodic", "Skew", "enumerate_factors",
                  "flip_permutation", "radix_chain_check", "sequence_window"),
     "pairs": ("AsymptoticPair", "build_pair"),
     "spectrum": ("PeriodicCF", "SpectrumValue", "closed_form_supremum", "markoff_supremum", "sigma_subst"),

@@ -47,16 +47,16 @@ MAX_SPECTRUM_DEPTH = 1024  # bracket widths fall like phi^(-2 depth): floats set
 MAX_SPECTRUM_LETTERS = 4096
 # Wall time and peak RSS of the costliest spec at each limit, then one step above it
 # (2-vCPU Xeon, Python 3.11):
-# verify-monotone walks one chain a length at a time: its own, or for a periodic or mechanical spec of slope p/q,
-# q <= max_n, its enclosing skew chain: fibonacci 0.14 s; mechanical:alpha=255/511 --max-n 512: 0.47 s, 16 MiB
-MAX_MONOTONE_N = 256  # periodic:aabab 0.15 s, 16 MiB; mechanical:alpha=126/253 --max-n 320: 0.25 s, 16 MiB
+# verify-monotone walks one chain a length at a time, its own or, for a periodic or mechanical spec of slope p/q with
+# q <= max_n, one rotation further down its path: fibonacci 0.24 s; mechanical:alpha=255/511 --max-n 512: 0.51 s, 16 MiB
+MAX_MONOTONE_N = 256  # periodic:aabab 0.25 s, 16 MiB; mechanical:alpha=126/253 --max-n 320: 0.30 s, 16 MiB
 MAX_CURVES_LEN = 160  # fibonacci, 5 gammas: 1.3 s, 64 MiB; --max-len 240: 3.5 s, 99 MiB
 # curves --max-len 160, skew blocks, gammas like 255/256: 8 gammas 6.2 s, 155 MiB; 16 gammas
 # 12.5 s, 292 MiB; 8 gammas with terms near 512: 6.8 s, 163 MiB.  Checked before the spec.
 MAX_CURVES_GAMMAS = 8
 MAX_GAMMA_TERM = 256  # largest numerator and denominator of a gamma
 MAX_PAIR_RADIUS = 1024  # characteristic:1,1,... (60,000 ones) 0.9 s, 22 MiB; --radius 1600: 2.4 s, 28 MiB
-MAX_LANGUAGE_N = 2048  # skew --json: 0.3 s, 45 MiB; --n 4096: 0.8 s, 132 MiB
+MAX_LANGUAGE_N = 2048  # skew --json: 0.27 s, 45 MiB; --n 4096: 0.59 s, 132 MiB
 # (subcommand, flag) -> largest accepted value, checked in main before any work
 LIMITS = {
     ("tree", "depth"): MAX_TREE_DEPTH,

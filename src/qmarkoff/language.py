@@ -6,11 +6,12 @@ normalises its fields when built.  Each variant pins down a concrete
 biinfinite sequence, read through ``sequence_window`` in one pass per
 variant.  A characteristic or skew sequence is a mirror: its right half
 reflected about a two-letter center at positions -1 and 0
-(``_mirror_window``), so its length-n factors lie in the compact
-representations w̃·ab·w and w̃·ba·w of its letters w at positions 1..n-1.
-A periodic or mechanical spec of slope p/q has the language of
-Mechanical(p/q), the repetition of christoffel_word(p, q), read the same
-way when q > n: a mechanical spec is its slope, as no intercept or rounding
+(``_mirror_window``).  At each length n, every spec has the language of one
+rational rotation, christoffel_word(p, q)^∞ for the first Stern–Brocot node
+p/q with q > n on the path of its slope's partial quotients, or the path's
+end (Lothaire, Algebraic Combinatorics on Words, ch. 2): enumerate_factors
+reads a spec's own letters only to check a directive's reach, and a
+mechanical spec is its slope, as no intercept or rounding
 changes the language.  The class of a sequence (M1 periodic, M2 mechanical,
 M3 characteristic, M4 skew) is its declared variant.  Nothing here is
 memoized: a characteristic window builds just the prefix of the standard
@@ -21,12 +22,12 @@ radix_chain_check holds one length of the one chain it walks.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import pairwise
-from typing import Iterator, NamedTuple, Sequence, Union
+from itertools import chain, pairwise
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .morphism import is_christoffel, q_markoff, q_markoff_ratios
 from .qpoly import IntPolynomial, Scalar
-from .words import christoffel_word, excerpt, factors, is_balanced_periodic, parse_word, reversal
+from .words import christoffel_word, excerpt, is_balanced_periodic, parse_word
 
 
 class _MechanicalFields(NamedTuple):
@@ -140,22 +141,6 @@ class Skew(_SkewFields):
 BalancedSpec = Union[Periodic, Characteristic, Skew, Mechanical]
 
 
-def _slope(spec: Periodic | Mechanical) -> Fraction:
-    """The slope p/q of a periodic or mechanical spec: alpha, or the b-density of the period."""
-    return spec.alpha if isinstance(spec, Mechanical) else Fraction(spec.word.count("b"), len(spec.word))
-
-
-def _enclosing_skew(slope: Fraction) -> Skew:
-    """The skew spec of slope p/q whose language holds that of Mechanical(p/q) at every length:
-    Skew(c[1:-1], "blocks") with c = christoffel_word(p, q) when q >= 2, and a^∞ or b^∞ with one
-    letter changed when q = 1.
-    """
-    p, q = slope.as_integer_ratio()
-    if q == 1:
-        return Skew("", "xxyxx", "ba" if p else "ab")
-    return Skew(christoffel_word(p, q)[1:-1], "blocks")
-
-
 def sequence_window(spec: BalancedSpec, lo: int, hi: int) -> str:
     """Letters at positions lo..hi-1 of the spec's canonical sequence, built in one pass."""
     if isinstance(spec, Periodic):
@@ -206,39 +191,62 @@ def _skew_window(spec: Skew, lo: int, hi: int) -> str:
     return _mirror_window(y + x, lambda i, j: _cyclic_slice(block, i, j), lo, hi)
 
 
-def compact_representations(prefix: str) -> tuple[str, str]:
-    """The two length-2(|w|+1) words w̃·ab·w and w̃·ba·w holding all factors.
+def _path(spec: BalancedSpec, n: int) -> Iterable[int]:
+    """Partial quotients [a1, a2, ...] of a slope [0; a1, a2, ...] whose rotation has the spec's length-n factors.
 
-    For a balanced sequence with mirror center and right half starting with
-    w, both words contain every factor of length |w|+1.
+    A periodic or mechanical spec is its slope p/q, expanded by Euclid (1 as [0; 1]).  A characteristic
+    directive d continues with n + 1, [0; d1+1, d2, ..., n+1], once the letters at positions 1..n-1 are
+    within its reach.  A skew spec takes one more quotient, n + 2, past the slope of x^∞ or of (a·m·b)^∞,
+    after whichever of its two expansions puts the rotation on the side of y: above for xy = ab.
     """
-    rp = reversal(prefix)
-    return (rp + "ab" + prefix, rp + "ba" + prefix)
+    if isinstance(spec, Characteristic):
+        sequence_window(spec, 1, n)  # names the first position out of the directive's reach
+        return chain((spec.directive[0] + 1,), spec.directive[1:], (n + 1,))
+    if isinstance(spec, Periodic):
+        slope = Fraction(spec.word.count("b"), len(spec.word))
+    elif isinstance(spec, Mechanical):
+        slope = spec.alpha
+    elif isinstance(spec, Skew):
+        slope = Fraction(spec.m.count("b") + 1, len(spec.m) + 2) if spec.form == "blocks" else Fraction(spec.xy == "ba")
+    else:
+        raise TypeError(f"not a balanced spec: {spec!r}")
+    p, q = slope.as_integer_ratio()
+    path = []
+    while p:
+        path.append(q // p)
+        p, q = q % p, p
+    if not isinstance(spec, Skew):
+        return path
+    return path + [n + 2] if len(path) % 2 == (spec.xy == "ba") else path[:-1] + [path[-1] - 1, 1, n + 2]
+
+
+def _node(path: Iterable[int], n: int) -> tuple[int, int]:
+    """(p, q) of the first Stern–Brocot node p/q on the path [0; a1, a2, ...] with q > n, or of its end.
+
+    The nodes of [0; a1, ..., ak] are [0; a1, ..., a(i-1), j] for j = 1..ai, so the first past n >= 1 has q <= 2n.
+    """
+    (p0, q0), (p, q) = (1, 0), (0, 1)  # the convergents before the next quotient
+    for a in path:
+        j = (n - q0) // q + 1  # the least j with j·q + q0 > n
+        if j <= a:
+            return j * p + p0, j * q + q0
+        (p0, q0), (p, q) = (p, q), (a * p + p0, a * q + q0)
+    return p, q
 
 
 def enumerate_factors(spec: BalancedSpec, n: int) -> tuple[str, ...]:
     """All length-n factors of the spec's sequence, lex-sorted; its len is the factor count.
 
-    A periodic or mechanical spec of slope p/q (the b-density of the period,
-    or alpha) has the factors of Mechanical(p/q), the repetition of
-    christoffel_word(p, q): read off its q + n - 1 letters from position 0
-    when q <= n.  Every other spec, and Mechanical(p/q) when q > n, is read
-    off the two compact representations of its letters at positions 1..n-1,
-    whose factor sets are checked to agree.
+    Every spec's length-n factors are those of one rotation: christoffel_word(p, q)^∞ for the node p/q
+    of _node on its _path.  They are its windows at the starts -k mod q, k = 0..min(n, q - 1); the
+    window at start s codes the point s·p mod q, and the coding keeps the order of the points.
     """
     if n < 0:
         raise ValueError("factor length must be >= 0")
-    if isinstance(spec, (Periodic, Mechanical)):
-        slope = _slope(spec)
-        spec = Mechanical(slope)
-        if slope.denominator <= n:
-            return tuple(factors(sequence_window(spec, 0, slope.denominator + n - 1), n))
-    first, second = compact_representations(sequence_window(spec, 1, n))
-    fs = factors(first, n)
-    others = {second[i : i + n] for i in range(len(second) - n + 1)}  # unsorted: only fs needs an order
-    if len(others) != len(fs) or not others.issuperset(fs):
-        raise AssertionError(f"compact representations disagree at n={n}")
-    return tuple(fs)
+    p, q = _node(_path(spec, n), n)
+    text = christoffel_word(p, q) * (n // q + 2)
+    starts = sorted((-k % q for k in range(min(n, q - 1) + 1)), key=lambda s: s * p % q)
+    return tuple(text[s : s + n] for s in starts)
 
 
 LAST_LETTER = "last_letter"
@@ -340,22 +348,26 @@ def radix_chain_check(spec: BalancedSpec, max_n: int) -> int:
 
     Walks one radix-sorted chain of lengths 0..max_n, one length at a time (the empty word first):
     the spec's own, or for a periodic or mechanical spec of slope p/q with q <= max_n, whose
-    non-local pairs _certified refuses, that of its enclosing skew language.  Its members are the
-    spec's words: all below length q, and the factors of christoffel_word(p, q)^∞ from length q on.
-    Consecutive members are ordered when every chain pair between them is _certified, else by their
-    own q-Markoff difference, which must be nonzero with nonnegative coefficients; by transitivity
-    every radix-ordered pair is covered.  The first that is not raises MonotonicityError with its
-    exact difference.
+    non-local pairs _certified refuses, that of the rotation one quotient, max_n + 2, further down
+    the path of p/q: its language at every length up to max_n is a skew language that holds the
+    spec's.  Its members are the spec's words: all below length q, and the factors of
+    christoffel_word(p, q)^∞ from length q on.  Consecutive members are ordered when every chain
+    pair between them is _certified, else by their own q-Markoff difference, which must be nonzero
+    with nonnegative coefficients; by transitivity every radix-ordered pair is covered.  The first
+    that is not raises MonotonicityError with its exact difference.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    chain, q, text = spec, max_n + 1, ""  # every word of the spec's own chain is a member
-    if isinstance(spec, (Periodic, Mechanical)) and _slope(spec).denominator <= max_n:
-        p, q = _slope(spec).as_integer_ratio()
-        chain, text = _enclosing_skew(_slope(spec)), christoffel_word(p, q) * (max_n // q + 2)
+    walked, q, text = spec, max_n + 1, ""  # every word of the spec's own chain is a member
+    if isinstance(spec, (Periodic, Mechanical)):
+        path = _path(spec, max_n)
+        p, q = _node(path, max_n)
+        if q <= max_n:  # the path's end: the slope p/q itself
+            walked = Mechanical(Fraction(*_node([*path, max_n + 2], max_n)))
+            text = christoffel_word(p, q) * (max_n // q + 2)
     words = 1  # the empty word
     last, ordered = "", True  # the last member, and whether every chain pair since it is _certified
-    for u, v in pairwise(_radix_words(chain, max_n)):
+    for u, v in pairwise(_radix_words(walked, max_n)):
         if not _certified(u, v):
             ordered = False
         if len(v) >= q and text.find(v, 0, len(v) + q - 1) < 0:  # a member starts at one of 0..q-1

@@ -1,4 +1,4 @@
-"""Finite binary words over {a, b}: factors, balance, Markoff property.
+"""Finite binary words over {a, b}: Christoffel words, balance, Markoff property.
 
 Words are plain Python strings containing only the letters "a" and "b"
 (with a < b).  The alternative rendering over {0, 1} maps a -> 0, b -> 1;
@@ -41,21 +41,6 @@ def render_word(w: str, alphabet: str = "ab") -> str:
     if alphabet == "01":
         return w.translate(_TO_01)
     raise ValueError(f"unknown alphabet {alphabet!r}")
-
-
-def reversal(w: str) -> str:
-    """The reversal (mirror image) of w; an involution."""
-    return w[::-1]
-
-
-def factors(w: str, n: int) -> list[str]:
-    """All length-n contiguous subwords of w, lex-sorted without repeats.
-
-    factors(w, 0) == [""] for every w, the empty word included; empty list when n > len(w).
-    """
-    if n < 0:
-        raise ValueError("factor length must be >= 0")
-    return sorted({w[i : i + n] for i in range(len(w) - n + 1)})
 
 
 def christoffel_word(k: int, n: int) -> str:

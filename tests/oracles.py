@@ -7,6 +7,9 @@ the identities behind monotonicity in the reference q-arithmetic below: the
 generator images as literal coefficient lists, and schoolbook products of
 polynomials and of 2x2 matrices.  The library forms no such product, so
 mu_q_schoolbook checks its packed walk against arithmetic it does not share.
+The string references (reversal, factors, compact_representations) read
+factors off the letters of a sequence, where the library reads them off a
+rotation.
 """
 
 import math
@@ -21,7 +24,34 @@ from qmarkoff.morphism import det_exponent, mu_q, q_markoff
 from qmarkoff.pairs import AsymptoticPair, PairReport, pair_report
 from qmarkoff.qpoly import IntPolynomial, QMatrix
 from qmarkoff.spectrum import PeriodicCF, SpectrumValue, _convergents, christoffel_supremum, closed_form_supremum
-from qmarkoff.words import factors, reversal
+
+
+# the string references
+
+
+def reversal(w: str) -> str:
+    """The reversal (mirror image) of w; an involution."""
+    return w[::-1]
+
+
+def factors(w: str, n: int) -> list[str]:
+    """All length-n contiguous subwords of w, lex-sorted without repeats.
+
+    factors(w, 0) == [""] for every w, the empty word included; empty list when n > len(w).
+    """
+    if n < 0:
+        raise ValueError("factor length must be >= 0")
+    return sorted({w[i : i + n] for i in range(len(w) - n + 1)})
+
+
+def compact_representations(prefix: str) -> tuple[str, str]:
+    """The two length-2(|w|+1) words w̃·ab·w and w̃·ba·w holding all factors.
+
+    For a balanced sequence with mirror center and right half starting with
+    w, both words contain every factor of length |w|+1.
+    """
+    rp = reversal(prefix)
+    return (rp + "ab" + prefix, rp + "ba" + prefix)
 
 
 # the reference q-arithmetic

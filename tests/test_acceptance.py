@@ -17,7 +17,6 @@ from qmarkoff.language import (
     Periodic,
     Skew,
     _radix_words,
-    compact_representations,
     curve_ratios,
     enumerate_factors,
     flip_permutation,
@@ -39,6 +38,7 @@ from qmarkoff.words import has_markoff_property_periodic, is_balanced_periodic, 
 
 from oracles import (
     ZERO,
+    compact_representations,
     christoffel_words_upto,
     degree,
     det,

@@ -19,11 +19,11 @@ from qmarkoff.language import (
 )
 from qmarkoff.morphism import mu_q, q_markoff
 from qmarkoff.qpoly import IntPolynomial, QMatrix
-from qmarkoff.words import christoffel_word, factors, reversal
+from qmarkoff.words import christoffel_word
 
 from oracles import (
-    IDENTITY, MU_Q_A, MU_Q_B, ONE, Q, ZERO, classify_change_by_letters, det, first_unordered, matmul, matscale, matsub,
-    pmul, poly, positivity_report,
+    IDENTITY, MU_Q_A, MU_Q_B, ONE, Q, ZERO, classify_change_by_letters, det, factors, first_unordered, matmul, matscale,
+    matsub, pmul, poly, positivity_report, reversal, window_factors,
 )
 
 FIB = Characteristic((1,) * 24)
@@ -223,16 +223,31 @@ def test_skew_specs_match_packed(slope, form, xy, max_n):
     _assert_spec_matches_reference(Skew(christoffel_word(*slope)[1:-1], form, xy), max_n)
 
 
+def _walked_chain(spec, max_n):
+    """The radix chain that radix_chain_check(spec, max_n) walks."""
+    walked = []
+    radix_words = language._radix_words
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(language, "_radix_words", lambda walk, n: walked.append(walk) or radix_words(walk, n))
+        radix_chain_check(spec, max_n)
+    (chain_spec,) = walked
+    return list(radix_words(chain_spec, max_n))
+
+
 def test_mechanical_languages_lie_in_their_certified_enclosing_skew_language():
-    # every slope p/q with q <= 30 at every n <= 40: 11,160 inclusions, and 279 certified chains
+    # every slope p/q with q <= 30 walks, at max_n = 40, a chain whose language at every n <= 40 is that of one skew
+    # spec of slope p/q, holds Mechanical(p/q)'s, and is certified: 11,160 inclusions, and 279 certified chains
     slopes = {Fraction(p, q) for q in range(1, 31) for p in range(q + 1)}
     assert len(slopes) * 40 == 11160
     for slope in slopes:
-        skew = language._enclosing_skew(slope)
-        for n in range(1, 41):
-            inner = set(language.enumerate_factors(Mechanical(slope), n))
-            assert inner <= set(language.enumerate_factors(skew, n)), (slope, n)
-        chain = list(language._radix_words(skew, 40))
+        chain = _walked_chain(Mechanical(slope), 40)
+        p, q = slope.as_integer_ratio()
+        m, form = (christoffel_word(p, q)[1:-1], "blocks") if q > 1 else ("", "xxyxx")
+        by_length = [tuple(w for w in chain if len(w) == n) for n in range(1, 41)]
+        skews = [[window_factors(Skew(m, form, xy), n) for n in range(1, 41)] for xy in ("ab", "ba")]
+        assert by_length in skews, slope
+        for n, fs in enumerate(by_length, 1):
+            assert set(language.enumerate_factors(Mechanical(slope), n)) <= set(fs), (slope, n)
         assert all(map(language._certified, chain, chain[1:])), slope
 
 
@@ -287,7 +302,7 @@ def test_a_refused_enclosing_pair_uncovers_only_the_segments_spanning_it(monkeyp
     # one pair of that chain sends exactly the member pair spanning it to its own difference, and none when
     # the pair lies past the last member
     spec = Periodic("aabab")
-    skew = list(language._radix_words(language._enclosing_skew(language._slope(spec)), 12))
+    skew = _walked_chain(spec, 12)
     own = list(language._radix_words(spec, 12))
     assert (len(skew), len(own)) == (91, 55) and skew[-1] not in own
     segments = list(pairwise([skew.index(w) for w in own]))

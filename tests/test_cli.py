@@ -518,14 +518,17 @@ VERIFY_MONOTONE_GOLDEN = [
 def test_verify_monotone_golden_stdout_at_the_limit(capsys, monkeypatch, spec, name, words, enclosed):
     from qmarkoff import language
 
-    walked = []  # the class of each spec whose radix chain is walked
+    walked = []  # each spec whose radix chain is walked
     radix_words = language._radix_words
-    monkeypatch.setattr(language, "_radix_words", lambda s, n: walked.append(type(s).__name__) or radix_words(s, n))
+    monkeypatch.setattr(language, "_radix_words", lambda s, n: walked.append(s) or radix_words(s, n))
     code, out, err = run(capsys, "verify-monotone", "--spec", spec, "--max-n", "256")
     assert (code, err) == (0, "")
     assert out == (f"spec: {name}\nmax_n: 256\nfactors: {words}\ndifferences: {words - 1}\n"
                    "all differences nonzero with nonnegative coefficients: OK\n")
-    assert walked == ["Skew" if enclosed else name.capitalize()]
+    # an enclosed spec walks the rotation of a slope past 256 in denominator, one quotient down its own path
+    [chain_spec] = walked
+    assert (chain_spec != parse_spec(spec)) == enclosed
+    assert not enclosed or chain_spec.alpha.denominator > 256
 
 
 def test_spectrum_command(capsys):
@@ -988,8 +991,10 @@ def test_ci_workflow_parses_and_runs_the_cli_checks():
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((Path(__file__).resolve().parents[1] / ".github/workflows/tests.yml").read_text())
     runs = [step["run"] for step in workflow["jobs"]["tier1"]["steps"] if "run" in step]
-    for check in ("factors: 33153", "factors: 33143", "factors: 1275", "indistinguishable: yes"):
+    for check in ("factors: 33153", "factors: 33143", "factors: 1275", "factors (2049):", "indistinguishable: yes"):
         assert any(f"| grep -qx '{check}'" in r and r.startswith("set -o pipefail\n") for r in runs), check
+    assert any("qmarkoff language --spec characteristic:1,1 --n 4 2>" in r
+               and "'error: directive too short for position 4\\n'" in r for r in runs)
 
 
 def test_readme_library_example_runs(capsys):
@@ -1031,7 +1036,7 @@ def test_lazy_public_api_in_a_fresh_interpreter():
         "['qmarkoff']",  # import qmarkoff loads no module of the library
         "[]",
         "module 'qmarkoff' has no attribute 'frobnicate'",
-        "38 []",  # each name is the one object every library module binds to it
+        "35 []",  # each name is the one object every library module binds to it
     ]
 
 

@@ -24,7 +24,6 @@ from qmarkoff.language import (
     Skew,
     _radix_words,
     classify_change,
-    compact_representations,
     curve_ratios,
     enumerate_factors,
     flip_permutation,
@@ -32,10 +31,11 @@ from qmarkoff.language import (
     sequence_window,
 )
 from qmarkoff.morphism import mu, mu_q, q_markoff
-from qmarkoff.words import christoffel_word, factors, render_word, reversal
+from qmarkoff.words import christoffel_word, render_word
 
 from oracles import (
-    degree, evaluate_by_fraction_horner, is_balanced_family, poly, precedes, radix_chain_differences,
+    christoffel_words_upto, compact_representations, degree, evaluate_by_fraction_horner, factors, is_balanced_family,
+    poly, precedes, radix_chain_differences, reversal, window_factors,
 )
 
 FIB = Characteristic((1,) * 24)
@@ -182,7 +182,7 @@ def test_factor_table_rows():
 
 
 def test_factors_n0_and_length8():
-    # n = 0 takes the general path of each variant, and of words.factors
+    # n = 0 of each variant, and of the factors oracle
     for spec in (FIB, Periodic("aab"), Skew("aba", "blocks", "ba"), Mechanical("2/5")):
         assert enumerate_factors(spec, 0) == ("",), spec
     assert factors("", 0) == factors("ab", 0) == [""]
@@ -195,21 +195,9 @@ def test_factors_n0_and_length8():
 def test_complexity_and_double_representation():
     for n in range(1, 13):
         fl = enumerate_factors(FIB, n)
-        # the double-representation equality is asserted inside enumerate_factors
         assert len(fl) == n + 1
-
-
-@pytest.mark.parametrize("first, second, agree", [
-    ("abba", "bbab", True), ("abba", "baab", False), ("aaaa", "aaab", False), ("aaab", "aaaa", False),
-])
-def test_enumerate_factors_checks_both_compact_representations(monkeypatch, first, second, agree):
-    # same factor sets, the same number of them but not the same, and a superset or subset of them
-    monkeypatch.setattr(language, "compact_representations", lambda prefix: (first, second))
-    if agree:
-        assert enumerate_factors(FIB, 2) == tuple(factors(first, 2))
-    else:
-        with pytest.raises(AssertionError, match="compact representations disagree at n=2"):
-            enumerate_factors(FIB, 2)
+        first, second = compact_representations(sequence_window(FIB, 1, n))
+        assert set(fl) == set(factors(first, n)) == set(factors(second, n))
 
 
 def test_factor_balance_all_variants():
@@ -341,13 +329,101 @@ def test_skew_letter_far_from_the_origin_costs_its_width():
     st.sampled_from(("ab", "ba")),
     st.integers(1, 256),
 )
-def test_skew_language_from_compact_representations_matches_window_oracle(m, form, xy, n):
-    from oracles import window_factors
-
+def test_skew_language_matches_window_oracle(m, form, xy, n):
     spec = Skew(m, form, xy)
     language = enumerate_factors(spec, n)
     assert language == window_factors(spec, n)
     assert len(language) == n + 1
+
+
+def _compact_factors(spec, n):
+    """The factors of both compact representations of the spec's letters at positions 1..n-1, which must agree,
+    or the message of the ValueError that reading those letters raises."""
+    try:
+        first, second = compact_representations(sequence_window(spec, 1, n))
+    except ValueError as exc:
+        return str(exc)
+    fs = factors(first, n)
+    assert fs == factors(second, n), (spec, n)
+    return tuple(fs)
+
+
+def _factors_or_message(spec, n):
+    try:
+        return enumerate_factors(spec, n)
+    except ValueError as exc:
+        return str(exc)
+
+
+CHRISTOFFEL_MIDDLES = sorted(w[1:-1] for w in christoffel_words_upto(30) if len(w) >= 2)
+
+
+@pytest.mark.parametrize("form", language.SKEW_FORMS)
+@pytest.mark.parametrize("xy", ["ab", "ba"])
+def test_skew_factors_match_compact_and_window_oracles(form, xy):
+    # every Christoffel word a·m·b of at most 30 letters, at every n <= 64
+    assert len(CHRISTOFFEL_MIDDLES) == 277
+    for m in CHRISTOFFEL_MIDDLES:
+        spec = Skew(m, form, xy)
+        for n in range(65):
+            assert enumerate_factors(spec, n) == _compact_factors(spec, n) == window_factors(spec, n), (m, n)
+
+
+def test_slope_factors_match_window_and_compact_oracles():
+    # every slope p/q with q < 40, at every n <= 64; at lengths below q, christoffel_word(p, q)^∞ reads as a mirror
+    # about positions -1 and 0, so its compact representations hold its factors too
+    slopes = sorted({Fraction(p, q) for q in range(1, 40) for p in range(q + 1)})
+    for slope in slopes:
+        spec = Mechanical(slope)
+        for n in range(65):
+            fs = enumerate_factors(spec, n)
+            assert fs == window_factors(spec, n), (slope, n)
+            if n < slope.denominator:
+                assert fs == _compact_factors(spec, n), (slope, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.integers(1, 4), st.integers(1, 10**6)), min_size=1, max_size=12))
+def test_characteristic_factors_match_compact_oracle(directive):
+    # at every n <= 64, including the message naming the first position out of a short directive's reach
+    spec = Characteristic(directive)
+    for n in range(65):
+        assert _factors_or_message(spec, n) == _compact_factors(spec, n), n
+
+
+@pytest.mark.parametrize(
+    "directive, size", [((1,), 2), ((2,), 3), ((1, 1), 3), ((3, 2), 9), ((1, 10**6), 2 * 10**6 + 1)],
+    ids=["1", "2", "1,1", "3,2", "1,1000000"],
+)
+def test_directive_continuation_at_the_end_of_its_standard_word(directive, size):
+    # the standard word has `size` letters, at positions 1..size: the longest factors have size + 1 letters;
+    # those of (1, 10^6) are 2,000,002 words of as many letters, so only their path is built
+    spec = Characteristic(directive)
+    assert len(sequence_window(spec, 1, size + 1)) == size
+    if size < 100:
+        assert enumerate_factors(spec, size + 1) == _compact_factors(spec, size + 1)
+    else:
+        language._path(spec, size + 1)
+    with pytest.raises(ValueError, match=f"^directive too short for position {size + 1}$"):
+        enumerate_factors(spec, size + 2)
+
+
+@pytest.mark.parametrize("spec", [Characteristic((10**6,)), Mechanical(Fraction(1, 10**9))], ids=["1000000", "1/10^9"])
+def test_enumerate_factors_memory_is_bounded_by_its_node(spec):
+    # the node's denominator q is at most 2n, so a length reads christoffel_word(p, q) * (n // q + 2), at most 4n
+    # letters, beside the n + 1 factors it returns; the end of either path has a denominator of 10^9 or more
+    n = 2048
+    _, q = language._node(language._path(spec, n), n)
+    assert n < q <= 2 * n
+    enumerate_factors(spec, 4)
+    tracemalloc.start()
+    try:
+        fs = enumerate_factors(spec, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(fs) == n + 1
+    assert peak < sum(map(sys.getsizeof, fs)) + (1 << 20), peak
 
 
 def _or_message(read, spec, lo, hi):
@@ -714,17 +790,16 @@ def _convergent_slope(directive):
     [(1,) * 10, (2, 1, 2, 1, 2, 1, 2, 1), (3, 2, 1, 1, 2, 2), (1, 2, 3, 1, 2)],
 )
 def test_characteristic_factors_match_mechanical_window(directive):
-    # independent route: the factor sets from the two compact words must
-    # equal those read off a long window of the convergent-slope rotation
+    # independent route: the factor sets must equal those read off a long
+    # window of the convergent-slope rotation
     slope = _convergent_slope(directive)
     spec = Characteristic(directive)
     mech = Mechanical(slope)
     length = 3 * slope.denominator + 24
     window = "".join(sequence_window(mech, k, k + 1) for k in range(length))
     for n in range(1, 9):
-        from_compact = set(enumerate_factors(spec, n))
         from_window = {window[i : i + n] for i in range(length - n + 1)}
-        assert from_compact == from_window, n
+        assert set(enumerate_factors(spec, n)) == from_window, n
 
 
 def test_radix_chain_all_small_christoffel_periods():

@@ -22,7 +22,7 @@ from qmarkoff.morphism import (
     tree_paths,
 )
 from qmarkoff.qpoly import QMatrix
-from qmarkoff.words import christoffel_word, reversal
+from qmarkoff.words import christoffel_word
 
 from oracles import (
     IDENTITY,
@@ -50,6 +50,7 @@ from oracles import (
     poly,
     positivity_report,
     precedes,
+    reversal,
 )
 
 words_st = st.text(alphabet="ab", max_size=8)

@@ -6,15 +6,13 @@ from hypothesis import strategies as st
 
 from qmarkoff.words import (
     christoffel_word,
-    factors,
     has_markoff_property_periodic,
     is_balanced_periodic,
     parse_word,
     render_word,
-    reversal,
 )
 
-from oracles import balanced_periodic_scan, cyclic_factors, is_balanced_family
+from oracles import balanced_periodic_scan, cyclic_factors, factors, is_balanced_family, reversal
 
 words_st = st.text(alphabet="ab", max_size=12)
 nonempty_words_st = st.text(alphabet="ab", min_size=1, max_size=10)
