@@ -348,13 +348,6 @@ def _compact_factors(spec, n):
     return tuple(fs)
 
 
-def _factors_or_message(spec, n):
-    try:
-        return enumerate_factors(spec, n)
-    except ValueError as exc:
-        return str(exc)
-
-
 CHRISTOFFEL_MIDDLES = sorted(w[1:-1] for w in christoffel_words_upto(30) if len(w) >= 2)
 
 
@@ -388,7 +381,7 @@ def test_characteristic_factors_match_compact_oracle(directive):
     # at every n <= 64, including the message naming the first position out of a short directive's reach
     spec = Characteristic(directive)
     for n in range(65):
-        assert _factors_or_message(spec, n) == _compact_factors(spec, n), n
+        assert _or_message(enumerate_factors, spec, n) == _compact_factors(spec, n), n
 
 
 @pytest.mark.parametrize(
@@ -426,10 +419,10 @@ def test_enumerate_factors_memory_is_bounded_by_its_node(spec):
     assert peak < sum(map(sys.getsizeof, fs)) + (1 << 20), peak
 
 
-def _or_message(read, spec, lo, hi):
-    """The window `read` gives, or the message of its ValueError."""
+def _or_message(read, *args):
+    """What read(*args) returns, or the message of its ValueError."""
     try:
-        return read(spec, lo, hi)
+        return read(*args)
     except ValueError as exc:
         return str(exc)
 
