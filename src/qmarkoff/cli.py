@@ -47,8 +47,8 @@ MAX_SPECTRUM_DEPTH = 1024  # bracket widths fall like phi^(-2 depth): floats set
 MAX_SPECTRUM_LETTERS = 4096
 # Wall time and peak RSS of the costliest spec at each limit, then one step above it
 # (2-vCPU Xeon, Python 3.11):
-# verify-monotone walks one chain a length at a time, its own or, for a periodic or mechanical spec of slope p/q with
-# q <= max_n, one rotation further down its path: fibonacci 0.24 s; mechanical:alpha=255/511 --max-n 512: 0.51 s, 16 MiB
+# verify-monotone walks one rotation's chain a length at a time, one quotient past max_n on the spec's path:
+# fibonacci 0.24 s; mechanical:alpha=255/511 --max-n 512: 0.51 s, 16 MiB
 MAX_MONOTONE_N = 256  # periodic:aabab 0.25 s, 16 MiB; mechanical:alpha=126/253 --max-n 320: 0.30 s, 16 MiB
 MAX_CURVES_LEN = 160  # fibonacci, 5 gammas: 1.3 s, 64 MiB; --max-len 240: 3.5 s, 99 MiB
 # curves --max-len 160, skew blocks, gammas like 255/256: 8 gammas 6.2 s, 155 MiB; 16 gammas
@@ -202,8 +202,9 @@ def _cmd_language(args) -> tuple[int, list[str]]:
                    "kind": c.kind} for c in changes]
         payload = {"n": n, "factors": [render_word(f, args.alphabet) for f in factors], "changes": tagged}
         return 0, _lines(json.dumps(payload, indent=2))
-    # one radix segment: last of length n-1, the length-n factors, first of length n+1 (kinds from changes)
-    below = [enumerate_factors(spec, n - 1)[-1]] if n >= 2 else []
+    # one radix segment: last of length n-1, the length-n factors, first of length n+1 (kinds from changes);
+    # the language extends to the right, so the last of length n-1 is the prefix of the last of length n
+    below = [factors[-1][:-1]] if n >= 2 else []
     above = enumerate_factors(spec, n + 1)[0]
     segment = below + factors + [above]
     kinds = ([""] + [classify_change(w, factors[0]) for w in below] + [c.kind for c in changes]

@@ -2,27 +2,25 @@
 
 A balanced sequence is described by one of four spec variants (periodic,
 characteristic, skew, mechanical), each a NamedTuple that checks and
-normalises its fields when built.  Each variant pins down a concrete
-biinfinite sequence, read through ``sequence_window`` in one pass per
-variant.  A characteristic or skew sequence is a mirror: its right half
-reflected about a two-letter center at positions -1 and 0
-(``_mirror_window``).  At each length n, every spec has the language of one
-rational rotation, christoffel_word(p, q)^∞ for the first Stern–Brocot node
-p/q with q > n on the path of its slope's partial quotients, or the path's
-end (Lothaire, Algebraic Combinatorics on Words, ch. 2): enumerate_factors
-reads a spec's own letters only to check a directive's reach, and a
-mechanical spec is its slope, as no intercept or rounding
-changes the language.  The class of a sequence (M1 periodic, M2 mechanical,
-M3 characteristic, M4 skew) is its declared variant.  Nothing here is
-memoized: a characteristic window builds just the prefix of the standard
-word it reads, and a radix chain is yielded one length at a time, so
-radix_chain_check holds one length of the one chain it walks.
+normalises its fields when built; its class (M1 periodic, M2 mechanical, M3
+characteristic, M4 skew) is its declared variant.  At each length n, every
+spec has the language of one rational rotation, christoffel_word(p, q)^∞ for
+the first Stern–Brocot node p/q with q > n on the path of its slope's partial
+quotients, or the path's end (Lothaire, Algebraic Combinatorics on Words,
+ch. 2), so enumerate_factors and radix_chain_check read no letter of a spec:
+a directive's reach is that of its convergents, and a mechanical spec is its
+slope.  Only the mirror specs, characteristic and skew (a right half
+reflected about a two-letter center at positions -1 and 0), are read letter
+by letter, through sequence_window, for their asymptotic pairs.  Nothing
+here is memoized: a characteristic window builds just the prefix of the
+standard word it reads, and radix_chain_check holds one length of the one
+chain it walks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, pairwise
+from itertools import pairwise
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .morphism import is_christoffel, q_markoff, q_markoff_ratios
@@ -35,9 +33,9 @@ class _MechanicalFields(NamedTuple):
 
 
 class Mechanical(_MechanicalFields):
-    """Rational-slope mechanical sequence, given by its slope p/q in [0, 1] alone: its canonical sequence is
-    christoffel_word(p, q)^∞, whose language every mechanical word of slope p/q has, whatever its intercept
-    and rounding (Lothaire, Algebraic Combinatorics on Words, ch. 2)."""
+    """Rational-slope mechanical sequence, given by its slope p/q in [0, 1] alone: every mechanical word of
+    slope p/q, whatever its intercept and rounding, has the language of the rotation christoffel_word(p, q)^∞
+    (Lothaire, Algebraic Combinatorics on Words, ch. 2), so none of its own letters is read."""
 
     __slots__ = ()
 
@@ -141,18 +139,13 @@ class Skew(_SkewFields):
 BalancedSpec = Union[Periodic, Characteristic, Skew, Mechanical]
 
 
-def sequence_window(spec: BalancedSpec, lo: int, hi: int) -> str:
-    """Letters at positions lo..hi-1 of the spec's canonical sequence, built in one pass."""
-    if isinstance(spec, Periodic):
-        return _cyclic_slice(spec.word, lo, hi)
+def sequence_window(spec: Characteristic | Skew, lo: int, hi: int) -> str:
+    """Letters lo..hi-1 of a mirror spec's canonical sequence, built in one pass: the window build_pair reads."""
     if isinstance(spec, Characteristic):
         return _characteristic_window(spec, lo, hi)
-    if isinstance(spec, Mechanical):  # letter i of christoffel_word(p, q)^∞ is b iff ⌊(i+1)p/q⌋ - ⌊ip/q⌋ = 1
-        p, q = spec.alpha.as_integer_ratio()
-        return "".join(["ab"[v - u] for u, v in pairwise([p * i // q for i in range(lo, hi + 1)])])
     if isinstance(spec, Skew):
         return _skew_window(spec, lo, hi)
-    raise TypeError(f"not a balanced spec: {spec!r}")
+    raise TypeError(f"not a mirror spec: {spec!r}")
 
 
 def _cyclic_slice(block: str, lo: int, hi: int) -> str:
@@ -191,17 +184,21 @@ def _skew_window(spec: Skew, lo: int, hi: int) -> str:
     return _mirror_window(y + x, lambda i, j: _cyclic_slice(block, i, j), lo, hi)
 
 
-def _path(spec: BalancedSpec, n: int) -> Iterable[int]:
+def _path(spec: BalancedSpec, n: int) -> list[int]:
     """Partial quotients [a1, a2, ...] of a slope [0; a1, a2, ...] whose rotation has the spec's length-n factors.
 
     A periodic or mechanical spec is its slope p/q, expanded by Euclid (1 as [0; 1]).  A characteristic
-    directive d continues with n + 1, [0; d1+1, d2, ..., n+1], once the letters at positions 1..n-1 are
-    within its reach.  A skew spec takes one more quotient, n + 2, past the slope of x^∞ or of (a·m·b)^∞,
-    after whichever of its two expansions puts the rotation on the side of y: above for xy = ab.
+    directive d continues with n + 1, [0; d1+1, d2, ..., n+1], once its standard word, of q_k letters for
+    the last convergent p_k/q_k of [0; d1+1, d2, ..., dk], reaches position n - 1.  A skew spec takes one
+    more quotient, n + 2, past the slope of x^∞ or of (a·m·b)^∞, after whichever of its two expansions
+    puts the rotation on the side of y: above for xy = ab.
     """
     if isinstance(spec, Characteristic):
-        sequence_window(spec, 1, n)  # names the first position out of the directive's reach
-        return chain((spec.directive[0] + 1,), spec.directive[1:], (n + 1,))
+        path = (spec.directive[0] + 1, *spec.directive[1:])
+        reach = _node(path, max(n - 2, 0))[1]  # the first node past n - 2, or q_k at the path's end
+        if reach < n - 1:
+            raise ValueError(f"directive too short for position {reach + 1}")
+        return [*path, n + 1]
     if isinstance(spec, Periodic):
         slope = Fraction(spec.word.count("b"), len(spec.word))
     elif isinstance(spec, Mechanical):
@@ -346,25 +343,23 @@ def radix_chain_check(spec: BalancedSpec, max_n: int) -> int:
     """Certify monotonicity of w -> q_markoff(w) on the spec's language up to max_n; return the
     number of words checked.
 
-    Walks one radix-sorted chain of lengths 0..max_n, one length at a time (the empty word first):
-    the spec's own, or for a periodic or mechanical spec of slope p/q with q <= max_n, whose
-    non-local pairs _certified refuses, that of the rotation one quotient, max_n + 2, further down
-    the path of p/q: its language at every length up to max_n is a skew language that holds the
-    spec's.  Its members are the spec's words: all below length q, and the factors of
-    christoffel_word(p, q)^∞ from length q on.  Consecutive members are ordered when every chain
-    pair between them is _certified, else by their own q-Markoff difference, which must be nonzero
-    with nonnegative coefficients; by transitivity every radix-ordered pair is covered.  The first
-    that is not raises MonotonicityError with its exact difference.
+    Walks one radix-sorted chain of lengths 0..max_n, one length at a time (the empty word first): that
+    of the rotation at the node one quotient, max_n + 2, past max_n on the spec's _path, whose
+    denominator exceeds max_n.  At every length up to max_n its language is the spec's, or, for a
+    periodic or mechanical spec of slope p/q with q <= max_n, whose own chain has non-local pairs that
+    _certified refuses, a skew language that holds the spec's.  The members are the spec's words: all
+    below length q, and the factors of christoffel_word(p, q)^∞ from length q on.  Consecutive members
+    are ordered when every chain pair between them is _certified, else by their own q-Markoff
+    difference, which must be nonzero with nonnegative coefficients; by transitivity every
+    radix-ordered pair is covered.  The first that is not raises MonotonicityError with its exact
+    difference.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    walked, q, text = spec, max_n + 1, ""  # every word of the spec's own chain is a member
-    if isinstance(spec, (Periodic, Mechanical)):
-        path = _path(spec, max_n)
-        p, q = _node(path, max_n)
-        if q <= max_n:  # the path's end: the slope p/q itself
-            walked = Mechanical(Fraction(*_node([*path, max_n + 2], max_n)))
-            text = christoffel_word(p, q) * (max_n // q + 2)
+    path = _path(spec, max_n)
+    p, q = _node(path, max_n)  # q <= max_n only at the end of a periodic or mechanical slope's path
+    walked = Mechanical(Fraction(*_node([*path, max_n + 2], max_n)))
+    text = christoffel_word(p, q) * (max_n // q + 2)  # read only when q <= max_n, from length q on
     words = 1  # the empty word
     last, ordered = "", True  # the last member, and whether every chain pair since it is _certified
     for u, v in pairwise(_radix_words(walked, max_n)):

@@ -395,16 +395,19 @@ def window_factors(spec, n):
     """Length-n factors of a periodic, skew or mechanical spec, off a window of radius 2n + period.
 
     The window is centered at the origin; the period is |word|, |m| + 2 or
-    the slope's denominator.
+    the slope's denominator.  Periodic and mechanical letters are read one
+    at a time, a mechanical spec as the lower word of intercept 0.
     """
     if isinstance(spec, Periodic):
-        period = len(spec.word)
+        radius = 2 * n + len(spec.word)
+        window = "".join(periodic_letter_by_index(spec, i) for i in range(-radius, radius))
     elif isinstance(spec, Skew):
-        period = len(spec.m) + 2
+        radius = 2 * n + len(spec.m) + 2
+        window = sequence_window(spec, -radius, radius)
     else:
-        period = spec.alpha.denominator
-    radius = 2 * n + period
-    return tuple(factors(sequence_window(spec, -radius, radius), n))
+        radius = 2 * n + spec.alpha.denominator
+        window = mechanical_window(spec.alpha, 0, "lower", -radius, radius)
+    return tuple(factors(window, n))
 
 
 # D = mu_q(ba) - mu_q(ab) = [[0, q + q^4], [-q^2 - q^5, 0]]; conjugation by a

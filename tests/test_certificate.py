@@ -1,6 +1,6 @@
 """The word certificate of radix_chain_check: the identities it rests on, the pairs it accepts,
-the walk of a periodic or mechanical spec along its enclosing skew chain, and agreement with
-the polynomial reference oracles.first_unordered."""
+the walk of every spec along the chain of one rotation, enclosing a periodic or mechanical spec's,
+and agreement with the polynomial reference oracles.first_unordered."""
 
 import itertools
 import math
@@ -22,9 +22,10 @@ from qmarkoff.qpoly import IntPolynomial, QMatrix
 from qmarkoff.words import christoffel_word
 
 from oracles import (
-    IDENTITY, MU_Q_A, MU_Q_B, ONE, Q, ZERO, classify_change_by_letters, det, factors, first_unordered, matmul, matscale,
-    matsub, pmul, poly, positivity_report, reversal, window_factors,
+    IDENTITY, MU_Q_A, MU_Q_B, ONE, Q, ZERO, christoffel_words_upto, classify_change_by_letters, det, factors,
+    first_unordered, matmul, matscale, matsub, pmul, poly, positivity_report, reversal, window_factors,
 )
+from test_language import _or_message
 
 FIB = Characteristic((1,) * 24)
 D = matsub(matmul(MU_Q_B, MU_Q_A), matmul(MU_Q_A, MU_Q_B))  # mu_q(ba) - mu_q(ab)
@@ -232,6 +233,31 @@ def _walked_chain(spec, max_n):
         radix_chain_check(spec, max_n)
     (chain_spec,) = walked
     return list(radix_words(chain_spec, max_n))
+
+
+SKEW_SPECS = [Skew(w[1:-1], form, xy) for w in sorted(christoffel_words_upto(30)) if len(w) >= 2
+              for form in language.SKEW_FORMS for xy in ("ab", "ba")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(st.lists(st.integers(1, 4), min_size=1, max_size=12).map(Characteristic), st.sampled_from(SKEW_SPECS)),
+    st.integers(1, 64),
+)
+def test_mirror_specs_walk_a_rotation_with_their_own_chain(spec, max_n):
+    # the rotation one quotient past max_n on the path has the spec's chain at every length, or the directive
+    # is too short and both fail with the same line
+    own = _or_message(lambda: list(language._radix_words(spec, max_n)))
+    assert _or_message(_walked_chain, spec, max_n) == own
+
+
+def test_a_short_directive_fails_before_the_walk(monkeypatch):
+    def refuse(spec, max_n):
+        raise AssertionError("a chain is walked")
+
+    monkeypatch.setattr(language, "_radix_words", refuse)
+    with pytest.raises(ValueError, match="^directive too short for position 4$"):
+        radix_chain_check(Characteristic((1, 1)), 8)
 
 
 def test_mechanical_languages_lie_in_their_certified_enclosing_skew_language():

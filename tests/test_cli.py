@@ -504,7 +504,7 @@ def test_verify_monotone_deterministic(capsys):
     assert first == second
 
 
-# (spec, its class, words checked at --max-n 256, whether the walk takes the enclosing skew chain)
+# (spec, its class, words checked at --max-n 256, whether the walk filters the members of its chain)
 VERIFY_MONOTONE_GOLDEN = [
     ("fibonacci", "characteristic", 33153, False),
     ("periodic:aabab", "periodic", 1275, True),
@@ -513,9 +513,9 @@ VERIFY_MONOTONE_GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("spec, name, words, enclosed", VERIFY_MONOTONE_GOLDEN,
+@pytest.mark.parametrize("spec, name, words, filtered", VERIFY_MONOTONE_GOLDEN,
                          ids=[g[0] for g in VERIFY_MONOTONE_GOLDEN])
-def test_verify_monotone_golden_stdout_at_the_limit(capsys, monkeypatch, spec, name, words, enclosed):
+def test_verify_monotone_golden_stdout_at_the_limit(capsys, monkeypatch, spec, name, words, filtered):
     from qmarkoff import language
 
     walked = []  # each spec whose radix chain is walked
@@ -525,10 +525,11 @@ def test_verify_monotone_golden_stdout_at_the_limit(capsys, monkeypatch, spec, n
     assert (code, err) == (0, "")
     assert out == (f"spec: {name}\nmax_n: 256\nfactors: {words}\ndifferences: {words - 1}\n"
                    "all differences nonzero with nonnegative coefficients: OK\n")
-    # an enclosed spec walks the rotation of a slope past 256 in denominator, one quotient down its own path
+    # every spec walks the rotation of a slope past 256 in denominator, whose chain has 257 * 258 / 2 words; a
+    # periodic or mechanical spec of denominator at most 256 counts only its own words among them
     [chain_spec] = walked
-    assert (chain_spec != parse_spec(spec)) == enclosed
-    assert not enclosed or chain_spec.alpha.denominator > 256
+    assert type(chain_spec) is language.Mechanical and chain_spec.alpha.denominator > 256
+    assert (words < 257 * 258 // 2) == filtered
 
 
 def test_spectrum_command(capsys):
@@ -993,8 +994,13 @@ def test_ci_workflow_parses_and_runs_the_cli_checks():
     runs = [step["run"] for step in workflow["jobs"]["tier1"]["steps"] if "run" in step]
     for check in ("factors: 33153", "factors: 33143", "factors: 1275", "factors (2049):", "indistinguishable: yes"):
         assert any(f"| grep -qx '{check}'" in r and r.startswith("set -o pipefail\n") for r in runs), check
-    assert any("qmarkoff language --spec characteristic:1,1 --n 4 2>" in r
-               and "'error: directive too short for position 4\\n'" in r for r in runs)
+    assert any(r.startswith("set -o pipefail\n") and "qmarkoff verify-monotone --spec skew:m=aba,form=blocks,xy=ba "
+               "--max-n 256 | grep -qx 'factors: 33153'" in r for r in runs)
+    for argv in ("language --spec characteristic:1,1 --n 4", "verify-monotone --spec characteristic:1,1 --max-n 8"):
+        assert any(f"qmarkoff {argv} 2>" in r and "'error: directive too short for position 4\\n'" in r
+                   for r in runs), argv
+    assert any("verify-monotone --spec characteristic:1,1" in r and 'test ! -s "$RUNNER_TEMP/stdout"' in r
+               for r in runs)
 
 
 def test_readme_library_example_runs(capsys):

@@ -58,22 +58,22 @@ FIB_TABLE = {
     st.sampled_from(("lower", "upper")),
 )
 def test_mechanical_letter_matches_fraction_oracle(slope, rho, kind):
-    # the two oracles agree on every intercept and rounding; Mechanical reads the lower word of intercept 0
+    # the two oracles agree on every intercept and rounding
     from oracles import mechanical_letter_by_floors, mechanical_letter_by_fractions
 
     alpha = Fraction(*slope)
     for pos in range(-60, 60):
         assert mechanical_letter_by_floors(alpha, rho, kind, pos) == mechanical_letter_by_fractions(alpha, rho, kind, pos)
-        assert sequence_window(Mechanical(alpha), pos, pos + 1) == mechanical_letter_by_fractions(alpha, 0, "lower", pos)
 
 
 def test_mechanical_letter_examples():
-    zero = Mechanical(Fraction(0))
-    one = Mechanical(Fraction(1))
-    assert all(sequence_window(zero, p, p + 1) == "a" for p in range(-5, 6))
-    assert all(sequence_window(one, p, p + 1) == "b" for p in range(-5, 6))
-    half = Mechanical(Fraction(1, 2))
-    assert [sequence_window(half, p, p + 1) for p in range(4)] == ["a", "b", "a", "b"]
+    # the lower mechanical words of intercept 0 of slopes 0, 1 and 1/2, read by the oracle, are the rotations
+    # christoffel_word(p, q)^∞ whose languages Mechanical(p/q) has
+    from oracles import mechanical_window
+
+    assert mechanical_window(Fraction(0), 0, "lower", -5, 6) == "a" * 11 == christoffel_word(0, 1) * 11
+    assert mechanical_window(Fraction(1), 0, "lower", -5, 6) == "b" * 11 == christoffel_word(1, 1) * 11
+    assert mechanical_window(Fraction(1, 2), 0, "lower", 0, 4) == "abab" == christoffel_word(1, 2) * 2
 
 
 def test_mechanical_spec_normalization():
@@ -89,11 +89,12 @@ def test_mechanical_spec_normalization():
 def test_upper_vs_lower_mechanical():
     from oracles import mechanical_window
 
-    # rational slope with rho = 0: lower and upper differ in alignment only, and Mechanical reads the lower
+    # rational slope with rho = 0: lower and upper differ in alignment only, and the lower is the rotation
+    # christoffel_word(2, 5)^∞ whose language Mechanical(2/5) has
     lw, uw = (mechanical_window(Fraction(2, 5), 0, kind, 0, 10) for kind in ("lower", "upper"))
     assert sorted(lw) == sorted(uw)
     assert lw != uw and uw in lw * 2
-    assert lw == sequence_window(Mechanical(Fraction(2, 5)), 0, 10)
+    assert lw == christoffel_word(2, 5) * 2
 
 
 def test_characteristic_word_fibonacci():
@@ -157,14 +158,11 @@ def test_characteristic_letter_at_memory_is_bounded():
 def test_characteristic_prefix_occurs_in_mechanical_word():
     # directive (d1, d2, ...) encodes slope [0; d1+1, d2, ...]; the prefix
     # must occur in the lower mechanical word of the convergent slope
+    from oracles import mechanical_window
+
     directive = (2, 1, 1)
     prefix = sequence_window(Characteristic(directive), 1, 6)
-    slope = Fraction(0)
-    for d in reversed((directive[0] + 1,) + directive[1:]):
-        slope = Fraction(1, d + slope)
-    spec = Mechanical(slope)
-    window = "".join(sequence_window(spec, p, p + 1) for p in range(0, 40))
-    assert prefix in window
+    assert prefix in mechanical_window(_convergent_slope(directive), 0, "lower", 0, 40)
 
 
 def test_compact_representations():
@@ -247,15 +245,6 @@ def test_skew_sequences():
 
 
 WINDOW_BOUNDS = st.integers(-600, 600)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 200).flatmap(lambda q: st.tuples(st.integers(0, q), st.just(q))), WINDOW_BOUNDS, WINDOW_BOUNDS)
-def test_mechanical_window_matches_per_letter_oracle(slope, lo, hi):
-    from oracles import mechanical_window
-
-    alpha = Fraction(*slope)
-    assert sequence_window(Mechanical(alpha), lo, hi) == mechanical_window(alpha, 0, "lower", lo, hi)
 
 
 def _christoffel_middle(n):
@@ -363,16 +352,21 @@ def test_skew_factors_match_compact_and_window_oracles(form, xy):
 
 
 def test_slope_factors_match_window_and_compact_oracles():
-    # every slope p/q with q < 40, at every n <= 64; at lengths below q, christoffel_word(p, q)^∞ reads as a mirror
-    # about positions -1 and 0, so its compact representations hold its factors too
+    # every slope p/q with q < 40, at every n <= 64, against one window of its lower mechanical word of intercept
+    # 0, christoffel_word(p, q)^∞; at lengths below q it reads as a mirror about positions -1 and 0, so the
+    # compact representations of its letters 1..n-1 hold its factors too
+    from oracles import mechanical_window
+
     slopes = sorted({Fraction(p, q) for q in range(1, 40) for p in range(q + 1)})
     for slope in slopes:
-        spec = Mechanical(slope)
+        radius = 2 * 64 + slope.denominator
+        window = mechanical_window(slope, 0, "lower", -radius, radius)
         for n in range(65):
-            fs = enumerate_factors(spec, n)
-            assert fs == window_factors(spec, n), (slope, n)
+            fs = enumerate_factors(Mechanical(slope), n)
+            assert fs == tuple(factors(window, n)), (slope, n)
             if n < slope.denominator:
-                assert fs == _compact_factors(spec, n), (slope, n)
+                first, second = compact_representations(window[radius + 1 : radius + n])
+                assert fs == tuple(factors(first, n)) == tuple(factors(second, n)), (slope, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -399,6 +393,28 @@ def test_directive_continuation_at_the_end_of_its_standard_word(directive, size)
         language._path(spec, size + 1)
     with pytest.raises(ValueError, match=f"^directive too short for position {size + 1}$"):
         enumerate_factors(spec, size + 2)
+
+
+def test_directive_reach_matches_the_letter_reference():
+    # the path of every directive of at most 4 entries in 1..3, at every n <= 40: the standard word's length q_k,
+    # from the convergents, names the same first position out of reach as reading letters 1..n-1 one at a time
+    for directive in (d for k in range(1, 5) for d in itertools.product((1, 2, 3), repeat=k)):
+        spec = Characteristic(directive)
+        for n in range(41):
+            letters = _or_message(_characteristic_window_by_letters, spec, 1, n)
+            path = letters if letters.startswith("directive") else [directive[0] + 1, *directive[1:], n + 1]
+            assert _or_message(language._path, spec, n) == path, (directive, n)
+
+
+def test_last_factor_is_the_prefix_of_the_next_last():
+    # the language extends to the right, so the lex-last factor of length n - 1 is the length-(n - 1) prefix of
+    # the lex-last of length n: the language table reads it off the length-n table
+    specs = (FIB, Characteristic((2, 1, 3, 1, 2, 1)), Periodic("aabab"), Periodic("a"), Periodic("b"), Skew(),
+             Skew(xy="ba"), Skew("aba", "blocks", "ba"), Skew("a", "blocks"), Mechanical(0), Mechanical(1),
+             Mechanical(Fraction(3, 8)), Mechanical(Fraction(1, 10**9)))
+    for spec in specs:
+        last = [enumerate_factors(spec, n)[-1] for n in range(65)]
+        assert all(u == v[:-1] for u, v in itertools.pairwise(last)), spec
 
 
 @pytest.mark.parametrize("spec", [Characteristic((10**6,)), Mechanical(Fraction(1, 10**9))], ids=["1000000", "1/10^9"])
@@ -434,7 +450,7 @@ def _characteristic_window_by_letters(spec, lo, hi):
 
 
 def test_windows_cross_every_block_boundary():
-    from oracles import mechanical_window, skew_letter_by_blocks
+    from oracles import skew_letter_by_blocks
 
     for m in ("", "a", "aba", christoffel_word(3, 8)[1:-1]):
         size = len(m) + 2
@@ -443,24 +459,11 @@ def test_windows_cross_every_block_boundary():
                 for hi in range(lo - 1, size + 3):
                     expected = "".join(skew_letter_by_blocks(spec, i) for i in range(lo, hi))
                     assert sequence_window(spec, lo, hi) == expected, (spec, lo, hi)
-    for lo in range(-8, 3):
-        for hi in range(lo - 1, 9):
-            expected = mechanical_window(Fraction(2, 7), 0, "lower", lo, hi)
-            assert sequence_window(Mechanical(Fraction(2, 7)), lo, hi) == expected, (lo, hi)
     for spec in (Characteristic(directive) for directive in ((1, 1), (2, 1, 3), (1,) * 8)):
         for lo in range(-12, 4):
             for hi in range(lo - 1, 14):
                 expected = _or_message(_characteristic_window_by_letters, spec, lo, hi)
                 assert _or_message(sequence_window, spec, lo, hi) == expected, (spec, lo, hi)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 40).flatmap(_christoffel_powers), WINDOW_BOUNDS, WINDOW_BOUNDS)
-def test_periodic_window_matches_per_letter_oracle(word, lo, hi):
-    from oracles import periodic_letter_by_index
-
-    spec = Periodic(word)
-    assert sequence_window(spec, lo, hi) == "".join(periodic_letter_by_index(spec, i) for i in range(lo, hi))
 
 
 @settings(max_examples=80, deadline=None)
@@ -504,17 +507,23 @@ def test_periodic_factors_match_cyclic_and_window_oracles(word, n):
     assert fs == tuple(cyclic_factors(word, n)) == window_factors(Periodic(word), n)
 
 
-def test_skew_and_mechanical_factors_read_no_single_letter(monkeypatch):
-    specs = (Skew("aba", "blocks", "ba"), Skew(), Mechanical(Fraction(3, 8)))
-    expected = [enumerate_factors(spec, 9) for spec in specs]
-    window = language.sequence_window
+def test_enumerate_factors_reads_no_letter(monkeypatch):
+    # every variant's factors, its radix chain and a short directive's error come from the rotation and the
+    # directive's convergents, with no letter of the spec read
+    specs = (FIB, Characteristic((2, 1, 3)), Periodic("aabab"), Skew("aba", "blocks", "ba"), Skew(),
+             Mechanical(Fraction(3, 8)))
+    expected = [[enumerate_factors(spec, n) for n in range(10)] for spec in specs]
+    words = [radix_chain_check(spec, 9) for spec in specs]
 
-    def refuse_one_letter(spec, lo, hi):
-        assert hi - lo != 1, f"single letter read at {lo}"
-        return window(spec, lo, hi)
+    def refuse(*args):
+        raise AssertionError(f"letters read: {args}")
 
-    monkeypatch.setattr(language, "sequence_window", refuse_one_letter)
-    assert [enumerate_factors(spec, 9) for spec in specs] == expected
+    monkeypatch.setattr(language, "sequence_window", refuse)
+    monkeypatch.setattr(language, "_standard_prefix", refuse)
+    assert [[enumerate_factors(spec, n) for n in range(10)] for spec in specs] == expected
+    assert [radix_chain_check(spec, 9) for spec in specs] == words
+    with pytest.raises(ValueError, match="^directive too short for position 4$"):
+        enumerate_factors(Characteristic((1, 1)), 5)
 
 
 def test_flip_permutation_fibonacci_n3():
@@ -783,16 +792,11 @@ def _convergent_slope(directive):
     [(1,) * 10, (2, 1, 2, 1, 2, 1, 2, 1), (3, 2, 1, 1, 2, 2), (1, 2, 3, 1, 2)],
 )
 def test_characteristic_factors_match_mechanical_window(directive):
-    # independent route: the factor sets must equal those read off a long
-    # window of the convergent-slope rotation
-    slope = _convergent_slope(directive)
-    spec = Characteristic(directive)
-    mech = Mechanical(slope)
-    length = 3 * slope.denominator + 24
-    window = "".join(sequence_window(mech, k, k + 1) for k in range(length))
+    # independent route: the factors equal those read off a window of the lower mechanical word of the
+    # convergent slope, one letter at a time
+    spec, mech = Characteristic(directive), Mechanical(_convergent_slope(directive))
     for n in range(1, 9):
-        from_window = {window[i : i + n] for i in range(length - n + 1)}
-        assert set(enumerate_factors(spec, n)) == from_window, n
+        assert enumerate_factors(spec, n) == window_factors(mech, n), n
 
 
 def test_radix_chain_all_small_christoffel_periods():
@@ -809,11 +813,12 @@ def test_radix_chain_all_small_christoffel_periods():
 def test_mechanical_limit_stabilization():
     # lower mechanical words with rho = 0 and slopes decreasing to 2/5
     # stabilize on the central window to the skew word's p̃·ba·p form
+    from oracles import mechanical_window
+
     target = Fraction(2, 5)
     windows = []
     for j in range(1, 8):
-        spec = Mechanical(target + Fraction(1, 5 * 4**j))
-        windows.append(sequence_window(spec, -8, 9))
+        windows.append(mechanical_window(target + Fraction(1, 5 * 4**j), 0, "lower", -8, 9))
     assert len(set(windows[2:])) == 1
     stable = windows[-1]
     assert stable == sequence_window(Skew(m="aba", form="blocks", xy="ab"), -8, 9)
