@@ -55,7 +55,7 @@ MAX_CURVES_LEN = 160  # fibonacci, 5 gammas: 1.3 s, 64 MiB; --max-len 240: 3.5 s
 # 12.5 s, 292 MiB; 8 gammas with terms near 512: 6.8 s, 163 MiB.  Checked before the spec.
 MAX_CURVES_GAMMAS = 8
 MAX_GAMMA_TERM = 256  # largest numerator and denominator of a gamma
-MAX_PAIR_RADIUS = 1024  # characteristic:1,1,... (60,000 ones) 0.9 s, 22 MiB; --radius 1600: 2.4 s, 28 MiB
+MAX_PAIR_RADIUS = 1024  # characteristic:1,1,... (60,000 ones) 1.0-1.8 s, 22 MiB; --radius 1600: 2.8-3.8 s, 25 MiB
 MAX_LANGUAGE_N = 2048  # skew --json: 0.27 s, 45 MiB; --n 4096: 0.59 s, 132 MiB
 # (subcommand, flag) -> largest accepted value, checked in main before any work
 LIMITS = {

@@ -11,16 +11,16 @@ ch. 2), so enumerate_factors and radix_chain_check read no letter of a spec:
 a directive's reach is that of its convergents, and a mechanical spec is its
 slope.  Only the mirror specs, characteristic and skew (a right half
 reflected about a two-letter center at positions -1 and 0), are read letter
-by letter, through sequence_window, for their asymptotic pairs.  Nothing
-here is memoized: a characteristic window builds just the prefix of the
-standard word it reads, and radix_chain_check holds one length of the one
-chain it walks.
+by letter, through sequence_window, for their asymptotic pairs: a
+characteristic window is cut from christoffel_word at a node of its
+directive's path.  Nothing here is memoized, and radix_chain_check holds
+one length of the one chain it walks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import pairwise
+from itertools import chain, islice, pairwise
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .morphism import is_christoffel, q_markoff, q_markoff_ratios
@@ -46,17 +46,6 @@ class Mechanical(_MechanicalFields):
         return super().__new__(cls, alpha)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through __new__
-
-
-def _standard_prefix(directive: tuple[int, ...], length: int) -> str:
-    """Up to `length` letters of the standard word of `directive`: from ("b", "a"), s_k = s_{k-1}^{d_k} s_{k-2}
-    (directive 1, 1, ... gives the Fibonacci word), with s_{k-1}^{d_k} cut to the power covering them."""
-    prev, cur = "b", "a"
-    for d in directive:
-        if len(cur) >= length:
-            break
-        prev, cur = cur, cur * min(d, length // len(cur) + 1) + prev
-    return cur[:length]
 
 
 class _PeriodicFields(NamedTuple):
@@ -140,48 +129,40 @@ BalancedSpec = Union[Periodic, Characteristic, Skew, Mechanical]
 
 
 def sequence_window(spec: Characteristic | Skew, lo: int, hi: int) -> str:
-    """Letters lo..hi-1 of a mirror spec's canonical sequence, built in one pass: the window build_pair reads."""
-    if isinstance(spec, Characteristic):
-        return _characteristic_window(spec, lo, hi)
-    if isinstance(spec, Skew):
-        return _skew_window(spec, lo, hi)
-    raise TypeError(f"not a mirror spec: {spec!r}")
+    """Letters lo..hi-1 of a mirror spec's sequence reversal(r)·center·r, the center at -1 and 0 and r = block^∞.
 
-
-def _cyclic_slice(block: str, lo: int, hi: int) -> str:
-    """block[i % len(block)] for i = lo..hi-1."""
-    start = lo % len(block)
-    return (block * ((start + hi - lo) // len(block) + 1))[start : start + hi - lo]
-
-
-def _mirror_window(center: str, right, lo: int, hi: int) -> str:
-    """Letters lo..hi-1 of reversal(r)·center·r: the center at positions -1 and 0, r[i] at i + 1 and -i - 2.
-
-    right(i, j) returns r[i:j] (empty when j <= i), so a window costs what its slices of r cost.
+    A window costs its width: r is sliced from block.  A skew (center, block) is (x·y, x) or (y·x, m·y·x); a
+    characteristic one is (ab, w·b·a), for a·w·b = christoffel_word at the first node past max(-lo, hi) on
+    _directive_path, w a prefix of the standard word longer than any index read.
     """
+    if isinstance(spec, Characteristic):
+        if hi <= lo:
+            return ""
+        c = christoffel_word(*_node(_directive_path(spec.directive, lo, hi), max(-lo, hi)))
+        center, block = "ab", c[1:] + c[0]
+    elif isinstance(spec, Skew):
+        x, y = spec.xy
+        center, block = (x + y, x) if spec.form == "xxyxx" else (y + x, spec.m + y + x)
+    else:
+        raise TypeError(f"not a mirror spec: {spec!r}")
+
+    def right(i: int, j: int) -> str:  # r[i:j], empty when j <= i
+        start = i % len(block)
+        return (block * ((start + j - i) // len(block) + 1))[start : start + j - i]
+
     left = right(max(-hi - 1, 0), max(-lo - 1, 0))[::-1]  # positions < -1
     return left + center[max(lo + 1, 0) : max(min(hi + 1, 2), 0)] + right(max(lo, 1) - 1, max(hi - 1, 0))
 
 
-def _characteristic_window(spec: Characteristic, lo: int, hi: int) -> str:
-    """Letters lo..hi-1 of p̃·ab·p, the b at position 0 and p the standard word (see Characteristic)."""
-    if hi <= lo:
-        return ""
-    last = max(-lo - 2, hi - 2)  # the largest index of p read
-    p = _standard_prefix(spec.directive, last + 1) if last >= 0 else ""
-    if last >= len(p):  # name the first position out of reach
-        pos = lo if -lo - 2 >= len(p) else max(lo, len(p) + 1)
-        raise ValueError(f"directive too short for position {pos}")
-    return _mirror_window("ab", lambda i, j: p[i:j], lo, hi)
-
-
-def _skew_window(spec: Skew, lo: int, hi: int) -> str:
-    """Letters lo..hi-1 of a skew spec: the mirror of x^∞ or of (m·y·x)^∞ (see Skew)."""
-    x, y = spec.xy
-    if spec.form == "xxyxx":
-        return _mirror_window(x + y, lambda i, j: x * (j - i), lo, hi)
-    block = spec.m + y + x
-    return _mirror_window(y + x, lambda i, j: _cyclic_slice(block, i, j), lo, hi)
+def _directive_path(directive: tuple[int, ...], lo: int, hi: int) -> Iterator[int]:
+    """The quotients d1+1, d2, ..., dk, last+3 of a directive, lazily, once its standard word, of q_k letters for
+    the last convergent p_k/q_k of [0; d1+1, d2, ..., dk], reaches the largest index last = max(-lo-2, hi-2) that
+    the window lo..hi-1 reads; else the error names lo if the left side is out of reach, or max(lo, q_k + 1)."""
+    last = max(-lo - 2, hi - 2)
+    q = _node(chain((directive[0] + 1,), islice(directive, 1, None)), max(last, 0))[1]  # past last, or q_k
+    if q <= last:
+        raise ValueError(f"directive too short for position {lo if -lo - 2 >= q else max(lo, q + 1)}")
+    return chain((directive[0] + 1,), islice(directive, 1, None), (last + 3,))
 
 
 def _path(spec: BalancedSpec, n: int) -> list[int]:
@@ -189,16 +170,12 @@ def _path(spec: BalancedSpec, n: int) -> list[int]:
 
     A periodic or mechanical spec is its slope p/q, expanded by Euclid (1 as [0; 1]).  A characteristic
     directive d continues with n + 1, [0; d1+1, d2, ..., n+1], once its standard word, of q_k letters for
-    the last convergent p_k/q_k of [0; d1+1, d2, ..., dk], reaches position n - 1.  A skew spec takes one
-    more quotient, n + 2, past the slope of x^∞ or of (a·m·b)^∞, after whichever of its two expansions
-    puts the rotation on the side of y: above for xy = ab.
+    the last convergent p_k/q_k of [0; d1+1, d2, ..., dk], reaches position n - 1: the _directive_path of
+    its window 1..n-1.  A skew spec takes one more quotient, n + 2, past the slope of x^∞ or of (a·m·b)^∞,
+    after whichever of its two expansions puts the rotation on the side of y: above for xy = ab.
     """
     if isinstance(spec, Characteristic):
-        path = (spec.directive[0] + 1, *spec.directive[1:])
-        reach = _node(path, max(n - 2, 0))[1]  # the first node past n - 2, or q_k at the path's end
-        if reach < n - 1:
-            raise ValueError(f"directive too short for position {reach + 1}")
-        return [*path, n + 1]
+        return list(_directive_path(spec.directive, 1, n))
     if isinstance(spec, Periodic):
         slope = Fraction(spec.word.count("b"), len(spec.word))
     elif isinstance(spec, Mechanical):

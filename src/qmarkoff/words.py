@@ -3,6 +3,8 @@
 Words are plain Python strings containing only the letters "a" and "b"
 (with a < b).  The alternative rendering over {0, 1} maps a -> 0, b -> 1;
 ``parse_word`` accepts either alphabet and normalizes to "ab".
+``christoffel_word``, built by the standard-word recurrence, is the one
+generator of Sturmian words: every word the package reads is cut from it.
 """
 
 from __future__ import annotations
@@ -47,11 +49,21 @@ def christoffel_word(k: int, n: int) -> str:
     """The word whose letter i < n is b iff ⌊(i+1)k/n⌋ - ⌊ik/n⌋ = 1, for 0 <= k <= n.
 
     It is the lower Christoffel word of slope k/n when gcd(k, n) = 1, else
-    the gcd(k, n)-th power of the one of the reduced slope.
+    the gcd(k, n)-th power of the one of the reduced slope.  For 0 < k/n =
+    [0; a1, ..., am] < 1 that one is a·w·b, w the standard word s_m less its
+    last two letters, from s_-1 = b, s_0 = a and s_j = s_(j-1)^aj s_(j-2)
+    with a1 less 1 (Lothaire, Algebraic Combinatorics on Words, ch. 2).
     """
     if not 0 <= k <= n or n < 1:
         raise ValueError(f"need 0 <= k <= n and n >= 1, got k={k}, n={n}")
-    return "".join("ab"[(i + 1) * k // n - i * k // n] for i in range(n))
+    if k in (0, n):
+        return "ab"[k == n] * n
+    prev, cur = "a", "a" * (n // k - 1) + "b"  # s_0 and s_1
+    p, q = n % k, k
+    while p:
+        prev, cur = cur, cur * (q // p) + prev
+        p, q = q % p, p
+    return ("a" + cur[:-2] + "b") * q  # q = gcd(k, n)
 
 
 def is_balanced_periodic(w: str) -> bool:

@@ -9,7 +9,10 @@ polynomials and of 2x2 matrices.  The library forms no such product, so
 mu_q_schoolbook checks its packed walk against arithmetic it does not share.
 The string references (reversal, factors, compact_representations) read
 factors off the letters of a sequence, where the library reads them off a
-rotation.
+rotation.  The word references build Sturmian words as they are defined,
+one floor per letter (christoffel_word_by_floors) or by the standard-word
+recurrence cut to a prefix (standard_prefix), where the library cuts every
+such word from one christoffel_word.
 """
 
 import math
@@ -18,7 +21,7 @@ from itertools import pairwise
 from typing import NamedTuple
 
 from qmarkoff.language import (
-    FLIP_AB_BA, LAST_LETTER, WRAP_AWA, WRAP_AWB, MonotonicityError, Periodic, Skew, _standard_prefix, sequence_window,
+    FLIP_AB_BA, LAST_LETTER, WRAP_AWA, WRAP_AWB, MonotonicityError, Periodic, Skew, sequence_window,
 )
 from qmarkoff.morphism import det_exponent, mu_q, q_markoff
 from qmarkoff.pairs import AsymptoticPair, PairReport, pair_report
@@ -52,6 +55,22 @@ def compact_representations(prefix: str) -> tuple[str, str]:
     """
     rp = reversal(prefix)
     return (rp + "ab" + prefix, rp + "ba" + prefix)
+
+
+def christoffel_word_by_floors(k: int, n: int) -> str:
+    """The word whose letter i < n is b iff ⌊(i+1)k/n⌋ - ⌊ik/n⌋ = 1, for 0 <= k <= n, one floor per letter."""
+    return "".join("ab"[(i + 1) * k // n - i * k // n] for i in range(n))
+
+
+def standard_prefix(directive: tuple[int, ...], length: int) -> str:
+    """Up to `length` letters of the standard word of `directive`: from ("b", "a"), s_k = s_{k-1}^{d_k} s_{k-2}
+    (directive 1, 1, ... gives the Fibonacci word), with s_{k-1}^{d_k} cut to the power covering them."""
+    prev, cur = "b", "a"
+    for d in directive:
+        if len(cur) >= length:
+            break
+        prev, cur = cur, cur * min(d, length // len(cur) + 1) + prev
+    return cur[:length]
 
 
 # the reference q-arithmetic
@@ -378,7 +397,7 @@ def characteristic_letter_by_prefix(spec, pos):
     if pos == 0:
         return "b"
     idx = pos - 1 if pos > 0 else -pos - 2
-    p = _standard_prefix(spec.directive, idx + 1)
+    p = standard_prefix(spec.directive, idx + 1)
     if idx >= len(p):
         raise ValueError(f"directive too short for position {pos}")
     return p[idx]

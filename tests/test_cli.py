@@ -1001,6 +1001,11 @@ def test_ci_workflow_parses_and_runs_the_cli_checks():
                    for r in runs), argv
     assert any("verify-monotone --spec characteristic:1,1" in r and 'test ! -s "$RUNNER_TEMP/stdout"' in r
                for r in runs)
+    assert any(r.startswith("set -o pipefail\n") and "qmarkoff pair-check --spec fibonacci --radius 1024 | grep -qx "
+               "'indistinguishable: yes'" in r for r in runs)
+    assert any("qmarkoff pair-check --spec characteristic:1,1 --radius 16 2>" in r and 'test "$code" -eq 2' in r
+               and 'test ! -s "$RUNNER_TEMP/stdout"' in r and "'error: directive too short for position -33\\n'" in r
+               for r in runs)
 
 
 def test_readme_library_example_runs(capsys):

@@ -397,13 +397,37 @@ def test_directive_continuation_at_the_end_of_its_standard_word(directive, size)
 
 def test_directive_reach_matches_the_letter_reference():
     # the path of every directive of at most 4 entries in 1..3, at every n <= 40: the standard word's length q_k,
-    # from the convergents, names the same first position out of reach as reading letters 1..n-1 one at a time
+    # from the convergents, names the same first position out of reach as reading letters 1..n-1 one at a time,
+    # and the window 1..n-1, cut from christoffel_word at a node of the same path, raises that same line
     for directive in (d for k in range(1, 5) for d in itertools.product((1, 2, 3), repeat=k)):
         spec = Characteristic(directive)
         for n in range(41):
             letters = _or_message(_characteristic_window_by_letters, spec, 1, n)
             path = letters if letters.startswith("directive") else [directive[0] + 1, *directive[1:], n + 1]
             assert _or_message(language._path, spec, n) == path, (directive, n)
+            assert _or_message(sequence_window, spec, 1, n) == letters, (directive, n)
+
+
+@pytest.mark.parametrize(
+    "directive", [(1,) * 24, (2, 1, 3, 1, 2, 1), (10**6,), (1, 10**6)],
+    ids=["1*24", "2,1,3,1,2,1", "1000000", "1,1000000"],
+)
+def test_pair_window_at_the_largest_radius_matches_the_letter_reference(directive):
+    # pair-check at MAX_PAIR_RADIUS reads s over -2049..2048: it is cut from christoffel_word at a node of q at most
+    # 2 * 2049, or, past the directive's reach, names the left end as reading one letter at a time does
+    from qmarkoff.cli import MAX_PAIR_RADIUS
+
+    spec = Characteristic(directive)
+    lo, hi = -1 - 2 * MAX_PAIR_RADIUS, 2 * MAX_PAIR_RADIUS + 1
+    expected = _or_message(_characteristic_window_by_letters, spec, lo, hi)
+    tracemalloc.start()
+    try:
+        window = _or_message(sequence_window, spec, lo, hi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert window == expected
+    assert peak < 8 * (hi - lo), peak
 
 
 def test_last_factor_is_the_prefix_of_the_next_last():
@@ -519,7 +543,6 @@ def test_enumerate_factors_reads_no_letter(monkeypatch):
         raise AssertionError(f"letters read: {args}")
 
     monkeypatch.setattr(language, "sequence_window", refuse)
-    monkeypatch.setattr(language, "_standard_prefix", refuse)
     assert [[enumerate_factors(spec, n) for n in range(10)] for spec in specs] == expected
     assert [radix_chain_check(spec, 9) for spec in specs] == words
     with pytest.raises(ValueError, match="^directive too short for position 4$"):

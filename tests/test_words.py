@@ -12,7 +12,9 @@ from qmarkoff.words import (
     render_word,
 )
 
-from oracles import balanced_periodic_scan, cyclic_factors, factors, is_balanced_family, reversal
+from oracles import (
+    balanced_periodic_scan, christoffel_word_by_floors, cyclic_factors, factors, is_balanced_family, reversal,
+)
 
 words_st = st.text(alphabet="ab", max_size=12)
 nonempty_words_st = st.text(alphabet="ab", min_size=1, max_size=10)
@@ -111,6 +113,19 @@ def test_christoffel_word_examples():
     for k, n in ((-1, 3), (4, 3), (0, 0)):
         with pytest.raises(ValueError):
             christoffel_word(k, n)
+
+
+def test_christoffel_word_matches_the_floor_definition():
+    # the standard-word recurrence against one floor per letter at every slope k/n, n <= 300, powers included
+    for n in range(1, 301):
+        for k in range(n + 1):
+            assert christoffel_word(k, n) == christoffel_word_by_floors(k, n), (k, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10**5).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+def test_christoffel_word_matches_the_floor_definition_at_long_lengths(slope):
+    assert christoffel_word(*slope) == christoffel_word_by_floors(*slope)
 
 
 def test_is_balanced_periodic_vs_scan_exhaustive_len10():
